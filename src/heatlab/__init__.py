@@ -1,7 +1,8 @@
 """Finite-difference laboratory for the 1-D heat equation.
 
-Seven time-stepping schemes behind one stepper contract, a linear-time
-tridiagonal solver, closed-form reference solutions, and the stability /
+Seven time-stepping schemes behind one stepper contract, a pivoting
+tridiagonal solver (LAPACK ``gtsv``, with a pure-Python Thomas reference),
+closed-form reference solutions, and the stability /
 dispersion / convergence / error-bound tooling needed to measure what each
 scheme actually does.
 """

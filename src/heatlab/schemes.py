@@ -265,15 +265,10 @@ def _solve_interior_system(u_old: np.ndarray, rho_new: np.ndarray,
         diag = diag + diag_extra
     upper = -rho_new[:-1]
     lower = -rho_new[1:]
-    rhs = rhs.copy()
-    diag = diag.copy()
-    upper = upper.copy()
-    lower = lower.copy()
+    rhs = rhs.copy()  # callers reuse rhs across fixed-point iterates
 
     left, right = bcs
-    if left.kind is not BCKind.DIRICHLET and m < 2:
-        raise ValueError("flux/Robin boundaries need at least 2 interior nodes")
-    if right.kind is not BCKind.DIRICHLET and m < 2:
+    if m < 2 and (left.kind, right.kind) != (BCKind.DIRICHLET, BCKind.DIRICHLET):
         raise ValueError("flux/Robin boundaries need at least 2 interior nodes")
     a1l, a2l, gl = boundary_closure_coefficients(left, Side.LEFT, t_next,
                                                  nu_left, dx)

@@ -1,8 +1,18 @@
-"""Linear-time tridiagonal solver (forward elimination + back substitution).
+"""Tridiagonal solvers.
 
-No pivoting: every system assembled by the steppers is strictly diagonally
-dominant (diagonal 1 + 2r or 1 + r against off-diagonals r or r/2, r > 0),
-so pivots cannot vanish there.  A pivot guard still catches misuse.
+``thomas_solve`` is the solver the steppers call.  It is LAPACK ``dgtsv``:
+Gaussian elimination with partial pivoting, O(m) for a system of order m
+(Anderson et al., *LAPACK Users' Guide*, SIAM 1999).  Pivoting matters
+because the steppers do not always assemble diagonally dominant systems:
+affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the diagonal, which can
+push the dominance margin below zero at large r.  scipy is imported on the
+first solve, so importing heatlab and commands that never solve do not pay
+for it.
+
+``thomas_solve_instrumented`` is the unpivoted pure-Python Thomas sweep,
+kept as the reference the tests compare against.  It raises on any pivot
+smaller than ``PIVOT_FLOOR`` in magnitude and counts its row operations,
+exactly 2 m.
 """
 
 from dataclasses import dataclass
@@ -13,7 +23,10 @@ PIVOT_FLOOR = 1e-300
 
 
 class SingularSystemError(ArithmeticError):
-    """Raised when elimination hits a zero or denormal pivot."""
+    """Raised when elimination hits a zero pivot.
+
+    For the unpivoted reference, any pivot below PIVOT_FLOOR counts as zero.
+    """
 
 
 @dataclass(frozen=True)
@@ -39,16 +52,33 @@ class TridiagonalSystem:
 
 
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system in a single elimination sweep."""
-    x, _ = thomas_solve_instrumented(system)
+    """Solve the tridiagonal system by LU with partial pivoting (``dgtsv``).
+
+    Raises SingularSystemError only when a pivot of the factorisation is
+    exactly zero; small pivots are not an error.  The system's arrays are
+    not modified.
+    """
+    if len(system.diag) == 1:
+        # the LAPACK wrapper rejects the empty off-diagonal bands of m = 1
+        piv = float(system.diag[0])
+        if piv == 0.0:
+            raise SingularSystemError("zero pivot in row 0")
+        return np.array([system.rhs[0] / piv], dtype=float)
+    from scipy.linalg.lapack import dgtsv
+    *_, x, info = dgtsv(system.lower, system.diag, system.upper, system.rhs)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in row {info - 1}")
     return x
 
 
 def thomas_solve_instrumented(system: TridiagonalSystem) -> tuple[np.ndarray, int]:
-    """Solve and also report the number of row operations performed.
+    """Unpivoted Thomas sweep that also reports its row operations.
 
-    Exactly one forward-elimination operation and one back-substitution
-    operation per row, so the count is 2 m.
+    Raises SingularSystemError on any pivot below PIVOT_FLOOR in magnitude,
+    so it needs a system that elimination without row swaps can handle,
+    such as a strictly diagonally dominant one.  Exactly one
+    forward-elimination operation and one back-substitution operation per
+    row, so the count is 2 m.
     """
     lower = np.asarray(system.lower, dtype=float).tolist()
     diag = np.asarray(system.diag, dtype=float).tolist()

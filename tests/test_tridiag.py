@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import heatlab
 from heatlab import (SingularSystemError, TridiagonalSystem, thomas_solve,
                      thomas_solve_instrumented)
 
@@ -24,6 +33,22 @@ def random_dominant_system(rng, m):
     diag[:-1] += np.abs(upper)
     diag[1:] += np.abs(lower)
     rhs = rng.uniform(-5.0, 5.0, size=m)
+    return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
+
+
+def _bounded(lo, hi, size):
+    return hnp.arrays(float, size, elements=st.floats(lo, hi))
+
+
+@st.composite
+def dominant_systems(draw):
+    m = draw(st.integers(1, 200))
+    lower = draw(_bounded(-1.0, 1.0, m - 1))
+    upper = draw(_bounded(-1.0, 1.0, m - 1))
+    diag = draw(_bounded(1.0, 2.0, m))
+    diag[:-1] += np.abs(upper)
+    diag[1:] += np.abs(lower)
+    rhs = draw(_bounded(-5.0, 5.0, m))
     return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
 
 
@@ -52,6 +77,18 @@ def test_pivot_cancellation_raises():
                                upper=np.array([1.0]), rhs=np.array([1.0, 2.0]))
     with pytest.raises(SingularSystemError):
         thomas_solve(system)
+
+
+def test_pivoting_solves_zero_leading_diagonal():
+    # nonsingular (det = -1), but the first unpivoted pivot is 0
+    system = TridiagonalSystem(lower=np.array([1.0, 1.0]),
+                               diag=np.array([0.0, 1.0, 1.0]),
+                               upper=np.array([1.0, 1.0]),
+                               rhs=np.array([1.0, 2.0, 3.0]))
+    expected = np.linalg.solve(dense_matrix(system), system.rhs)
+    np.testing.assert_allclose(thomas_solve(system), expected, atol=1e-15)
+    with pytest.raises(SingularSystemError):
+        thomas_solve_instrumented(system)
 
 
 def test_inconsistent_lengths_rejected():
@@ -89,3 +126,35 @@ def test_operation_count_is_linear(m):
     system = random_dominant_system(rng, m)
     _, ops = thomas_solve_instrumented(system)
     assert ops == 2 * m
+
+
+@settings(deadline=None)
+@given(dominant_systems())
+def test_solver_agrees_with_reference_and_dense(system):
+    x = thomas_solve(system)
+    x_ref, _ = thomas_solve_instrumented(system)
+    expected = np.linalg.solve(dense_matrix(system), system.rhs)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12
+    assert np.max(np.abs(x - expected)) <= 1e-10
+
+
+def test_scipy_imported_on_first_solve_only():
+    # a cold ``import heatlab`` must not pay for scipy; the first solve does
+    src = str(Path(heatlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = """
+import sys
+import numpy as np
+import heatlab, heatlab.cli
+assert "scipy.linalg" not in sys.modules, "scipy.linalg imported eagerly"
+params = heatlab.SchemeParams(heatlab.DiffusivityModel.constant(1.0),
+                              dt=0.01, dx=0.1)
+bcs = (heatlab.BoundaryCondition.dirichlet(0.0),) * 2
+curr = heatlab.Field(values=np.array([0.0, 1.0, 2.0, 1.0, 0.0]), time_index=0)
+heatlab.step_implicit(heatlab.StepState(None, curr, params, bcs))
+assert "scipy.linalg" in sys.modules, "solve did not import scipy.linalg"
+"""
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
