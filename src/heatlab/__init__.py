@@ -12,7 +12,7 @@ from .analysis import (AmplificationResult, DispersionSample,
                        dispersion_branches, empirical_growth,
                        hyperbolization_error_bound, information_speed,
                        max_amplification, observed_order, truncation_residual)
-from .grid import (BCKind, BoundaryCondition, Field, Grid1D, Side, TimeGrid,
+from .grid import (BCKind, BoundaryCondition, Field, Grid1D, Side,
                    boundary_closure_coefficients, build_uniform_grid,
                    close_boundary, sample_initial)
 from .reference import (SineSeriesSolution, evaluate_series,
@@ -35,7 +35,7 @@ __all__ = [
     "DispersionSample", "ErrorBoundInputs", "Field", "FixedPointError",
     "Grid1D", "RunRecord", "Scheme", "SchemeParams", "Side",
     "SineSeriesSolution", "SingularSystemError", "SolverError", "StepState",
-    "TimeGrid", "TridiagonalSystem", "UndefinedGrowthError", "amplification",
+    "TridiagonalSystem", "UndefinedGrowthError", "amplification",
     "bootstrap_hyperbolic", "boundary_closure_coefficients",
     "build_uniform_grid", "close_boundary", "dispersion_branches",
     "empirical_growth", "evaluate_series", "fundamental_solution",

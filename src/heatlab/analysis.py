@@ -179,26 +179,27 @@ def observed_order(errors: Sequence[tuple[float, float]]) -> float:
 
 
 def information_speed(record: RunRecord,
-                      support_threshold: float = DEFAULT_SUPPORT_THRESHOLD
-                      ) -> list[int]:
-    """Support radius of each snapshot around the initial point source.
+                      support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
+                      source: Optional[int] = None) -> list[int]:
+    """Support radius of each snapshot around a source node.
 
-    The initial snapshot must be a one-node indicator; the radius of a later
-    snapshot is max |j - j_source| over nodes with |u_j| above the threshold
-    (0 when nothing exceeds it).  Explicit three-point stencils grow this by
-    exactly one cell per step; fully implicit solves light up the whole
-    domain in a single step.
+    The radius of a snapshot is max |j - source| over nodes with |u_j| above
+    the threshold (0 when nothing exceeds it).  Without ``source`` the initial
+    snapshot must be a one-node indicator and that node is the source.
+    Explicit three-point stencils grow the radius by exactly one cell per
+    step; fully implicit solves light up the whole domain in a single step.
     """
     if support_threshold <= 0.0:
         raise ValueError("support threshold must be positive")
     if not record.snapshots:
         raise ValueError("record has no snapshots")
-    first = np.abs(record.snapshots[0].values) > support_threshold
-    sources = np.flatnonzero(first)
-    if len(sources) != 1:
-        raise ValueError("initial field is not a one-node indicator "
-                         f"({len(sources)} nodes above threshold)")
-    source = int(sources[0])
+    if source is None:
+        first = np.abs(record.snapshots[0].values) > support_threshold
+        sources = np.flatnonzero(first)
+        if len(sources) != 1:
+            raise ValueError("initial field is not a one-node indicator "
+                             f"({len(sources)} nodes above threshold)")
+        source = int(sources[0])
     radii = []
     for snap in record.snapshots:
         above = np.flatnonzero(np.abs(snap.values) > support_threshold)

@@ -25,8 +25,8 @@ from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
     sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
     hyperbolic_mode_solution
-from .schemes import DiffusivityModel, FixedPointError, RunRecord, Scheme, \
-    SchemeParams, SolverError, run_simulation
+from .schemes import DiffusivityModel, FixedPointError, Scheme, SchemeParams, \
+    SolverError, run_simulation
 from .tridiag import SingularSystemError
 
 EXIT_OK = 0
@@ -298,22 +298,13 @@ def _load_custom_profile(path: str, grid: Grid1D) -> Field:
     return Field(values=data[:, 1].copy(), time_index=0)
 
 
-def _support_radii(record: RunRecord, threshold: float) -> list:
-    """Radius of the thresholded support around the initial peak node."""
-    source = int(np.argmax(np.abs(record.snapshots[0].values)))
-    radii = []
-    for snap in record.snapshots:
-        above = np.flatnonzero(np.abs(snap.values) > threshold)
-        radii.append(0 if len(above) == 0 else int(np.max(np.abs(above - source))))
-    return radii
-
-
 def cmd_run(config: ExperimentConfig, out: TextIO) -> int:
     """Run one experiment and emit one CSV row per snapshot."""
     _, params, bcs, initial = config.build()
     record = run_simulation(initial, params, bcs, config.scheme,
                             config.num_steps, config.snapshot_every)
-    radii = _support_radii(record, DEFAULT_SUPPORT_THRESHOLD)
+    radii = information_speed(record, DEFAULT_SUPPORT_THRESHOLD,
+                              source=int(np.argmax(np.abs(initial.values))))
     out.write("step,time,max_norm,support_radius,diverged\n")
     for snap, norm, radius in zip(record.snapshots, record.max_norms, radii):
         diverged_here = record.diverged and snap.time_index == record.diverged_step
@@ -438,7 +429,7 @@ def cmd_bound(tau: float, big_m: float, horizon: float,
     """
     if tau < 0.0 or big_m < 0.0 or horizon < 0.0:
         raise ConfigError("tau, M and horizon must be nonnegative")
-    measured_text = within_text = ""
+    measured = None
     if check_config is not None:
         mode = check_config.sine_mode()
         nu, length = check_config.nu, check_config.length_l
@@ -455,13 +446,10 @@ def cmd_bound(tau: float, big_m: float, horizon: float,
                                                          mode, t, x)
                                 for x in xs])
                 measured = max(measured, float(np.max(np.abs(hyp - par))))
-        bound = hyperbolization_error_bound(
-            ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))
-        measured_text = _fmt(measured)
-        within_text = _fmt_bool(measured <= bound)
-    else:
-        bound = hyperbolization_error_bound(
-            ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))
+    bound = hyperbolization_error_bound(
+        ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))
+    measured_text = "" if measured is None else _fmt(measured)
+    within_text = "" if measured is None else _fmt_bool(measured <= bound)
     out.write("tau,M,T,bound,measured_max_delta_u,within_bound\n")
     out.write(f"{_fmt(tau)},{_fmt(big_m)},{_fmt(horizon)},{_fmt(bound)},"
               f"{measured_text},{within_text}\n")
@@ -586,10 +574,7 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_file(args.config, args.overrides)
             return cmd_infospeed(config, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, SingularSystemError, FixedPointError,

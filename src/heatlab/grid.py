@@ -59,27 +59,6 @@ def build_uniform_grid(length_l: float, num_cells_N: int) -> Grid1D:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time layers t^n = n * dt for n = 0..num_steps."""
-
-    dt: float
-    num_steps: int
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.num_steps < 0:
-            raise ValueError(f"num_steps must be >= 0, got {self.num_steps}")
-
-    def time(self, n: int) -> float:
-        return n * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.num_steps + 1, dtype=float) * self.dt
-
-
-@dataclass(frozen=True)
 class Field:
     """One time layer of nodal values u_j, j = 0..N."""
 

@@ -2,8 +2,10 @@
 
 Every stepper maps the layers it needs to the next layer as a pure function:
 interiors are written first, endpoints are closed afterwards, and the layer
-time is always ``time_index * dt``.  ``run_simulation`` drives any scheme,
-bootstraps the multi-layer ones, and flags divergence.
+time is always ``time_index * dt``.  ``run_simulation`` drives every scheme
+through one table whose entries return the new layers of one call (two for
+the Saulyev sweep pair); only the last of them is consistency-grade.  It also
+bootstraps the multi-layer schemes and flags divergence.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -247,8 +249,8 @@ def step_explicit(state: StepState) -> Field:
     return Field(values=out, time_index=state.curr.time_index + 1)
 
 
-def _solve_interior_system(u_old: np.ndarray, rho_new: np.ndarray,
-                           rhs: np.ndarray, bcs, t_next: float,
+def _solve_interior_system(rho_new: np.ndarray, rhs: np.ndarray, bcs,
+                           t_next: float,
                            nu_left: float, nu_right: float, dx: float,
                            diag_extra: Optional[np.ndarray] = None) -> np.ndarray:
     """Assemble and solve one implicit layer with folded boundary closures.
@@ -301,7 +303,7 @@ def step_implicit(state: StepState) -> Field:
     rho = np.full(m, params.diffusion_number_r)
     rhs = u[1:-1].copy()
     t_next = (state.curr.time_index + 1) * params.dt
-    out = _solve_interior_system(u, rho, rhs, bcs, t_next,
+    out = _solve_interior_system(rho, rhs, bcs, t_next,
                                  params.nu, params.nu, params.dx)
     return Field(values=out, time_index=state.curr.time_index + 1)
 
@@ -317,7 +319,7 @@ def step_crank_nicolson(state: StepState) -> Field:
     d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
     rhs = u[1:-1] + rho * d2
     t_next = (state.curr.time_index + 1) * params.dt
-    out = _solve_interior_system(u, rho, rhs, bcs, t_next, nu, nu, params.dx)
+    out = _solve_interior_system(rho, rhs, bcs, t_next, nu, nu, params.dx)
     return Field(values=out, time_index=state.curr.time_index + 1)
 
 
@@ -359,6 +361,27 @@ def step_dufort_frankel(state: StepState) -> Field:
     return Field(values=out, time_index=state.curr.time_index + 1)
 
 
+def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                 damping: float) -> np.ndarray:
+    """Repeat ``v <- iterate(v)`` until the max-norm change is 1e-12.
+
+    ``damping`` blends each new iterate with the previous one (0 means
+    undamped); after 50 iterations FixedPointError reports the last change.
+    """
+    delta = np.inf
+    for _ in range(FIXED_POINT_MAX_ITERS):
+        candidate = iterate(v)
+        if damping:
+            candidate = (1.0 - damping) * candidate + damping * v
+        delta = float(np.max(np.abs(candidate - v)))
+        v = candidate
+        if delta <= FIXED_POINT_TOL:
+            return v
+    raise FixedPointError(
+        f"no convergence after {FIXED_POINT_MAX_ITERS} iterations "
+        f"(last change {delta:.3e})", residual=delta)
+
+
 def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
     """Trapezoidal update for u_t = k(u) u_xx with k frozen per iterate.
 
@@ -379,22 +402,13 @@ def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
     nu_right = model.evaluate(float(u[-1]))
     t_next = (state.curr.time_index + 1) * dt
 
-    v = u.copy()
-    delta = np.inf
-    for _ in range(FIXED_POINT_MAX_ITERS):
-        k_new = model.evaluate_array(v[1:-1])
-        rho_new = 0.5 * (k_new * dt / dx ** 2)
-        candidate = _solve_interior_system(u, rho_new, rhs, bcs, t_next,
-                                           nu_left, nu_right, dx)
-        if damping:
-            candidate = (1.0 - damping) * candidate + damping * v
-        delta = float(np.max(np.abs(candidate - v)))
-        v = candidate
-        if delta <= FIXED_POINT_TOL:
-            return Field(values=v, time_index=state.curr.time_index + 1)
-    raise FixedPointError(
-        f"no convergence after {FIXED_POINT_MAX_ITERS} iterations "
-        f"(last change {delta:.3e})", residual=delta)
+    def iterate(v):
+        rho_new = 0.5 * (model.evaluate_array(v[1:-1]) * dt / dx ** 2)
+        return _solve_interior_system(rho_new, rhs, bcs, t_next,
+                                      nu_left, nu_right, dx)
+
+    v = _fixed_point(iterate, u, damping)
+    return Field(values=v, time_index=state.curr.time_index + 1)
 
 
 def step_ccn(state: StepState, damping: float = 0.0) -> Field:
@@ -425,27 +439,18 @@ def step_ccn(state: StepState, damping: float = 0.0) -> Field:
         bcoef = 0.5 * (b_k * dt / dx ** 2)
         rhs = u[1:-1] + rho_a * d2
         diag_extra = -(bcoef * d2)
-        out = _solve_interior_system(u, rho_new, rhs, bcs, t_next,
+        out = _solve_interior_system(rho_new, rhs, bcs, t_next,
                                      nu_left, nu_right, dx,
                                      diag_extra=diag_extra)
         return Field(values=out, time_index=state.curr.time_index + 1)
 
-    v = u.copy()
-    delta = np.inf
-    for _ in range(FIXED_POINT_MAX_ITERS):
-        k_v = model.evaluate_array(v[1:-1])
-        rhs = u[1:-1] + (0.5 * (k_v * dt / dx ** 2)) * d2
-        candidate = _solve_interior_system(u, rho_new, rhs, bcs, t_next,
-                                           nu_left, nu_right, dx)
-        if damping:
-            candidate = (1.0 - damping) * candidate + damping * v
-        delta = float(np.max(np.abs(candidate - v)))
-        v = candidate
-        if delta <= FIXED_POINT_TOL:
-            return Field(values=v, time_index=state.curr.time_index + 1)
-    raise FixedPointError(
-        f"no convergence after {FIXED_POINT_MAX_ITERS} iterations "
-        f"(last change {delta:.3e})", residual=delta)
+    def iterate(v):
+        rhs = u[1:-1] + (0.5 * (model.evaluate_array(v[1:-1]) * dt / dx ** 2)) * d2
+        return _solve_interior_system(rho_new, rhs, bcs, t_next,
+                                      nu_left, nu_right, dx)
+
+    v = _fixed_point(iterate, u, damping)
+    return Field(values=v, time_index=state.curr.time_index + 1)
 
 
 def _saulyev_start_value(bc: BoundaryCondition, side: Side, base: list,
@@ -459,14 +464,12 @@ def _saulyev_start_value(bc: BoundaryCondition, side: Side, base: list,
     """
     a1, a2, g = boundary_closure_coefficients(bc, side, t_next, nu, dx)
     n = len(base) - 1
+    if n < 3:
+        raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
     if side is Side.LEFT:
-        if n < 3:
-            raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
         s1 = a * base[1] + c * base[2]
         s2 = a * base[2] + c * base[3] + c * s1
     else:
-        if n < 3:
-            raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
         s1 = a * base[n - 1] + c * base[n - 2]
         s2 = a * base[n - 2] + c * base[n - 3] + c * s1
     den = 1.0 - a1 * c - a2 * c * c
@@ -572,18 +575,27 @@ def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
     return Field(values=out, time_index=initial.time_index + 1)
 
 
-_SINGLE_LAYER_STEPPERS = {
-    Scheme.EXPLICIT: step_explicit,
-    Scheme.IMPLICIT: step_implicit,
-    Scheme.CRANK_NICOLSON: step_crank_nicolson,
-    Scheme.CN_NONLINEAR: step_cn_nonlinear,
-    Scheme.CROSS_CN: step_ccn,
-}
+def _one(stepper: Callable[[StepState], Field]):
+    return lambda state: (stepper(state),)
 
-_TWO_LAYER_STEPPERS = {
-    Scheme.LEAPFROG: step_leapfrog,
-    Scheme.DUFORT_FRANKEL: step_dufort_frankel,
-    Scheme.HYPERBOLIC: step_hyperbolic,
+
+def _start_hyperbolic(state: StepState) -> tuple:
+    return (bootstrap_hyperbolic(state.curr, state.params, state.bcs),)
+
+
+# Scheme -> (step, start).  ``step`` returns the tuple of new layers, of which
+# only the last is consistency-grade; ``start`` replaces it on the first call,
+# when there is no previous layer (None: ``step`` needs none).
+_STEPPERS = {
+    Scheme.EXPLICIT: (_one(step_explicit), None),
+    Scheme.IMPLICIT: (_one(step_implicit), None),
+    Scheme.CRANK_NICOLSON: (_one(step_crank_nicolson), None),
+    Scheme.CN_NONLINEAR: (_one(step_cn_nonlinear), None),
+    Scheme.CROSS_CN: (_one(step_ccn), None),
+    Scheme.LEAPFROG: (_one(step_leapfrog), _one(step_explicit)),
+    Scheme.DUFORT_FRANKEL: (_one(step_dufort_frankel), _one(step_explicit)),
+    Scheme.SAULYEV: (step_saulyev_pair, None),
+    Scheme.HYPERBOLIC: (_one(step_hyperbolic), _start_hyperbolic),
 }
 
 
@@ -597,12 +609,13 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
                    snapshot_every: int = 1) -> RunRecord:
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
-    Multi-layer schemes bootstrap themselves: leap-frog and Dufort-Frankel
-    take their first step with the explicit scheme, the hyperbolic scheme
-    builds its first layer from the zero-velocity Taylor start.  The Saulyev
-    scheme advances two layers per sweep pair; odd layers are stored but
-    flagged as not consistency-grade.  The run halts and flags divergence as
-    soon as a layer has a non-finite value or max-norm above 1e12; stepper
+    Each table entry returns its new layers and only the last of them is
+    consistency-grade, so the Saulyev pair's odd layers (and a final pair cut
+    short at ``num_steps``) are flagged False.  Multi-layer schemes bootstrap
+    themselves: leap-frog and Dufort-Frankel take their first step with the
+    explicit scheme, the hyperbolic scheme builds its first layer from the
+    zero-velocity Taylor start.  The run halts and flags divergence as soon
+    as a layer has a non-finite value or max-norm above 1e12; stepper
     failures are re-raised with the failing step index attached.
     """
     if num_steps < 0:
@@ -610,52 +623,33 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
 
+    step, start = _STEPPERS[scheme]
+    start = start or step
+    end = initial.time_index + num_steps
     record = RunRecord()
-    start = initial.time_index
     record.append(initial, consistent=True)
     prev: Optional[Field] = None
     curr = initial
-
-    def saulyev_consistent(layer: Field) -> bool:
-        return (layer.time_index - start) % 2 == 0
-
-    while curr.time_index - start < num_steps:
+    consistent = True
+    while curr.time_index < end:
         state = StepState(prev=prev, curr=curr, params=params, bcs=bcs)
         try:
-            if scheme is Scheme.SAULYEV:
-                first, second = step_saulyev_pair(state)
-                remaining = num_steps - (curr.time_index - start)
-                produced = [first] if remaining == 1 else [first, second]
-            elif scheme in _TWO_LAYER_STEPPERS:
-                if prev is None:
-                    if scheme is Scheme.HYPERBOLIC:
-                        produced = [bootstrap_hyperbolic(curr, params, bcs)]
-                    else:
-                        produced = [step_explicit(state)]
-                else:
-                    produced = [_TWO_LAYER_STEPPERS[scheme](state)]
-            else:
-                produced = [_SINGLE_LAYER_STEPPERS[scheme](state)]
+            produced = (start if prev is None else step)(state)
         except (SingularSystemError, FixedPointError, DiffusivityError,
                 ValueError, ZeroDivisionError) as exc:
             raise SolverError(step=curr.time_index + 1, cause=exc) from exc
 
-        stop = False
-        for layer in produced:
+        for i, layer in enumerate(produced[:end - curr.time_index]):
             prev, curr = curr, layer
-            consistent = saulyev_consistent(layer) if scheme is Scheme.SAULYEV else True
+            consistent = i == len(produced) - 1
             if _is_bad(layer):
                 record.diverged = True
                 record.diverged_step = layer.time_index
                 record.append(layer, consistent=consistent)
-                stop = True
-                break
-            if (layer.time_index - start) % snapshot_every == 0:
+                return record
+            if (layer.time_index - initial.time_index) % snapshot_every == 0:
                 record.append(layer, consistent=consistent)
-        if stop:
-            break
 
     if record.snapshots[-1].time_index != curr.time_index:
-        consistent = saulyev_consistent(curr) if scheme is Scheme.SAULYEV else True
         record.append(curr, consistent=consistent)
     return record

@@ -258,6 +258,16 @@ def test_information_speed_rejects_non_dirac_initial():
                           support_threshold=0.0)
 
 
+def test_information_speed_explicit_source_on_sine_field():
+    # interior nodes 1..15 are lit and the Dirichlet endpoints stay zero
+    grid = build_uniform_grid(1.0, 16)
+    p = constant_params(1.0, dt=0.3 * grid.dx ** 2, dx=grid.dx)
+    record = run_simulation(Field(np.sin(np.pi * grid.nodes), 0), p,
+                            HOMOGENEOUS, Scheme.EXPLICIT, 2)
+    assert information_speed(record, source=8) == [7, 7, 7]
+    assert information_speed(record, source=2) == [13, 13, 13]
+
+
 # ------------------------------------------------------------------ dispersion
 
 def test_dispersion_double_root():

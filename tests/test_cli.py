@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,3 +416,37 @@ def test_main_converge_and_infospeed(capsys):
                                   num_steps=1), capsys)
     assert code == EXIT_OK
     assert "1,24" in out.split("\n")
+
+
+# ------------------------------------------------------------ golden outputs
+
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN_CLI["commands"],
+                         ids=[e["argv"][0] for e in GOLDEN_CLI["commands"]])
+def test_main_reproduces_readme_golden_output(entry, tmp_path, capsys):
+    """The README commands print the recorded CSV and exit code.
+
+    Commands without a tridiagonal solve must match byte for byte; the
+    ``converge cn`` low digits depend on the LAPACK build, so that table is
+    compared field by field at the recorded relative tolerance.
+    """
+    config = tmp_path / "experiment.cfg"
+    config.write_text(GOLDEN_CLI["config"])
+    argv = [str(config) if a == "{config}" else a for a in entry["argv"]]
+    code, out, _ = run_main(argv, capsys)
+    assert code == entry["exit_code"]
+    if "rtol" not in entry:
+        assert out == entry["stdout"]
+        return
+    got, want = parse_csv(out), parse_csv(entry["stdout"])
+    assert got[0] == want[0]
+    assert [len(row) for row in got[1]] == [len(row) for row in want[1]]
+    for got_row, want_row in zip(got[1], want[1]):
+        for g, w in zip(got_row, want_row):
+            if w == "":
+                assert g == ""
+            else:
+                assert float(g) == pytest.approx(float(w), rel=entry["rtol"],
+                                                 abs=0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatlab import (BoundaryCondition, Field, Side, TimeGrid,
+from heatlab import (BoundaryCondition, Field, Side,
                      boundary_closure_coefficients, build_uniform_grid,
                      close_boundary, sample_initial)
 
@@ -31,16 +31,6 @@ def test_grid_invariants():
     assert abs(g.nodes[-1] - 1.3) <= 1e-12 * 1.3
     spacings = np.diff(g.nodes)
     assert np.max(np.abs(spacings - g.dx)) <= 1e-12 * g.dx
-
-
-def test_time_grid_times_are_products():
-    tg = TimeGrid(dt=0.1, num_steps=10)
-    assert tg.time(7) == 7 * 0.1
-    np.testing.assert_array_equal(tg.times, np.arange(11) * 0.1)
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.0, num_steps=1)
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.1, num_steps=-1)
 
 
 def test_sample_initial_zero_and_identity():

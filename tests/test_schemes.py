@@ -362,22 +362,33 @@ def test_ccn_general_path_agrees_with_affine_path():
     assert np.max(np.abs(affine.values - general.values)) <= 1e-10
 
 
-def test_cn_nonlinear_reports_iteration_failure():
+# step_ccn iterates only for general k, so it gets the general form of 1 + 0.2 u
+FIXED_POINT_STEPPERS = [
+    pytest.param(step_cn_nonlinear, DiffusivityModel.affine(1.0, 0.2),
+                 id="cn_nonlinear"),
+    pytest.param(step_ccn, DiffusivityModel.general(lambda u: 1.0 + 0.2 * u),
+                 id="ccn"),
+]
+
+
+@pytest.mark.parametrize("stepper,smooth_k", FIXED_POINT_STEPPERS)
+def test_cn_nonlinear_reports_iteration_failure(stepper, smooth_k):
     grid = build_uniform_grid(1.0, 8)
     model = DiffusivityModel.general(lambda u: 1.5 + math.sin(100.0 * u))
     p = SchemeParams(model, dt=0.5, dx=grid.dx)
     f = field(2.0 * np.sin(np.pi * grid.nodes))
     with pytest.raises(FixedPointError) as err:
-        step_cn_nonlinear(StepState(None, f, p, HOMOGENEOUS))
+        stepper(StepState(None, f, p, HOMOGENEOUS))
     assert err.value.residual > 0.0
 
 
-def test_cn_nonlinear_damping_still_converges():
+@pytest.mark.parametrize("stepper,smooth_k", FIXED_POINT_STEPPERS)
+def test_cn_nonlinear_damping_still_converges(stepper, smooth_k):
     grid = build_uniform_grid(math.pi, 8)
-    p = SchemeParams(DiffusivityModel.affine(1.0, 0.2), dt=0.01, dx=grid.dx)
+    p = SchemeParams(smooth_k, dt=0.01, dx=grid.dx)
     f = sample_initial(math.sin, grid)
-    undamped = step_cn_nonlinear(StepState(None, f, p, HOMOGENEOUS))
-    damped = step_cn_nonlinear(StepState(None, f, p, HOMOGENEOUS), damping=0.3)
+    undamped = stepper(StepState(None, f, p, HOMOGENEOUS))
+    damped = stepper(StepState(None, f, p, HOMOGENEOUS), damping=0.3)
     assert np.max(np.abs(undamped.values - damped.values)) <= 1e-10
 
 
@@ -555,3 +566,71 @@ def test_run_simulation_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_simulation(field([0, 1, 0]), p, HOMOGENEOUS, Scheme.EXPLICIT, 2,
                        snapshot_every=0)
+
+
+# run_simulation must reproduce a hand loop over the public steppers exactly:
+# multi-layer schemes start with step_explicit / bootstrap_hyperbolic, the
+# Saulyev pair's odd layers (and a truncated final pair) are not
+# consistency-grade, and the last layer is always recorded.
+_HAND_STEPPERS = {
+    Scheme.EXPLICIT: step_explicit, Scheme.IMPLICIT: step_implicit,
+    Scheme.CRANK_NICOLSON: step_crank_nicolson,
+    Scheme.CN_NONLINEAR: step_cn_nonlinear, Scheme.CROSS_CN: step_ccn,
+    Scheme.LEAPFROG: step_leapfrog, Scheme.DUFORT_FRANKEL: step_dufort_frankel,
+    Scheme.HYPERBOLIC: step_hyperbolic,
+}
+
+
+def _hand_layers(initial, p, bcs, scheme, num_steps):
+    """Every layer 0..num_steps and its consistency grade."""
+    layers, grades = [initial], [True]
+    while len(layers) <= num_steps:
+        prev = layers[-2] if len(layers) > 1 else None
+        state = StepState(prev, layers[-1], p, bcs)
+        if scheme is Scheme.SAULYEV:
+            first, second = step_saulyev_pair(state)
+            layers.append(first)
+            grades.append(False)
+            if len(layers) <= num_steps:
+                layers.append(second)
+                grades.append(True)
+            continue
+        if prev is None and scheme is Scheme.HYPERBOLIC:
+            layers.append(bootstrap_hyperbolic(layers[-1], p, bcs))
+        elif prev is None and scheme in (Scheme.LEAPFROG, Scheme.DUFORT_FRANKEL):
+            layers.append(step_explicit(state))
+        else:
+            layers.append(_HAND_STEPPERS[scheme](state))
+        grades.append(True)
+    return layers, grades
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_run_simulation_matches_hand_loop_bit_for_bit(scheme):
+    grid = build_uniform_grid(1.0, 16)
+    bcs = (BoundaryCondition.flux(0.3), BoundaryCondition.robin(1.0, 0.5, 0.2))
+    if scheme in (Scheme.CN_NONLINEAR, Scheme.CROSS_CN):
+        p = SchemeParams(DiffusivityModel.affine(1.0, 0.2), dt=0.4 * grid.dx ** 2,
+                         dx=grid.dx)
+    else:
+        p = constant_params(1.0, dt=0.4 * grid.dx ** 2, dx=grid.dx)
+    initial = field(1.0 + np.sin(np.pi * grid.nodes) + 0.3 * grid.nodes)
+    record = run_simulation(initial, p, bcs, scheme, num_steps=7,
+                            snapshot_every=3)
+    layers, grades = _hand_layers(initial, p, bcs, scheme, 7)
+    picks = [0, 3, 6, 7]
+    assert not record.diverged
+    assert [s.time_index for s in record.snapshots] == picks
+    assert record.consistency_grade == [grades[i] for i in picks]
+    for snap, i in zip(record.snapshots, picks):
+        np.testing.assert_array_equal(snap.values, layers[i].values)
+
+
+def test_run_simulation_saulyev_divergence_at_first_layer():
+    grid = build_uniform_grid(1.0, 8)
+    p = constant_params(1.0, dt=grid.dx ** 2, dx=grid.dx)
+    u = 1e13 * np.sin(np.pi * grid.nodes)
+    record = run_simulation(field(u), p, HOMOGENEOUS, Scheme.SAULYEV, 6)
+    assert record.diverged and record.diverged_step == 1
+    assert [s.time_index for s in record.snapshots] == [0, 1]
+    assert record.consistency_grade == [True, False]
