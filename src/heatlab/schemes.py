@@ -76,7 +76,8 @@ class DiffusivityKind(Enum):
 class DiffusivityModel:
     """Diffusion coefficient: constant nu, affine a + b u, or a callable k(u).
 
-    Every evaluation must stay positive; a non-positive value raises
+    General k is called with one Python float per node and must return a
+    number.  Every evaluation must stay positive; a non-positive value raises
     DiffusivityError and flags the run.
     """
 
@@ -118,7 +119,8 @@ class DiffusivityModel:
         elif self.kind is DiffusivityKind.AFFINE:
             values = self.affine_a + self.affine_b * u
         else:
-            values = np.array([float(self.general_k(v)) for v in u], dtype=float)
+            values = np.fromiter(map(self.general_k, u.tolist()), dtype=float,
+                                 count=len(u))
         if not np.all(values > 0.0):
             bad = int(np.argmin(values))
             raise DiffusivityError(
@@ -362,15 +364,22 @@ def step_dufort_frankel(state: StepState) -> Field:
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                 k: np.ndarray, model: DiffusivityModel,
                  damping: float) -> np.ndarray:
-    """Repeat ``v <- iterate(v)`` until the max-norm change is 1e-12.
+    """Repeat ``v <- iterate(k(v))`` until the max-norm change is 1e-12.
 
-    ``damping`` blends each new iterate with the previous one (0 means
-    undamped); after 50 iterations FixedPointError reports the last change.
+    ``iterate`` maps the interior diffusivities of the latest iterate to the
+    next one.  ``k`` must be ``model`` evaluated on the interior of the
+    starting ``v``, so every iterate evaluates k once and the converged one
+    not at all.  ``damping`` blends each new iterate with the previous one
+    (0 means undamped); after 50 iterations FixedPointError reports the last
+    change.
     """
     delta = np.inf
-    for _ in range(FIXED_POINT_MAX_ITERS):
-        candidate = iterate(v)
+    for i in range(FIXED_POINT_MAX_ITERS):
+        if i:
+            k = model.evaluate_array(v[1:-1])
+        candidate = iterate(k)
         if damping:
             candidate = (1.0 - damping) * candidate + damping * v
         delta = float(np.max(np.abs(candidate - v)))
@@ -402,12 +411,12 @@ def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
     nu_right = model.evaluate(float(u[-1]))
     t_next = (state.curr.time_index + 1) * dt
 
-    def iterate(v):
-        rho_new = 0.5 * (model.evaluate_array(v[1:-1]) * dt / dx ** 2)
+    def iterate(k):
+        rho_new = 0.5 * (k * dt / dx ** 2)
         return _solve_interior_system(rho_new, rhs, bcs, t_next,
                                       nu_left, nu_right, dx)
 
-    v = _fixed_point(iterate, u, damping)
+    v = _fixed_point(iterate, u, k_old, model, damping)
     return Field(values=v, time_index=state.curr.time_index + 1)
 
 
@@ -444,23 +453,24 @@ def step_ccn(state: StepState, damping: float = 0.0) -> Field:
                                      diag_extra=diag_extra)
         return Field(values=out, time_index=state.curr.time_index + 1)
 
-    def iterate(v):
-        rhs = u[1:-1] + (0.5 * (model.evaluate_array(v[1:-1]) * dt / dx ** 2)) * d2
+    def iterate(k):
+        rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
         return _solve_interior_system(rho_new, rhs, bcs, t_next,
                                       nu_left, nu_right, dx)
 
-    v = _fixed_point(iterate, u, damping)
+    v = _fixed_point(iterate, u, k_old, model, damping)
     return Field(values=v, time_index=state.curr.time_index + 1)
 
 
-def _saulyev_start_value(bc: BoundaryCondition, side: Side, base: list,
+def _saulyev_start_value(bc: BoundaryCondition, side: Side, base: np.ndarray,
                          a: float, c: float, t_next: float,
                          nu: float, dx: float) -> float:
     """First value of a one-sided sweep when the boundary is not Dirichlet.
 
-    The closure couples the endpoint to the first two swept unknowns, which
-    themselves depend linearly on the endpoint; substituting the sweep
-    relation twice reduces the start to one scalar equation.
+    ``base`` is the layer the sweep reads (N + 1 nodal values).  The closure
+    couples the endpoint to the first two swept unknowns, which themselves
+    depend linearly on the endpoint; substituting the sweep relation twice
+    reduces the start to one scalar equation.
     """
     a1, a2, g = boundary_closure_coefficients(bc, side, t_next, nu, dx)
     n = len(base) - 1
@@ -485,7 +495,15 @@ def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:
     from the right closure; both use the weight w = r:
     stage 1: u_j^{+1} = ((1-w)/(1+w)) u_j + (w/(1+w)) u_{j+1} + (w/(1+w)) u_{j-1}^{+1}
     stage 2 mirrors it one layer later.
+
+    With a = (1-w)/(1+w) and c = w/(1+w) each sweep is the unit-diagonal
+    bidiagonal system y_j - c y_{j-1} = a u_j + c u_{j+1} (lower for stage 1,
+    upper for stage 2) whose first row is the start value.  Both are solved
+    in place by the BLAS triangular band solve ``dtbsv``, which scipy loads
+    on the first call; its fused multiply-add may differ from the plain
+    recurrence in the last bits.
     """
+    from scipy.linalg.blas import dtbsv
     params, bcs = state.params, state.bcs
     _require_constant(params, "Saulyev scheme")
     lam = params.saulyev_number
@@ -493,33 +511,33 @@ def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:
     c = lam / (1.0 + lam)
     nu, dx, dt = params.nu, params.dx, params.dt
     left, right = bcs
-    u = state.curr.values.tolist()
+    u = state.curr.values
     n = len(u) - 1
     ti = state.curr.time_index
     t1 = (ti + 1) * dt
     t2 = (ti + 2) * dt
+    band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
 
-    out1 = [0.0] * (n + 1)
+    out1 = np.empty(n + 1)
     if left.kind is BCKind.DIRICHLET:
         out1[0] = float(left.forcing(t1))
     else:
         out1[0] = _saulyev_start_value(left, Side.LEFT, u, a, c, t1, nu, dx)
-    for j in range(1, n):
-        out1[j] = a * u[j] + c * u[j + 1] + c * out1[j - 1]
-    out1[n] = close_boundary(right, Side.RIGHT, np.asarray(out1), t1, nu, dx)
+    out1[1:n] = a * u[1:n] + c * u[2:]
+    dtbsv(1, band, out1[:n], lower=1, diag=1, overwrite_x=1)
+    out1[n] = close_boundary(right, Side.RIGHT, out1, t1, nu, dx)
 
-    out2 = [0.0] * (n + 1)
+    out2 = np.empty(n + 1)
     if right.kind is BCKind.DIRICHLET:
         out2[n] = float(right.forcing(t2))
     else:
         out2[n] = _saulyev_start_value(right, Side.RIGHT, out1, a, c, t2, nu, dx)
-    for j in range(n - 1, 0, -1):
-        out2[j] = a * out1[j] + c * out1[j - 1] + c * out2[j + 1]
-    out2[0] = close_boundary(left, Side.LEFT, np.asarray(out2), t2, nu, dx)
+    out2[1:n] = a * out1[1:n] + c * out1[:n - 1]
+    dtbsv(1, band, out2[1:], lower=0, diag=1, overwrite_x=1)
+    out2[0] = close_boundary(left, Side.LEFT, out2, t2, nu, dx)
 
-    first = Field(values=np.array(out1, dtype=float), time_index=ti + 1)
-    second = Field(values=np.array(out2, dtype=float), time_index=ti + 2)
-    return first, second
+    return (Field(values=out1, time_index=ti + 1),
+            Field(values=out2, time_index=ti + 2))
 
 
 def step_hyperbolic(state: StepState) -> Field:
@@ -615,8 +633,10 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     themselves: leap-frog and Dufort-Frankel take their first step with the
     explicit scheme, the hyperbolic scheme builds its first layer from the
     zero-velocity Taylor start.  The run halts and flags divergence as soon
-    as a layer has a non-finite value or max-norm above 1e12; stepper
-    failures are re-raised with the failing step index attached.
+    as a layer has a non-finite value or max-norm above 1e12.  Stepper
+    failures (an ArithmeticError such as a zero pivot or an overflow in k, a
+    FixedPointError or a ValueError) are re-raised as SolverError with the
+    failing step index attached.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
@@ -635,8 +655,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
         state = StepState(prev=prev, curr=curr, params=params, bcs=bcs)
         try:
             produced = (start if prev is None else step)(state)
-        except (SingularSystemError, FixedPointError, DiffusivityError,
-                ValueError, ZeroDivisionError) as exc:
+        except (ArithmeticError, FixedPointError, ValueError) as exc:
             raise SolverError(step=curr.time_index + 1, cause=exc) from exc
 
         for i, layer in enumerate(produced[:end - curr.time_index]):

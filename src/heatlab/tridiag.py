@@ -6,8 +6,8 @@ Gaussian elimination with partial pivoting, O(m) for a system of order m
 because the steppers do not always assemble diagonally dominant systems:
 affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the diagonal, which can
 push the dominance margin below zero at large r.  scipy is imported on the
-first solve, so importing heatlab and commands that never solve do not pay
-for it.
+first solve (or on the first Saulyev step, whose sweeps are BLAS band
+solves), so importing heatlab and commands that do neither do not pay for it.
 
 ``thomas_solve_instrumented`` is the unpivoted pure-Python Thomas sweep,
 kept as the reference the tests compare against.  It raises on any pivot

@@ -11,6 +11,8 @@ from heatlab import (BoundaryCondition, DiffusivityError, DiffusivityModel,
                      step_crank_nicolson, step_dufort_frankel, step_explicit,
                      step_hyperbolic, step_implicit, step_leapfrog,
                      step_saulyev_pair)
+from heatlab.grid import BCKind, Side, close_boundary
+from heatlab.schemes import _saulyev_start_value
 
 HOMOGENEOUS = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
 
@@ -238,6 +240,68 @@ def test_saulyev_pair_asymmetry_second_order_in_dt():
         assert asymmetry(dt) / asymmetry(dt / 2.0) >= 3.5
 
 
+def _saulyev_pair_loops(u, p, bcs):
+    """The node-by-node sweeps of step_saulyev_pair, kept as its oracle."""
+    lam = p.saulyev_number
+    a, c = (1.0 - lam) / (1.0 + lam), lam / (1.0 + lam)
+    left, right = bcs
+    u = list(u)
+    n = len(u) - 1
+    t1, t2 = p.dt, 2 * p.dt
+
+    out1 = [0.0] * (n + 1)
+    if left.kind is BCKind.DIRICHLET:
+        out1[0] = float(left.forcing(t1))
+    else:
+        out1[0] = _saulyev_start_value(left, Side.LEFT, u, a, c, t1, p.nu, p.dx)
+    for j in range(1, n):
+        out1[j] = a * u[j] + c * u[j + 1] + c * out1[j - 1]
+    out1[n] = close_boundary(right, Side.RIGHT, out1, t1, p.nu, p.dx)
+
+    out2 = [0.0] * (n + 1)
+    if right.kind is BCKind.DIRICHLET:
+        out2[n] = float(right.forcing(t2))
+    else:
+        out2[n] = _saulyev_start_value(right, Side.RIGHT, out1, a, c, t2,
+                                       p.nu, p.dx)
+    for j in range(n - 1, 0, -1):
+        out2[j] = a * out1[j] + c * out1[j - 1] + c * out2[j + 1]
+    out2[0] = close_boundary(left, Side.LEFT, out2, t2, p.nu, p.dx)
+    return np.array(out1), np.array(out2)
+
+
+SAULYEV_BCS = {
+    "D-D": (BoundaryCondition.dirichlet(0.2), BoundaryCondition.dirichlet(-0.1)),
+    "F-R": (BoundaryCondition.flux(0.3), BoundaryCondition.robin(1.0, 0.5, 0.2)),
+    "R-F": (BoundaryCondition.robin(1.0, 0.5, 0.2), BoundaryCondition.flux(-0.3)),
+    "D-F": (BoundaryCondition.dirichlet(0.1), BoundaryCondition.flux(0.3)),
+}
+
+
+@pytest.mark.parametrize("bcs", SAULYEV_BCS.values(), ids=SAULYEV_BCS.keys())
+@pytest.mark.parametrize("lam", [0.3, 1.0, 20.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 1025])
+def test_saulyev_pair_matches_node_loops(n, lam, bcs):
+    # the band solve may fuse a multiply-add, so agreement is to round-off of
+    # the larger of the data and the layer (Robin/flux forcing at weight 20
+    # makes the layer two orders larger than u)
+    grid = build_uniform_grid(1.0, n)
+    p = constant_params(0.7, dt=lam * grid.dx ** 2 / 0.7, dx=grid.dx)
+    u = np.random.default_rng(n).standard_normal(n + 1)
+    state = StepState(None, field(u), p, bcs)
+    try:
+        expected = _saulyev_pair_loops(u, p, bcs)
+    except ValueError:  # non-Dirichlet starts need N >= 3
+        with pytest.raises(ValueError):
+            step_saulyev_pair(state)
+        return
+    first, second = step_saulyev_pair(state)
+    assert (first.time_index, second.time_index) == (1, 2)
+    for layer, want in zip((first, second), expected):
+        scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(want))))
+        assert np.max(np.abs(layer.values - want)) <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------- hyperbolic
 
 def test_hyperbolic_hand_example():
@@ -390,6 +454,25 @@ def test_cn_nonlinear_damping_still_converges(stepper, smooth_k):
     undamped = stepper(StepState(None, f, p, HOMOGENEOUS))
     damped = stepper(StepState(None, f, p, HOMOGENEOUS), damping=0.3)
     assert np.max(np.abs(undamped.values - damped.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("stepper", [step_cn_nonlinear, step_ccn],
+                         ids=["cn_nonlinear", "ccn"])
+def test_general_k_called_once_per_node_per_iterate(stepper):
+    # a constant field with matching Dirichlet ends converges at the first
+    # iterate: m interior calls for that iterate plus the two endpoints
+    calls = []
+
+    def k(u):
+        calls.append(u)
+        return 1.0 + 0.1 * u
+
+    grid = build_uniform_grid(1.0, 16)
+    p = SchemeParams(DiffusivityModel.general(k), dt=0.01, dx=grid.dx)
+    bcs = (BoundaryCondition.dirichlet(0.5), BoundaryCondition.dirichlet(0.5))
+    stepper(StepState(None, field(np.full(17, 0.5)), p, bcs))
+    assert len(calls) == 15 + 2
+    assert all(type(v) is float for v in calls)
 
 
 # ----------------------------------------------------------------- properties
@@ -557,6 +640,19 @@ def test_run_simulation_wraps_stepper_failures_with_step_index():
     with pytest.raises(SolverError) as err:
         run_simulation(field(u), p, bcs, Scheme.EXPLICIT, 3)
     assert err.value.step == 1
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CN_NONLINEAR, Scheme.EXPLICIT],
+                         ids=lambda s: s.value)
+def test_run_simulation_wraps_diffusivity_overflow(scheme):
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.general(lambda u: 1.0 + u ** 2),
+                     dt=1e-3, dx=grid.dx)
+    bcs = (BoundaryCondition.flux(0.0), BoundaryCondition.flux(0.0))
+    with pytest.raises(SolverError) as err:
+        run_simulation(field(np.full(9, 1e200)), p, bcs, scheme, 3)
+    assert err.value.step == 1
+    assert isinstance(err.value.__cause__, OverflowError)
 
 
 def test_run_simulation_rejects_bad_arguments():

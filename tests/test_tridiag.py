@@ -158,3 +158,25 @@ assert "scipy.linalg" in sys.modules, "solve did not import scipy.linalg"
                             env=dict(os.environ, PYTHONPATH=path),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_scipy_imported_on_first_saulyev_step_only():
+    # the Saulyev band solves load scipy.linalg lazily, like thomas_solve
+    src = str(Path(heatlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = """
+import sys
+import numpy as np
+import heatlab
+assert "scipy.linalg" not in sys.modules, "scipy.linalg imported eagerly"
+params = heatlab.SchemeParams(heatlab.DiffusivityModel.constant(1.0),
+                              dt=0.01, dx=0.1)
+bcs = (heatlab.BoundaryCondition.dirichlet(0.0),) * 2
+curr = heatlab.Field(values=np.array([0.0, 1.0, 2.0, 1.0, 0.0]), time_index=0)
+heatlab.step_saulyev_pair(heatlab.StepState(None, curr, params, bcs))
+assert "scipy.linalg" in sys.modules, "Saulyev step did not import scipy.linalg"
+"""
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
