@@ -1,18 +1,20 @@
 """Stability, dispersion, convergence-order and error-bound measurements.
 
 ``amplification`` returns the per-step Fourier multipliers g(theta) of each
-scheme (theta = kappa dx); ``max_amplification`` sweeps theta to decide
-stability.  ``empirical_growth``, ``observed_order`` and ``information_speed``
-turn recorded runs into measurable rates.  ``dispersion_branches`` and
-``hyperbolization_error_bound`` quantify how the relaxed equation
-tau u_tt + u_t = nu u_xx differs from pure diffusion, and
+scheme (theta = kappa dx) for a scalar or an array of phases;
+``max_amplification`` evaluates a whole theta grid in one call and reduces it
+to decide stability.  ``empirical_growth``, ``observed_order`` and
+``information_speed`` turn recorded runs into measurable rates.
+``dispersion_branches`` and ``hyperbolization_error_bound`` quantify how the
+relaxed equation tau u_tt + u_t = nu u_xx differs from pure diffusion, and
 ``truncation_residual`` measures a scheme's defining relation on samples of an
 exact solution instead of doing symbolic Taylor work.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +30,15 @@ class UndefinedGrowthError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AmplificationResult:
-    """Characteristic roots g of one scheme at one Fourier phase theta."""
+    """Characteristic roots g of one scheme at Fourier phases theta.
 
-    theta: float
+    ``roots`` holds one complex entry per root and ``max_modulus`` the
+    largest |g|; each has theta's shape, so a scalar theta gives scalars.
+    """
+
+    theta: Union[float, np.ndarray]
     roots: tuple
-    max_modulus: float
+    max_modulus: Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -62,19 +68,21 @@ class ErrorBoundInputs:
             raise ValueError("error-bound inputs must be nonnegative")
 
 
-def _quadratic_roots(a: float, b: float, c: float) -> tuple[complex, complex]:
-    """Roots of a g^2 + b g + c = 0 (a != 0)."""
-    disc = complex(b * b - 4.0 * a * c)
-    root = np.sqrt(disc)
+def _quadratic_roots(a, b, c) -> tuple:
+    """Roots of a g^2 + b g + c = 0 (a != 0), elementwise over arrays."""
+    root = np.sqrt((b * b - 4.0 * a * c).astype(complex))
     return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
 
 
-def amplification(scheme: Scheme, r: Optional[float], theta: float,
+def amplification(scheme: Scheme, r: Optional[float],
+                  theta: Union[float, np.ndarray],
                   params: Optional[SchemeParams] = None) -> AmplificationResult:
-    """Characteristic roots of one scheme at Fourier phase theta = kappa dx.
+    """Characteristic roots of one scheme at Fourier phases theta = kappa dx.
 
-    Single-layer schemes have one root, two-layer schemes two.  With
-    s = sin^2(theta/2):
+    ``theta`` is a scalar or an array of phases in [0, pi]; the roots and
+    their largest modulus come back with theta's shape, scalars for a
+    scalar theta.  Single-layer schemes have one root, two-layer schemes
+    two.  With s = sin^2(theta/2):
 
     - explicit:        g = 1 - 4 r s
     - implicit:        g = 1 / (1 + 4 r s)
@@ -86,11 +94,16 @@ def amplification(scheme: Scheme, r: Optional[float], theta: float,
 
     The Saulyev sweeps have no single-stage symbol here (their stability is
     asserted empirically) and the nonlinear trapezoidal variants share the
-    Crank-Nicolson symbol, so all three are rejected.
+    Crank-Nicolson symbol, so all three are rejected.  A phase outside
+    [0, pi] raises ``ValueError`` naming the first such value.
     """
-    if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    s = math.sin(theta / 2.0) ** 2
+    # a scalar theta runs as a one-element array, so it takes the same
+    # ufunc loops (and round-off) as an element of an array call
+    phases = np.atleast_1d(np.asarray(theta, dtype=float))
+    bad = ~((phases >= -1e-12) & (phases <= math.pi + 1e-12))
+    if bad.any():
+        raise ValueError(f"theta must lie in [0, pi], got {phases[bad][0]}")
+    s = np.sin(phases / 2.0) ** 2
 
     if scheme is Scheme.HYPERBOLIC:
         if params is None:
@@ -107,34 +120,39 @@ def amplification(scheme: Scheme, r: Optional[float], theta: float,
         if r is None or not r > 0.0:
             raise ValueError(f"diffusion number r must be positive, got {r}")
         if scheme is Scheme.EXPLICIT:
-            roots = (complex(1.0 - 4.0 * r * s),)
+            roots = (1.0 - 4.0 * r * s,)
         elif scheme is Scheme.IMPLICIT:
-            roots = (complex(1.0 / (1.0 + 4.0 * r * s)),)
+            roots = (1.0 / (1.0 + 4.0 * r * s),)
         elif scheme is Scheme.CRANK_NICOLSON:
-            roots = (complex((1.0 - 2.0 * r * s) / (1.0 + 2.0 * r * s)),)
+            roots = ((1.0 - 2.0 * r * s) / (1.0 + 2.0 * r * s),)
         elif scheme is Scheme.LEAPFROG:
             roots = _quadratic_roots(1.0, 8.0 * r * s, -1.0)
         elif scheme is Scheme.DUFORT_FRANKEL:
             w = 2.0 * r
-            roots = _quadratic_roots(1.0 + w, -2.0 * w * math.cos(theta),
+            roots = _quadratic_roots(1.0 + w, -2.0 * w * np.cos(phases),
                                      -(1.0 - w))
         else:
             raise ValueError(f"no closed-form amplification for {scheme.value}")
 
-    max_modulus = max(abs(g) for g in roots)
-    return AmplificationResult(theta=theta, roots=tuple(roots),
-                               max_modulus=max_modulus)
+    shape = np.shape(theta)
+    roots = tuple(np.asarray(g, dtype=complex).reshape(shape) for g in roots)
+    # hypot, like abs() of a Python complex, keeps the moduli libm-exact
+    max_modulus = reduce(np.maximum, (np.hypot(g.real, g.imag) for g in roots))
+    return AmplificationResult(theta=theta, roots=tuple(g[()] for g in roots),
+                               max_modulus=max_modulus[()])
 
 
 def max_amplification(scheme: Scheme, r: Optional[float] = None,
                       params: Optional[SchemeParams] = None,
                       theta_samples: int = DEFAULT_THETA_SAMPLES) -> float:
-    """Largest root modulus over a uniform theta grid on [0, pi]."""
+    """Largest root modulus over a uniform theta grid on [0, pi].
+
+    One ``amplification`` call evaluates the whole grid.
+    """
     if theta_samples < 2:
         raise ValueError(f"need at least 2 theta samples, got {theta_samples}")
     thetas = np.linspace(0.0, math.pi, theta_samples)
-    return max(amplification(scheme, r, float(th), params).max_modulus
-               for th in thetas)
+    return float(np.max(amplification(scheme, r, thetas, params).max_modulus))
 
 
 def empirical_growth(record: RunRecord, window: int) -> float:

@@ -17,10 +17,10 @@ from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .analysis import (DEFAULT_SUPPORT_THRESHOLD, ErrorBoundInputs,
-                       UndefinedGrowthError, dispersion_branches,
-                       hyperbolization_error_bound, information_speed,
-                       max_amplification)
+from .analysis import (DEFAULT_SUPPORT_THRESHOLD, DEFAULT_THETA_SAMPLES,
+                       ErrorBoundInputs, UndefinedGrowthError,
+                       dispersion_branches, hyperbolization_error_bound,
+                       information_speed, max_amplification)
 from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
     sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
@@ -357,13 +357,12 @@ def cmd_converge(config: ExperimentConfig, refinements: int, dt_rule: str,
         final = record.final
         t_final = final.time_index * dt
         if config.scheme is Scheme.HYPERBOLIC:
-            exact = np.array([hyperbolic_mode_solution(
-                config.nu, params.tau, config.length_l, mode, t_final, x)
-                for x in grid.nodes])
+            exact = hyperbolic_mode_solution(config.nu, params.tau,
+                                             config.length_l, mode, t_final,
+                                             grid.nodes)
         else:
             sol = SineSeriesSolution.single_mode(config.length_l, config.nu, mode)
-            exact = np.array([evaluate_series(sol, x, t_final)
-                              for x in grid.nodes])
+            exact = evaluate_series(sol, grid.nodes, t_final)
         err = float(np.max(np.abs(final.values - exact)))
         if prev_err is None or err <= 0.0 or prev_err <= 0.0:
             order = ""
@@ -425,7 +424,8 @@ def cmd_bound(tau: float, big_m: float, horizon: float,
     With a config (sine:m initial) the curvature bound M is replaced by the
     analytic value (nu (m pi / l)^2)^2 for that mode and the measured gap
     between the relaxed and diffusive closed-form solutions is compared to
-    the bound on a 200 x 200 space-time sample grid.
+    the bound on a 200 x 200 space-time sample grid, one oracle call per
+    time row over the 200 x values.
     """
     if tau < 0.0 or big_m < 0.0 or horizon < 0.0:
         raise ConfigError("tau, M and horizon must be nonnegative")
@@ -441,10 +441,8 @@ def cmd_bound(tau: float, big_m: float, horizon: float,
         if tau > 0.0:
             sol = SineSeriesSolution.single_mode(length, nu, mode)
             for t in ts:
-                par = np.array([evaluate_series(sol, x, t) for x in xs])
-                hyp = np.array([hyperbolic_mode_solution(nu, tau, length,
-                                                         mode, t, x)
-                                for x in xs])
+                par = evaluate_series(sol, xs, t)
+                hyp = hyperbolic_mode_solution(nu, tau, length, mode, t, xs)
                 measured = max(measured, float(np.max(np.abs(hyp - par))))
     bound = hyperbolization_error_bound(
         ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))
@@ -523,7 +521,8 @@ def _build_parser() -> _Parser:
                         help="comma-separated scheme names")
     p_stab.add_argument("--r-values", required=True,
                         help="comma-separated diffusion numbers")
-    p_stab.add_argument("--theta-samples", type=int, default=721)
+    p_stab.add_argument("--theta-samples", type=int,
+                        default=DEFAULT_THETA_SAMPLES)
 
     p_disp = sub.add_parser("dispersion", help="frequency branches table")
     p_disp.add_argument("--nu", type=float, required=True)

@@ -3,14 +3,17 @@
 ``fundamental_solution`` is the free-space heat kernel; ``SineSeriesSolution``
 solves u_t = nu u_xx on [0, l] with homogeneous Dirichlet ends by separation
 of variables; ``hyperbolic_mode_solution`` solves the relaxed equation
-tau u_tt + u_t = nu u_xx for a single sine mode started at rest.
+tau u_tt + u_t = nu u_xx for a single sine mode started at rest.  The two
+series oracles evaluate whole arrays of x and t in one call.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
+
+ArrayLike = Union[float, np.ndarray]
 
 
 def fundamental_solution(x: float, t: float, nu: float) -> float:
@@ -60,28 +63,40 @@ class SineSeriesSolution:
                                   modes=((m, amplitude),))
 
 
-def evaluate_series(sol: SineSeriesSolution, x: float, t: float) -> float:
-    """Value of the sine-series solution at (x, t)."""
-    total = 0.0
+def evaluate_series(sol: SineSeriesSolution, x: ArrayLike,
+                    t: ArrayLike) -> ArrayLike:
+    """Value of the sine-series solution at (x, t).
+
+    ``x`` and ``t`` broadcast against each other; the result has their
+    broadcast shape (zeros when there are no modes), a scalar for scalars.
+    """
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    total = np.zeros(np.broadcast_shapes(x.shape, t.shape))
     for m, amplitude in sol.modes:
         k = m * math.pi / sol.length_l
-        total += amplitude * math.sin(k * x) * math.exp(-sol.nu * k * k * t)
-    return total
+        total += amplitude * np.sin(k * x) * np.exp(-sol.nu * k * k * t)
+    return total[()]
 
 
 def hyperbolic_mode_solution(nu: float, tau: float, length_l: float,
-                             m: int, t: float, x: float) -> float:
+                             m: int, t: ArrayLike,
+                             x: ArrayLike) -> ArrayLike:
     """Exact single-mode solution of tau u_tt + u_t = nu u_xx started at rest.
 
     Initial data sin(m pi x / l) with u_t(0) = 0 and homogeneous Dirichlet
     ends.  The time factor solves tau T'' + T' + nu k^2 T = 0, whose roots
     are s = (-1 +- sqrt(1 - 4 tau nu k^2)) / (2 tau); complex roots give the
     damped oscillatory regime and a double root degenerates to (1 - s t) e^{s t}.
+    ``t`` and ``x`` broadcast against each other, as in ``evaluate_series``.
     """
     if tau <= 0.0:
         raise ValueError(f"relaxation time must be positive, got {tau}")
     if nu <= 0.0 or length_l <= 0.0 or m < 1:
         raise ValueError("need nu > 0, length_l > 0 and m >= 1")
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    # scalars run as one-element arrays: numpy's complex multiply rounds
+    # differently in its array loop and its scalar math
+    t, x = np.atleast_1d(t, x)
     k = m * math.pi / length_l
     disc = complex(1.0 - 4.0 * tau * nu * k * k)
     root = np.sqrt(disc)
@@ -89,9 +104,9 @@ def hyperbolic_mode_solution(nu: float, tau: float, length_l: float,
     s2 = (-1.0 - root) / (2.0 * tau)
     if abs(s2 - s1) <= 1e-9 * max(abs(s1), abs(s2)):
         s = -1.0 / (2.0 * tau)
-        time_factor = (1.0 - s * t) * math.exp(s * t)
+        time_factor = (1.0 - s * t) * np.exp(s * t)
     else:
         # c1 e^{s1 t} + c2 e^{s2 t} with T(0) = 1, T'(0) = 0
         value = (s2 * np.exp(s1 * t) - s1 * np.exp(s2 * t)) / (s2 - s1)
-        time_factor = float(value.real)
-    return time_factor * math.sin(k * x)
+        time_factor = value.real
+    return (time_factor * np.sin(k * x)).reshape(shape)[()]

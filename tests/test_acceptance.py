@@ -178,8 +178,7 @@ def convergence_ladders():
                                     snapshot_every=steps)
             assert not rec.diverged
             t_final = rec.final.time_index * dt
-            exact = np.array([hl.evaluate_series(oracle, x, t_final)
-                              for x in grid.nodes])
+            exact = hl.evaluate_series(oracle, grid.nodes, t_final)
             errors.append((grid.dx, float(np.max(np.abs(rec.final.values - exact)))))
         return hl.observed_order(errors)
 
@@ -267,9 +266,8 @@ def test_c08_hyperbolization_error_bound():
     for tau in (1e-2, 1e-3):
         measured = 0.0
         for t in ts:
-            par = np.array([hl.evaluate_series(oracle, x, t) for x in xs])
-            hyp = np.array([hl.hyperbolic_mode_solution(nu, tau, length, mode,
-                                                        t, x) for x in xs])
+            par = hl.evaluate_series(oracle, xs, t)
+            hyp = hl.hyperbolic_mode_solution(nu, tau, length, mode, t, xs)
             measured = max(measured, float(np.max(np.abs(hyp - par))))
         bound = hl.hyperbolization_error_bound(
             hl.ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))

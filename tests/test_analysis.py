@@ -126,6 +126,46 @@ def test_hyperbolic_stability_boundary_symbol():
     assert max_amplification(Scheme.HYPERBOLIC, params=outside) > 1.0
 
 
+# the r values of the benchmark's stability sweep
+SWEEP_R = (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.5, 0.55, 0.75, 1, 2, 5, 10, 20)
+SYMBOL_SCHEMES = (Scheme.EXPLICIT, Scheme.IMPLICIT, Scheme.CRANK_NICOLSON,
+                  Scheme.LEAPFROG, Scheme.DUFORT_FRANKEL)
+
+
+def assert_array_matches_scalar_calls(scheme, r, params=None):
+    thetas = np.linspace(0.0, math.pi, 721)
+    res = amplification(scheme, r, thetas, params)
+    assert res.max_modulus.shape == thetas.shape
+    assert all(g.shape == thetas.shape for g in res.roots)
+    for j, theta in enumerate(thetas):
+        one = amplification(scheme, r, float(theta), params)
+        assert len(one.roots) == len(res.roots)
+        assert all(g[j] == g1 for g, g1 in zip(res.roots, one.roots))
+        assert res.max_modulus[j] == one.max_modulus
+
+
+@pytest.mark.parametrize("scheme", SYMBOL_SCHEMES, ids=lambda s: s.value)
+def test_amplification_on_theta_array_equals_scalar_calls(scheme):
+    for r in SWEEP_R:
+        assert_array_matches_scalar_calls(scheme, r)
+
+
+@pytest.mark.parametrize("factor", [0.95, 1.0, 1.05])
+def test_hyperbolic_amplification_on_theta_array_equals_scalar_calls(factor):
+    # inside, at and beyond the limit dt = dx sqrt(tau / nu)
+    grid = build_uniform_grid(1.0, 64)
+    tau = grid.dx
+    params = constant_params(1.0, dt=factor * grid.dx * math.sqrt(tau),
+                             dx=grid.dx, tau=tau)
+    assert_array_matches_scalar_calls(Scheme.HYPERBOLIC, None, params)
+
+
+def test_amplification_names_first_out_of_range_theta_in_array():
+    thetas = np.array([0.0, 1.0, 3.5, -0.25, 4.0])
+    with pytest.raises(ValueError, match=r"got 3\.5$"):
+        amplification(Scheme.EXPLICIT, 0.5, thetas)
+
+
 # ---------------------------------------------------------- empirical growth
 
 def test_empirical_growth_of_steady_run():

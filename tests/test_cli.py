@@ -424,7 +424,8 @@ GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
 @pytest.mark.parametrize("entry", GOLDEN_CLI["commands"],
-                         ids=[e["argv"][0] for e in GOLDEN_CLI["commands"]])
+                         ids=[e.get("id", e["argv"][0])
+                              for e in GOLDEN_CLI["commands"]])
 def test_main_reproduces_readme_golden_output(entry, tmp_path, capsys):
     """The README commands print the recorded CSV and exit code.
 

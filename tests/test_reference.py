@@ -134,3 +134,48 @@ def test_hyperbolic_mode_rejects_bad_parameters():
         hyperbolic_mode_solution(1.0, 0.0, math.pi, 1, 0.1, 1.0)
     with pytest.raises(ValueError):
         hyperbolic_mode_solution(1.0, 0.1, math.pi, 0, 0.1, 1.0)
+
+
+# ------------------------------------------------ array calls vs scalar calls
+
+XS = np.linspace(0.0, math.pi, 37)
+TS = np.linspace(0.0, 1.5, 11)
+
+
+@pytest.mark.parametrize("tau,m", [(0.05, 1), (0.25, 1), (2.0, 2), (0.3, 3)],
+                         ids=["overdamped", "double-root", "oscillatory",
+                              "oscillatory-fast"])
+def test_hyperbolic_mode_arrays_equal_scalar_calls(tau, m):
+    row = hyperbolic_mode_solution(1.0, tau, math.pi, m, 0.7, XS)
+    assert row.shape == XS.shape
+    for x, value in zip(XS, row):
+        assert value == hyperbolic_mode_solution(1.0, tau, math.pi, m, 0.7,
+                                                 float(x))
+    block = hyperbolic_mode_solution(1.0, tau, math.pi, m, TS[:, None], XS)
+    assert block.shape == (len(TS), len(XS))
+    for i, t in enumerate(TS):
+        for j, x in enumerate(XS):
+            assert block[i, j] == hyperbolic_mode_solution(
+                1.0, tau, math.pi, m, float(t), float(x))
+
+
+def test_series_on_x_array_equals_scalar_calls():
+    sol = SineSeriesSolution(length_l=math.pi, nu=0.7,
+                             modes=((1, 1.0), (2, -0.3), (5, 0.05)))
+    for t in (0.0, 0.3, 1.1):
+        values = evaluate_series(sol, XS, t)
+        assert values.shape == XS.shape
+        for x, value in zip(XS, values):
+            assert value == evaluate_series(sol, float(x), t)
+    block = evaluate_series(sol, XS, TS[:, None])
+    assert block.shape == (len(TS), len(XS))
+    assert all(block[i, j] == evaluate_series(sol, float(x), float(t))
+               for i, t in enumerate(TS) for j, x in enumerate(XS))
+
+
+def test_series_without_modes_returns_zeros_of_x_shape():
+    sol = SineSeriesSolution(length_l=1.0, nu=1.0, modes=())
+    values = evaluate_series(sol, XS, 0.3)
+    assert isinstance(values, np.ndarray)
+    assert values.shape == XS.shape
+    assert not values.any()

@@ -180,3 +180,31 @@ assert "scipy.linalg" in sys.modules, "Saulyev step did not import scipy.linalg"
                             env=dict(os.environ, PYTHONPATH=path),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_oracle_commands_never_import_scipy():
+    # stability, bound and dispersion evaluate closed forms with numpy only
+    src = str(Path(heatlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = """
+import contextlib, io, sys
+from heatlab.cli import main
+commands = [
+    ["stability", "--schemes", "explicit,leapfrog,dufort_frankel",
+     "--r-values", "0.5,1"],
+    ["bound", "--tau", "0.01", "--horizon", "1",
+     "--set", "scheme=hyperbolic", "--set", "nu=1",
+     "--set", "length_l=3.141592653589793", "--set", "num_cells_N=64",
+     "--set", "dt=0.001", "--set", "initial=sine:1", "--set", "num_steps=1"],
+    ["dispersion", "--nu", "1", "--tau", "0.01", "--kappa-max", "8",
+     "--samples", "11"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, f"{argv[0]} imported scipy"
+"""
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
