@@ -67,7 +67,7 @@ class Field:
 
     @property
     def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
 
 def sample_initial(u0: Callable[[float], float], grid: Grid1D) -> Field:
@@ -123,22 +123,21 @@ class BoundaryCondition:
                                  forcing=_as_time_function(phi))
 
 
-def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,
-                                  t_next: float, nu: float,
-                                  dx: float) -> tuple[float, float, float]:
-    """Affine form of the boundary closure at the layer being completed.
+def closure_geometry(bc: BoundaryCondition, side: Side, nu: float,
+                     dx: float) -> tuple[float, float, float]:
+    """Time-independent part of a boundary closure: (a1, a2, denom).
 
-    Returns (a1, a2, g) such that the boundary value is
-    ``a1 * u_adj + a2 * u_adj2 + g`` where u_adj is the node next to the
-    boundary and u_adj2 the one after it, both on the new layer.  Dirichlet
-    yields (0, 0, forcing(t)).  Flux and Robin come from solving
+    The boundary value of the layer being completed is
+    ``a1 * u_adj + a2 * u_adj2 + forcing(t) / denom``, where u_adj is the
+    node next to the boundary and u_adj2 the one after it, both on the new
+    layer.  Dirichlet yields (0, 0, 1).  Flux and Robin come from solving
     a * u + b * nu * u_x = forcing(t) for the endpoint value, with u_x
     replaced by the one-sided three-point formula
-    (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on the right.
+    (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on the right;
+    a vanishing denominator raises ValueError.
     """
-    phi = float(bc.forcing(t_next))
     if bc.kind is BCKind.DIRICHLET:
-        return 0.0, 0.0, phi
+        return 0.0, 0.0, 1.0
     if bc.kind is BCKind.FLUX:
         a, b = 0.0, 1.0
     else:
@@ -153,8 +152,23 @@ def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,
         raise ValueError(f"degenerate {bc.kind.value} closure: "
                          f"a = {a}, b*nu/(2 dx) = {w}")
     if side is Side.LEFT:
-        return -4.0 * w / denom, w / denom, phi / denom
-    return 4.0 * w / denom, -w / denom, phi / denom
+        return -4.0 * w / denom, w / denom, denom
+    return 4.0 * w / denom, -w / denom, denom
+
+
+def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,
+                                  t_next: float, nu: float,
+                                  dx: float) -> tuple[float, float, float]:
+    """Affine form of the boundary closure at the layer being completed.
+
+    Returns (a1, a2, g) such that the boundary value is
+    ``a1 * u_adj + a2 * u_adj2 + g``, with (a1, a2) from
+    ``closure_geometry`` and g = forcing(t_next) / denom; Dirichlet yields
+    (0, 0, forcing(t)).
+    """
+    phi = float(bc.forcing(t_next))
+    a1, a2, denom = closure_geometry(bc, side, nu, dx)
+    return a1, a2, phi / denom
 
 
 def close_boundary(bc: BoundaryCondition, side: Side,

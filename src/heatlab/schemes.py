@@ -1,11 +1,19 @@
 """Time-stepping schemes for u_t = nu u_xx (and k(u) u_xx) behind one contract.
 
-Every stepper maps the layers it needs to the next layer as a pure function:
-interiors are written first, endpoints are closed afterwards, and the layer
-time is always ``time_index * dt``.  ``run_simulation`` drives every scheme
-through one table whose entries return the new layers of one call (two for
-the Saulyev sweep pair); only the last of them is consistency-grade.  It also
-bootstraps the multi-layer schemes and flags divergence.
+Every scheme is a plan: ``plan(params, bcs, n_nodes)`` validates the scheme
+against the diffusivity and tau and computes, once per run, everything that
+does not change from step to step: the scheme coefficients, the boundary
+closure geometry, the Saulyev sweep band and, for implicit and
+Crank-Nicolson, the folded tridiagonal bands.  It returns
+``advance(prev, curr, time_index)``, which maps bare arrays (``prev`` is
+None on the first call) to the tuple of new layers: one, or two for the
+Saulyev sweep pair, of which only the last is consistency-grade.  Per step
+an advance evaluates the stencil, the forcing of each closure and, where k
+varies, the diffusivity; interiors are written first, endpoints are closed
+afterwards, and the layer time is always ``time_index * dt``.  Called
+without a previous layer, the multi-layer schemes start themselves.
+``run_simulation`` drives every scheme through one table of plans and flags
+divergence; the public ``step_*`` functions build a plan and advance once.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -17,8 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import BCKind, BoundaryCondition, Field, Side, close_boundary, \
-    boundary_closure_coefficients
+from .grid import BCKind, BoundaryCondition, Field, Side, closure_geometry
+# No stepper calls these two; bench/spans.py wraps them as attributes of
+# this module.
+from .grid import boundary_closure_coefficients, close_boundary  # noqa: F401
 from .tridiag import SingularSystemError, TridiagonalSystem, thomas_solve
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -205,9 +215,11 @@ class RunRecord:
     diverged: bool = False
     diverged_step: Optional[int] = None
 
-    def append(self, layer: Field, consistent: bool = True):
+    def append(self, layer: Field, consistent: bool = True,
+               norm: Optional[float] = None):
+        """Keep ``layer``; ``norm`` is its max norm if the caller has it."""
         self.snapshots.append(layer)
-        self.max_norms.append(layer.max_norm)
+        self.max_norms.append(layer.max_norm if norm is None else norm)
         self.consistency_grade.append(consistent)
 
     @property
@@ -220,73 +232,128 @@ def _require_constant(params: SchemeParams, scheme_name: str):
         raise ValueError(f"{scheme_name} requires constant diffusivity")
 
 
-def _close_endpoints(values: np.ndarray, bcs, t_next: float,
-                     nu_left: float, nu_right: float, dx: float):
-    values[0] = close_boundary(bcs[0], Side.LEFT, values, t_next, nu_left, dx)
-    values[-1] = close_boundary(bcs[1], Side.RIGHT, values, t_next, nu_right, dx)
+# A plan's advance maps (prev, curr, time_index) to the tuple of new layers.
+Advance = Callable[[Optional[np.ndarray], np.ndarray, int], tuple]
 
 
-def step_explicit(state: StepState) -> Field:
-    """Forward-in-time, centered-in-space update.
+def _second_difference(u: np.ndarray) -> np.ndarray:
+    return u[:-2] - 2.0 * u[1:-1] + u[2:]
 
-    Interior: u_j <- u_j + r (u_{j-1} - 2 u_j + u_{j+1}).  With a non-constant
-    diffusivity k(u) the weight is evaluated pointwise at the stencil center
-    of the old layer.
+
+def _forward_interior(u: np.ndarray, r) -> np.ndarray:
+    """Forward-in-time, centred-in-space interior; r is a scalar or an array."""
+    return u[1:-1] + r * _second_difference(u)
+
+
+# ------------------------------------------------------------ closures
+
+def _geometries(bcs, nu_left: float, nu_right: float, dx: float) -> tuple:
+    return (closure_geometry(bcs[0], Side.LEFT, nu_left, dx),
+            closure_geometry(bcs[1], Side.RIGHT, nu_right, dx))
+
+
+def _end_geometries(model: DiffusivityModel, bcs, dx: float):
+    """``geometries(u)`` of both closures for a layer about to be advanced.
+
+    Fixed when the plan is built for constant k; otherwise the endpoint
+    diffusivities of ``u`` change with every step, and so does the geometry.
     """
-    params, bcs = state.params, state.bcs
-    u = state.curr.values
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    if params.diffusivity.kind is DiffusivityKind.CONSTANT:
-        interior = u[1:-1] + params.diffusion_number_r * d2
-        nu_left = nu_right = params.nu
-    else:
-        k = params.diffusivity.evaluate_array(u[1:-1])
-        interior = u[1:-1] + (k * params.dt / params.dx ** 2) * d2
-        nu_left = params.diffusivity.evaluate(float(u[0]))
-        nu_right = params.diffusivity.evaluate(float(u[-1]))
-    out = np.empty_like(u)
-    out[1:-1] = interior
-    t_next = (state.curr.time_index + 1) * params.dt
-    _close_endpoints(out, bcs, t_next, nu_left, nu_right, params.dx)
-    return Field(values=out, time_index=state.curr.time_index + 1)
+    if model.kind is DiffusivityKind.CONSTANT:
+        fixed = _geometries(bcs, model.nu_value, model.nu_value, dx)
+        return lambda u: fixed
+    return lambda u: _geometries(bcs, model.evaluate(float(u[0])),
+                                 model.evaluate(float(u[-1])), dx)
 
 
-def _solve_interior_system(rho_new: np.ndarray, rhs: np.ndarray, bcs,
-                           t_next: float,
-                           nu_left: float, nu_right: float, dx: float,
-                           diag_extra: Optional[np.ndarray] = None) -> np.ndarray:
-    """Assemble and solve one implicit layer with folded boundary closures.
+def _endpoint(bc: BoundaryCondition, side: Side, geometry: tuple):
+    """``close(out, t)``: write the endpoint of the new layer ``out``.
 
-    Row j of the interior system reads
-    ``-rho_j u_{j-1} + (1 + 2 rho_j) u_j - rho_j u_{j+1} = rhs_j``;
-    non-Dirichlet closures express the endpoint through its two interior
-    neighbours and are substituted into the first/last row, which keeps the
-    matrix tridiagonal.  Returns the full new layer including endpoints.
+    Dirichlet pins it to forcing(t); flux and Robin combine the two new-layer
+    neighbours with the closure geometry (a1, a2, denom).
     """
-    m = len(rhs)
-    diag = 1.0 + 2.0 * rho_new
-    if diag_extra is not None:
-        diag = diag + diag_extra
-    upper = -rho_new[:-1]
-    lower = -rho_new[1:]
-    rhs = rhs.copy()  # callers reuse rhs across fixed-point iterates
+    forcing = bc.forcing
+    if bc.kind is BCKind.DIRICHLET:
+        j = 0 if side is Side.LEFT else -1
 
+        def close(out, t):
+            out[j] = float(forcing(t))
+        return close
+    a1, a2, denom = geometry
+    j, i1, i2 = (0, 1, 2) if side is Side.LEFT else (-1, -2, -3)
+
+    def close(out, t):
+        out[j] = a1 * out[i1] + a2 * out[i2] + float(forcing(t)) / denom
+    return close
+
+
+def _endpoints(bcs, geometries: tuple, n_nodes: int) -> tuple:
+    if n_nodes < 3 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
+        raise ValueError("flux/Robin closure needs at least 3 nodes (N >= 2)")
+    return (_endpoint(bcs[0], Side.LEFT, geometries[0]),
+            _endpoint(bcs[1], Side.RIGHT, geometries[1]))
+
+
+def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
+    """Advance of a constant-k explicit scheme: ``interior(prev, u)``, then
+    both closures at the new layer's time."""
+    dt = params.dt
+    close_left, close_right = _endpoints(
+        bcs, _geometries(bcs, params.nu, params.nu, params.dx), n_nodes)
+
+    def advance(prev, u, time_index):
+        out = np.empty_like(u)
+        out[1:-1] = interior(prev, u)
+        t = (time_index + 1) * dt
+        close_left(out, t)
+        close_right(out, t)
+        return (out,)
+    return advance
+
+
+# ------------------------------------------------- folded implicit layers
+
+def _check_solve_ends(bcs, m: int):
     left, right = bcs
     if m < 2 and (left.kind, right.kind) != (BCKind.DIRICHLET, BCKind.DIRICHLET):
         raise ValueError("flux/Robin boundaries need at least 2 interior nodes")
-    a1l, a2l, gl = boundary_closure_coefficients(left, Side.LEFT, t_next,
-                                                 nu_left, dx)
-    a1r, a2r, gr = boundary_closure_coefficients(right, Side.RIGHT, t_next,
-                                                 nu_right, dx)
-    diag[0] -= rho_new[0] * a1l
-    if m >= 2:
-        upper[0] -= rho_new[0] * a2l
-    rhs[0] += rho_new[0] * gl
-    diag[m - 1] -= rho_new[m - 1] * a1r
-    if m >= 2:
-        lower[m - 2] -= rho_new[m - 1] * a2r
-    rhs[m - 1] += rho_new[m - 1] * gr
 
+
+def _fold(rho: np.ndarray, diag: np.ndarray, geometries: tuple) -> tuple:
+    """Bands (lower, diag, upper) of one implicit layer, closures folded in.
+
+    Row j of the interior system reads
+    ``-rho_j u_{j-1} + diag_j u_j - rho_j u_{j+1} = rhs_j``; non-Dirichlet
+    closures express the endpoint through its two interior neighbours and
+    are substituted into the first/last row, which keeps the matrix
+    tridiagonal.  ``diag`` is modified in place.
+    """
+    (a1l, a2l, _), (a1r, a2r, _) = geometries
+    m = len(diag)
+    upper = -rho[:-1]
+    lower = -rho[1:]
+    diag[0] -= rho[0] * a1l
+    if m >= 2:
+        upper[0] -= rho[0] * a2l
+    diag[m - 1] -= rho[m - 1] * a1r
+    if m >= 2:
+        lower[m - 2] -= rho[m - 1] * a2r
+    return lower, diag, upper
+
+
+def _solve_folded(bands: tuple, rho: np.ndarray, rhs: np.ndarray,
+                  geometries: tuple, bcs, t: float) -> np.ndarray:
+    """Solve one folded layer at time t and return it with its endpoints.
+
+    ``rhs`` receives the closures' forcing terms g = forcing(t) / denom in
+    place.
+    """
+    (a1l, a2l, denom_l), (a1r, a2r, denom_r) = geometries
+    gl = float(bcs[0].forcing(t)) / denom_l
+    gr = float(bcs[1].forcing(t)) / denom_r
+    m = len(rhs)
+    rhs[0] += rho[0] * gl
+    rhs[m - 1] += rho[m - 1] * gr
+    lower, diag, upper = bands
     x = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
                                        upper=upper, rhs=rhs))
     out = np.empty(m + 2, dtype=float)
@@ -296,71 +363,17 @@ def _solve_interior_system(rho_new: np.ndarray, rhs: np.ndarray, bcs,
     return out
 
 
-def step_implicit(state: StepState) -> Field:
-    """Backward-in-time update: (1 + 2r) u_j - r (u_{j-1} + u_{j+1}) = u_j^old."""
-    params, bcs = state.params, state.bcs
-    _require_constant(params, "implicit scheme")
-    u = state.curr.values
-    m = len(u) - 2
-    rho = np.full(m, params.diffusion_number_r)
-    rhs = u[1:-1].copy()
-    t_next = (state.curr.time_index + 1) * params.dt
-    out = _solve_interior_system(rho, rhs, bcs, t_next,
-                                 params.nu, params.nu, params.dx)
-    return Field(values=out, time_index=state.curr.time_index + 1)
+def _constant_solver(params: SchemeParams, bcs, rho: np.ndarray):
+    """``solve(rhs, time_index)`` of a layer whose bands never change.
 
-
-def step_crank_nicolson(state: StepState) -> Field:
-    """Trapezoidal update: both layers carry half of the diffusion operator."""
-    params, bcs = state.params, state.bcs
-    _require_constant(params, "Crank-Nicolson scheme")
-    u = state.curr.values
-    m = len(u) - 2
-    nu = params.nu
-    rho = np.full(m, 0.5 * (nu * params.dt / params.dx ** 2))
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    rhs = u[1:-1] + rho * d2
-    t_next = (state.curr.time_index + 1) * params.dt
-    out = _solve_interior_system(rho, rhs, bcs, t_next, nu, nu, params.dx)
-    return Field(values=out, time_index=state.curr.time_index + 1)
-
-
-def step_leapfrog(state: StepState) -> Field:
-    """Symmetric-in-time explicit update (kept although it never damps).
-
-    u_j <- u_j^{prev} + 2 r (u_{j-1} - 2 u_j + u_{j+1}).
+    The bands are folded once; each solve adds only the forcing terms.
     """
-    params, bcs = state.params, state.bcs
-    _require_constant(params, "leap-frog scheme")
-    if state.prev is None:
-        raise ValueError("leap-frog needs the previous layer")
-    u = state.curr.values
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    out = np.empty_like(u)
-    out[1:-1] = state.prev.values[1:-1] + (2.0 * params.diffusion_number_r) * d2
-    t_next = (state.curr.time_index + 1) * params.dt
-    _close_endpoints(out, bcs, t_next, params.nu, params.nu, params.dx)
-    return Field(values=out, time_index=state.curr.time_index + 1)
-
-
-def step_dufort_frankel(state: StepState) -> Field:
-    """Two-layer averaged explicit update, stable for every time step.
-
-    With w = 2 r: u_j <- ((1-w)/(1+w)) u_j^{prev} + (w/(1+w)) (u_{j+1} + u_{j-1}).
-    """
-    params, bcs = state.params, state.bcs
-    _require_constant(params, "Dufort-Frankel scheme")
-    if state.prev is None:
-        raise ValueError("Dufort-Frankel needs the previous layer")
-    lam = params.dufort_frankel_number
-    a = (1.0 - lam) / (1.0 + lam)
-    b = lam / (1.0 + lam)
-    u = state.curr.values
-    out = np.empty_like(u)
-    out[1:-1] = a * state.prev.values[1:-1] + b * (u[2:] + u[:-2])
-    t_next = (state.curr.time_index + 1) * params.dt
-    _close_endpoints(out, bcs, t_next, params.nu, params.nu, params.dx)
-    return Field(values=out, time_index=state.curr.time_index + 1)
+    _check_solve_ends(bcs, len(rho))
+    geometries = _geometries(bcs, params.nu, params.nu, params.dx)
+    bands = _fold(rho, 1.0 + 2.0 * rho, geometries)
+    dt = params.dt
+    return lambda rhs, time_index: _solve_folded(
+        bands, rho, rhs, geometries, bcs, (time_index + 1) * dt)
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -391,6 +404,252 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
         f"(last change {delta:.3e})", residual=delta)
 
 
+# ------------------------------------------------------------------ plans
+
+def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    model, dt, dx = params.diffusivity, params.dt, params.dx
+    if model.kind is DiffusivityKind.CONSTANT:
+        r = params.diffusion_number_r
+        return _closed_plan(params, bcs, n_nodes,
+                            lambda prev, u: _forward_interior(u, r))
+    geometries_of = _end_geometries(model, bcs, dx)
+
+    def advance(prev, u, time_index):
+        out = np.empty_like(u)
+        k = model.evaluate_array(u[1:-1])
+        out[1:-1] = _forward_interior(u, k * dt / dx ** 2)
+        close_left, close_right = _endpoints(bcs, geometries_of(u), len(u))
+        t = (time_index + 1) * dt
+        close_left(out, t)
+        close_right(out, t)
+        return (out,)
+    return advance
+
+
+def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    _require_constant(params, "implicit scheme")
+    solve = _constant_solver(params, bcs,
+                             np.full(n_nodes - 2, params.diffusion_number_r))
+    return lambda prev, u, time_index: (solve(u[1:-1].copy(), time_index),)
+
+
+def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    _require_constant(params, "Crank-Nicolson scheme")
+    rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
+    solve = _constant_solver(params, bcs, np.full(n_nodes - 2, rho))
+    return lambda prev, u, time_index: (
+        solve(u[1:-1] + rho * _second_difference(u), time_index),)
+
+
+def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    _require_constant(params, "leap-frog scheme")
+    r = params.diffusion_number_r
+
+    def interior(prev, u):
+        if prev is None:  # the explicit start
+            return _forward_interior(u, r)
+        return prev[1:-1] + (2.0 * r) * _second_difference(u)
+    return _closed_plan(params, bcs, n_nodes, interior)
+
+
+def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    _require_constant(params, "Dufort-Frankel scheme")
+    r = params.diffusion_number_r
+    lam = params.dufort_frankel_number
+    a = (1.0 - lam) / (1.0 + lam)
+    b = lam / (1.0 + lam)
+
+    def interior(prev, u):
+        if prev is None:  # the explicit start
+            return _forward_interior(u, r)
+        return a * prev[1:-1] + b * (u[2:] + u[:-2])
+    return _closed_plan(params, bcs, n_nodes, interior)
+
+
+def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int,
+                       damping: float = 0.0) -> Advance:
+    model, dt, dx = params.diffusivity, params.dt, params.dx
+    _check_solve_ends(bcs, n_nodes - 2)
+    geometries_of = _end_geometries(model, bcs, dx)
+
+    def advance(prev, u, time_index):
+        k_old = model.evaluate_array(u[1:-1])
+        rhs = u[1:-1] + 0.5 * (k_old * dt / dx ** 2) * _second_difference(u)
+        geometries = geometries_of(u)
+        t = (time_index + 1) * dt
+
+        def iterate(k):
+            rho_new = 0.5 * (k * dt / dx ** 2)
+            bands = _fold(rho_new, 1.0 + 2.0 * rho_new, geometries)
+            return _solve_folded(bands, rho_new, rhs.copy(), geometries, bcs, t)
+
+        return (_fixed_point(iterate, u, k_old, model, damping),)
+    return advance
+
+
+def _plan_ccn(params: SchemeParams, bcs, n_nodes: int,
+              damping: float = 0.0) -> Advance:
+    model, dt, dx = params.diffusivity, params.dt, params.dx
+    _check_solve_ends(bcs, n_nodes - 2)
+    geometries_of = _end_geometries(model, bcs, dx)
+    linear = model.kind is not DiffusivityKind.GENERAL
+    if linear:  # k = a + b u, with b = 0 for constant k
+        a_k = (model.nu_value if model.kind is DiffusivityKind.CONSTANT
+               else model.affine_a)
+        rho_a = 0.5 * (a_k * dt / dx ** 2)
+        rho_b = 0.5 * (model.affine_b * dt / dx ** 2)
+
+    def advance(prev, u, time_index):
+        k_old = model.evaluate_array(u[1:-1])
+        rho_new = 0.5 * (k_old * dt / dx ** 2)
+        d2 = _second_difference(u)
+        geometries = geometries_of(u)
+        t = (time_index + 1) * dt
+        if linear:
+            bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, geometries)
+            return (_solve_folded(bands, rho_new, u[1:-1] + rho_a * d2,
+                                  geometries, bcs, t),)
+        bands = _fold(rho_new, 1.0 + 2.0 * rho_new, geometries)
+
+        def iterate(k):
+            rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
+            return _solve_folded(bands, rho_new, rhs, geometries, bcs, t)
+
+        return (_fixed_point(iterate, u, k_old, model, damping),)
+    return advance
+
+
+def _saulyev_start(bc: BoundaryCondition, side: Side, geometry: tuple,
+                   a: float, c: float, n: int):
+    """``start(base, t)``: first value of a one-sided sweep over ``base``.
+
+    Dirichlet pins it.  Otherwise the closure couples the endpoint to the
+    first two swept unknowns, which themselves depend linearly on the
+    endpoint; substituting the sweep relation twice reduces the start to one
+    scalar equation, whose denominator is checked once, here.
+    """
+    forcing = bc.forcing
+    if bc.kind is BCKind.DIRICHLET:
+        return lambda base, t: float(forcing(t))
+    if n < 3:
+        raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
+    a1, a2, denom = geometry
+    den = 1.0 - a1 * c - a2 * c * c
+    if abs(den) <= 1e-12 * (1.0 + abs(a1 * c) + abs(a2 * c * c)):
+        raise SingularSystemError("degenerate Saulyev sweep start")
+    j1, j2, j3 = (1, 2, 3) if side is Side.LEFT else (n - 1, n - 2, n - 3)
+
+    def start(base, t):
+        s1 = a * base[j1] + c * base[j2]
+        s2 = a * base[j2] + c * base[j3] + c * s1
+        return (a1 * s1 + a2 * s2 + float(forcing(t)) / denom) / den
+    return start
+
+
+def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    from scipy.linalg.blas import dtbsv
+    _require_constant(params, "Saulyev scheme")
+    lam = params.saulyev_number
+    a = (1.0 - lam) / (1.0 + lam)
+    c = lam / (1.0 + lam)
+    dt = params.dt
+    n = n_nodes - 1
+    geometries = _geometries(bcs, params.nu, params.nu, params.dx)
+    close_left, close_right = _endpoints(bcs, geometries, n_nodes)
+    start_left = _saulyev_start(bcs[0], Side.LEFT, geometries[0], a, c, n)
+    start_right = _saulyev_start(bcs[1], Side.RIGHT, geometries[1], a, c, n)
+    band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
+
+    def advance(prev, u, time_index):
+        t1 = (time_index + 1) * dt
+        t2 = (time_index + 2) * dt
+        out1 = np.empty(n + 1)
+        out1[0] = start_left(u, t1)
+        out1[1:n] = a * u[1:n] + c * u[2:]
+        dtbsv(1, band, out1[:n], lower=1, diag=1, overwrite_x=1)
+        close_right(out1, t1)
+
+        out2 = np.empty(n + 1)
+        out2[n] = start_right(out1, t2)
+        out2[1:n] = a * out1[1:n] + c * out1[:n - 1]
+        dtbsv(1, band, out2[1:], lower=0, diag=1, overwrite_x=1)
+        close_left(out2, t2)
+        return out1, out2
+    return advance
+
+
+def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    _require_constant(params, "hyperbolic scheme")
+    if params.tau <= 0.0:
+        raise ValueError("hyperbolic scheme needs tau > 0 "
+                         "(with tau = 0 use the explicit scheme)")
+    tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
+    a = tau / dt ** 2 + 1.0 / (2.0 * dt)
+    b = tau / dt ** 2 - 1.0 / (2.0 * dt)
+    c = 2.0 * tau / dt ** 2
+    taylor = dt ** 2 / (2.0 * tau)
+    dx2 = dx ** 2
+
+    def interior(prev, u):
+        diffusion = nu * _second_difference(u) / dx2
+        if prev is None:  # the zero-velocity Taylor start
+            return u[1:-1] + taylor * diffusion
+        return (c * u[1:-1] - b * prev[1:-1] + diffusion) / a
+    return _closed_plan(params, bcs, n_nodes, interior)
+
+
+# ------------------------------------------------------- public steppers
+
+def _advance_once(plan, state: StepState, needs_prev: str = "",
+                  **options) -> tuple:
+    """The layers one call of ``plan``'s advance makes from ``state``."""
+    curr = state.curr
+    advance = plan(state.params, state.bcs, len(curr.values), **options)
+    if needs_prev and state.prev is None:
+        raise ValueError(f"{needs_prev} needs the previous layer")
+    prev = None if state.prev is None else state.prev.values
+    layers = advance(prev, curr.values, curr.time_index)
+    return tuple(Field(values=values, time_index=curr.time_index + i + 1)
+                 for i, values in enumerate(layers))
+
+
+def step_explicit(state: StepState) -> Field:
+    """Forward-in-time, centered-in-space update.
+
+    Interior: u_j <- u_j + r (u_{j-1} - 2 u_j + u_{j+1}).  With a non-constant
+    diffusivity k(u) the weight is evaluated pointwise at the stencil center
+    of the old layer.
+    """
+    return _advance_once(_plan_explicit, state)[0]
+
+
+def step_implicit(state: StepState) -> Field:
+    """Backward-in-time update: (1 + 2r) u_j - r (u_{j-1} + u_{j+1}) = u_j^old."""
+    return _advance_once(_plan_implicit, state)[0]
+
+
+def step_crank_nicolson(state: StepState) -> Field:
+    """Trapezoidal update: both layers carry half of the diffusion operator."""
+    return _advance_once(_plan_crank_nicolson, state)[0]
+
+
+def step_leapfrog(state: StepState) -> Field:
+    """Symmetric-in-time explicit update (kept although it never damps).
+
+    u_j <- u_j^{prev} + 2 r (u_{j-1} - 2 u_j + u_{j+1}).
+    """
+    return _advance_once(_plan_leapfrog, state, needs_prev="leap-frog")[0]
+
+
+def step_dufort_frankel(state: StepState) -> Field:
+    """Two-layer averaged explicit update, stable for every time step.
+
+    With w = 2 r: u_j <- ((1-w)/(1+w)) u_j^{prev} + (w/(1+w)) (u_{j+1} + u_{j-1}).
+    """
+    return _advance_once(_plan_dufort_frankel, state,
+                         needs_prev="Dufort-Frankel")[0]
+
+
 def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
     """Trapezoidal update for u_t = k(u) u_xx with k frozen per iterate.
 
@@ -399,25 +658,7 @@ def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
     the max-norm change drops to 1e-12 or 50 iterations pass.  ``damping``
     blends each new iterate with the previous one (0 means undamped).
     """
-    params, bcs = state.params, state.bcs
-    u = state.curr.values
-    dt, dx = params.dt, params.dx
-    model = params.diffusivity
-    k_old = model.evaluate_array(u[1:-1])
-    rho_old = 0.5 * (k_old * dt / dx ** 2)
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    rhs = u[1:-1] + rho_old * d2
-    nu_left = model.evaluate(float(u[0]))
-    nu_right = model.evaluate(float(u[-1]))
-    t_next = (state.curr.time_index + 1) * dt
-
-    def iterate(k):
-        rho_new = 0.5 * (k * dt / dx ** 2)
-        return _solve_interior_system(rho_new, rhs, bcs, t_next,
-                                      nu_left, nu_right, dx)
-
-    v = _fixed_point(iterate, u, k_old, model, damping)
-    return Field(values=v, time_index=state.curr.time_index + 1)
+    return _advance_once(_plan_cn_nonlinear, state, damping=damping)[0]
 
 
 def step_ccn(state: StepState, damping: float = 0.0) -> Field:
@@ -428,64 +669,7 @@ def step_ccn(state: StepState, damping: float = 0.0) -> Field:
     tridiagonal solve advances the step.  General k falls back to the same
     fixed-point iteration as the plain nonlinear trapezoidal stepper.
     """
-    params, bcs = state.params, state.bcs
-    u = state.curr.values
-    dt, dx = params.dt, params.dx
-    model = params.diffusivity
-    k_old = model.evaluate_array(u[1:-1])
-    rho_new = 0.5 * (k_old * dt / dx ** 2)
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    nu_left = model.evaluate(float(u[0]))
-    nu_right = model.evaluate(float(u[-1]))
-    t_next = (state.curr.time_index + 1) * dt
-
-    if model.kind in (DiffusivityKind.CONSTANT, DiffusivityKind.AFFINE):
-        if model.kind is DiffusivityKind.CONSTANT:
-            a_k, b_k = model.nu_value, 0.0
-        else:
-            a_k, b_k = model.affine_a, model.affine_b
-        rho_a = 0.5 * (a_k * dt / dx ** 2)
-        bcoef = 0.5 * (b_k * dt / dx ** 2)
-        rhs = u[1:-1] + rho_a * d2
-        diag_extra = -(bcoef * d2)
-        out = _solve_interior_system(rho_new, rhs, bcs, t_next,
-                                     nu_left, nu_right, dx,
-                                     diag_extra=diag_extra)
-        return Field(values=out, time_index=state.curr.time_index + 1)
-
-    def iterate(k):
-        rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
-        return _solve_interior_system(rho_new, rhs, bcs, t_next,
-                                      nu_left, nu_right, dx)
-
-    v = _fixed_point(iterate, u, k_old, model, damping)
-    return Field(values=v, time_index=state.curr.time_index + 1)
-
-
-def _saulyev_start_value(bc: BoundaryCondition, side: Side, base: np.ndarray,
-                         a: float, c: float, t_next: float,
-                         nu: float, dx: float) -> float:
-    """First value of a one-sided sweep when the boundary is not Dirichlet.
-
-    ``base`` is the layer the sweep reads (N + 1 nodal values).  The closure
-    couples the endpoint to the first two swept unknowns, which themselves
-    depend linearly on the endpoint; substituting the sweep relation twice
-    reduces the start to one scalar equation.
-    """
-    a1, a2, g = boundary_closure_coefficients(bc, side, t_next, nu, dx)
-    n = len(base) - 1
-    if n < 3:
-        raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
-    if side is Side.LEFT:
-        s1 = a * base[1] + c * base[2]
-        s2 = a * base[2] + c * base[3] + c * s1
-    else:
-        s1 = a * base[n - 1] + c * base[n - 2]
-        s2 = a * base[n - 2] + c * base[n - 3] + c * s1
-    den = 1.0 - a1 * c - a2 * c * c
-    if abs(den) <= 1e-12 * (1.0 + abs(a1 * c) + abs(a2 * c * c)):
-        raise SingularSystemError("degenerate Saulyev sweep start")
-    return (a1 * s1 + a2 * s2 + g) / den
+    return _advance_once(_plan_ccn, state, damping=damping)[0]
 
 
 def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:
@@ -503,41 +687,7 @@ def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:
     on the first call; its fused multiply-add may differ from the plain
     recurrence in the last bits.
     """
-    from scipy.linalg.blas import dtbsv
-    params, bcs = state.params, state.bcs
-    _require_constant(params, "Saulyev scheme")
-    lam = params.saulyev_number
-    a = (1.0 - lam) / (1.0 + lam)
-    c = lam / (1.0 + lam)
-    nu, dx, dt = params.nu, params.dx, params.dt
-    left, right = bcs
-    u = state.curr.values
-    n = len(u) - 1
-    ti = state.curr.time_index
-    t1 = (ti + 1) * dt
-    t2 = (ti + 2) * dt
-    band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
-
-    out1 = np.empty(n + 1)
-    if left.kind is BCKind.DIRICHLET:
-        out1[0] = float(left.forcing(t1))
-    else:
-        out1[0] = _saulyev_start_value(left, Side.LEFT, u, a, c, t1, nu, dx)
-    out1[1:n] = a * u[1:n] + c * u[2:]
-    dtbsv(1, band, out1[:n], lower=1, diag=1, overwrite_x=1)
-    out1[n] = close_boundary(right, Side.RIGHT, out1, t1, nu, dx)
-
-    out2 = np.empty(n + 1)
-    if right.kind is BCKind.DIRICHLET:
-        out2[n] = float(right.forcing(t2))
-    else:
-        out2[n] = _saulyev_start_value(right, Side.RIGHT, out1, a, c, t2, nu, dx)
-    out2[1:n] = a * out1[1:n] + c * out1[:n - 1]
-    dtbsv(1, band, out2[1:], lower=0, diag=1, overwrite_x=1)
-    out2[0] = close_boundary(left, Side.LEFT, out2, t2, nu, dx)
-
-    return (Field(values=out1, time_index=ti + 1),
-            Field(values=out2, time_index=ti + 2))
+    return _advance_once(_plan_saulyev, state)
 
 
 def step_hyperbolic(state: StepState) -> Field:
@@ -546,25 +696,8 @@ def step_hyperbolic(state: StepState) -> Field:
     With a = tau/dt^2 + 1/(2 dt) and b = tau/dt^2 - 1/(2 dt):
     u_j <- [2 tau/dt^2 u_j - b u_j^{prev} + nu (u_{j+1} - 2 u_j + u_{j-1})/dx^2] / a.
     """
-    params, bcs = state.params, state.bcs
-    _require_constant(params, "hyperbolic scheme")
-    if params.tau <= 0.0:
-        raise ValueError("hyperbolic stepper needs tau > 0 "
-                         "(with tau = 0 use step_explicit)")
-    if state.prev is None:
-        raise ValueError("hyperbolic stepper needs the previous layer")
-    tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
-    a = tau / dt ** 2 + 1.0 / (2.0 * dt)
-    b = tau / dt ** 2 - 1.0 / (2.0 * dt)
-    u = state.curr.values
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    out = np.empty_like(u)
-    out[1:-1] = (2.0 * tau / dt ** 2 * u[1:-1]
-                 - b * state.prev.values[1:-1]
-                 + nu * d2 / dx ** 2) / a
-    t_next = (state.curr.time_index + 1) * dt
-    _close_endpoints(out, bcs, t_next, nu, nu, dx)
-    return Field(values=out, time_index=state.curr.time_index + 1)
+    return _advance_once(_plan_hyperbolic, state,
+                         needs_prev="hyperbolic stepper")[0]
 
 
 def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
@@ -576,50 +709,27 @@ def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
     Endpoints come from the closures when BCs are provided, otherwise they
     are carried over unchanged.
     """
-    _require_constant(params, "hyperbolic bootstrap")
-    if params.tau <= 0.0:
-        raise ValueError("hyperbolic bootstrap needs tau > 0")
     u = initial.values
-    d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    out = np.empty_like(u)
-    out[1:-1] = u[1:-1] + (params.dt ** 2 / (2.0 * params.tau)) * (
-        params.nu * d2 / params.dx ** 2)
-    t_next = (initial.time_index + 1) * params.dt
-    if bcs is not None:
-        _close_endpoints(out, bcs, t_next, params.nu, params.nu, params.dx)
-    else:
-        out[0] = u[0]
-        out[-1] = u[-1]
-    return Field(values=out, time_index=initial.time_index + 1)
+    if bcs is None:
+        bcs = (BoundaryCondition.dirichlet(float(u[0])),
+               BoundaryCondition.dirichlet(float(u[-1])))
+    return _advance_once(_plan_hyperbolic,
+                         StepState(prev=None, curr=initial, params=params,
+                                   bcs=bcs))[0]
 
 
-def _one(stepper: Callable[[StepState], Field]):
-    return lambda state: (stepper(state),)
-
-
-def _start_hyperbolic(state: StepState) -> tuple:
-    return (bootstrap_hyperbolic(state.curr, state.params, state.bcs),)
-
-
-# Scheme -> (step, start).  ``step`` returns the tuple of new layers, of which
-# only the last is consistency-grade; ``start`` replaces it on the first call,
-# when there is no previous layer (None: ``step`` needs none).
+# Scheme -> plan(params, bcs, n_nodes) -> advance(prev, curr, time_index).
 _STEPPERS = {
-    Scheme.EXPLICIT: (_one(step_explicit), None),
-    Scheme.IMPLICIT: (_one(step_implicit), None),
-    Scheme.CRANK_NICOLSON: (_one(step_crank_nicolson), None),
-    Scheme.CN_NONLINEAR: (_one(step_cn_nonlinear), None),
-    Scheme.CROSS_CN: (_one(step_ccn), None),
-    Scheme.LEAPFROG: (_one(step_leapfrog), _one(step_explicit)),
-    Scheme.DUFORT_FRANKEL: (_one(step_dufort_frankel), _one(step_explicit)),
-    Scheme.SAULYEV: (step_saulyev_pair, None),
-    Scheme.HYPERBOLIC: (_one(step_hyperbolic), _start_hyperbolic),
+    Scheme.EXPLICIT: _plan_explicit,
+    Scheme.IMPLICIT: _plan_implicit,
+    Scheme.CRANK_NICOLSON: _plan_crank_nicolson,
+    Scheme.CN_NONLINEAR: _plan_cn_nonlinear,
+    Scheme.CROSS_CN: _plan_ccn,
+    Scheme.LEAPFROG: _plan_leapfrog,
+    Scheme.DUFORT_FRANKEL: _plan_dufort_frankel,
+    Scheme.SAULYEV: _plan_saulyev,
+    Scheme.HYPERBOLIC: _plan_hyperbolic,
 }
-
-
-def _is_bad(layer: Field) -> bool:
-    norm = layer.max_norm
-    return not np.isfinite(norm) or norm > DIVERGENCE_THRESHOLD
 
 
 def run_simulation(initial: Field, params: SchemeParams, bcs,
@@ -627,48 +737,65 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
                    snapshot_every: int = 1) -> RunRecord:
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
-    Each table entry returns its new layers and only the last of them is
-    consistency-grade, so the Saulyev pair's odd layers (and a final pair cut
-    short at ``num_steps``) are flagged False.  Multi-layer schemes bootstrap
-    themselves: leap-frog and Dufort-Frankel take their first step with the
-    explicit scheme, the hyperbolic scheme builds its first layer from the
-    zero-velocity Taylor start.  The run halts and flags divergence as soon
-    as a layer has a non-finite value or max-norm above 1e12.  Stepper
-    failures (an ArithmeticError such as a zero pivot or an overflow in k, a
-    FixedPointError or a ValueError) are re-raised as SolverError with the
-    failing step index attached.
+    The scheme's plan is built once per run: it validates the scheme against
+    the diffusivity and tau and sets up the coefficients, the closure
+    geometry and, where they never change, the bands of the implicit
+    systems.  Its advance then maps bare arrays (previous layer or None,
+    current layer, time index) to the tuple of new layers, of which only the
+    last is consistency-grade, so the Saulyev pair's odd layers (and a final
+    pair cut short at ``num_steps``) are flagged False.  A ``Field`` is built
+    only for the snapshots kept.  Called without a previous layer, the
+    multi-layer schemes start themselves: leap-frog and Dufort-Frankel with
+    the explicit step, the hyperbolic scheme with the zero-velocity Taylor
+    start.  With ``num_steps == 0`` no plan is built.  The run halts and
+    flags divergence as soon as a layer has a non-finite value or max-norm
+    above 1e12.  Failures while building the plan or advancing (an
+    ArithmeticError such as a zero pivot or an overflow in k, a
+    FixedPointError or a ValueError such as a degenerate closure or a
+    scheme that needs constant k) are re-raised as SolverError with the
+    failing step index attached; the plan counts as the first step.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
 
-    step, start = _STEPPERS[scheme]
-    start = start or step
-    end = initial.time_index + num_steps
     record = RunRecord()
     record.append(initial, consistent=True)
-    prev: Optional[Field] = None
-    curr = initial
+    if num_steps == 0:
+        return record
+    start = time_index = initial.time_index
+    end = start + num_steps
+    prev, curr = None, initial.values
+    try:
+        advance = _STEPPERS[scheme](params, bcs, len(curr))
+    except (ArithmeticError, FixedPointError, ValueError) as exc:
+        raise SolverError(step=start + 1, cause=exc) from exc
+
     consistent = True
-    while curr.time_index < end:
-        state = StepState(prev=prev, curr=curr, params=params, bcs=bcs)
+    while time_index < end:
         try:
-            produced = (start if prev is None else step)(state)
+            produced = advance(prev, curr, time_index)
         except (ArithmeticError, FixedPointError, ValueError) as exc:
-            raise SolverError(step=curr.time_index + 1, cause=exc) from exc
+            raise SolverError(step=time_index + 1, cause=exc) from exc
 
-        for i, layer in enumerate(produced[:end - curr.time_index]):
+        last = len(produced) - 1
+        for i, layer in enumerate(produced[:end - time_index]):
             prev, curr = curr, layer
-            consistent = i == len(produced) - 1
-            if _is_bad(layer):
+            time_index += 1
+            consistent = i == last
+            norm = float(np.abs(layer).max())
+            if not norm <= DIVERGENCE_THRESHOLD:
                 record.diverged = True
-                record.diverged_step = layer.time_index
-                record.append(layer, consistent=consistent)
+                record.diverged_step = time_index
+                record.append(Field(values=layer, time_index=time_index),
+                              consistent, norm)
                 return record
-            if (layer.time_index - initial.time_index) % snapshot_every == 0:
-                record.append(layer, consistent=consistent)
+            if (time_index - start) % snapshot_every == 0:
+                record.append(Field(values=layer, time_index=time_index),
+                              consistent, norm)
 
-    if record.snapshots[-1].time_index != curr.time_index:
-        record.append(curr, consistent=consistent)
+    if record.snapshots[-1].time_index != time_index:
+        record.append(Field(values=curr, time_index=time_index),
+                      consistent=consistent)
     return record

@@ -11,8 +11,8 @@ from heatlab import (BoundaryCondition, DiffusivityError, DiffusivityModel,
                      step_crank_nicolson, step_dufort_frankel, step_explicit,
                      step_hyperbolic, step_implicit, step_leapfrog,
                      step_saulyev_pair)
-from heatlab.grid import BCKind, Side, close_boundary
-from heatlab.schemes import _saulyev_start_value
+from heatlab.grid import (BCKind, Side, boundary_closure_coefficients,
+                          close_boundary)
 
 HOMOGENEOUS = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
 
@@ -238,6 +238,21 @@ def test_saulyev_pair_asymmetry_second_order_in_dt():
 
     for dt in (4e-4, 2e-4):
         assert asymmetry(dt) / asymmetry(dt / 2.0) >= 3.5
+
+
+def _saulyev_start_value(bc, side, base, a, c, t_next, nu, dx):
+    """Start of a one-sided sweep at a flux/Robin end, one scalar equation."""
+    a1, a2, g = boundary_closure_coefficients(bc, side, t_next, nu, dx)
+    n = len(base) - 1
+    if n < 3:
+        raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
+    if side is Side.LEFT:
+        s1 = a * base[1] + c * base[2]
+        s2 = a * base[2] + c * base[3] + c * s1
+    else:
+        s1 = a * base[n - 1] + c * base[n - 2]
+        s2 = a * base[n - 2] + c * base[n - 3] + c * s1
+    return (a1 * s1 + a2 * s2 + g) / (1.0 - a1 * c - a2 * c * c)
 
 
 def _saulyev_pair_loops(u, p, bcs):
@@ -591,6 +606,41 @@ def test_run_simulation_zero_steps():
     assert len(record.snapshots) == 1
     assert record.max_norms == [1.0]
     assert not record.diverged
+
+
+def test_run_simulation_zero_steps_never_touches_the_stepper():
+    # implicit with affine k is misuse, reported only once a step is asked for
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.affine(1.0, 0.2), dt=0.01, dx=grid.dx)
+    initial = field(np.sin(np.pi * grid.nodes), time_index=4)
+    record = run_simulation(initial, p, HOMOGENEOUS, Scheme.IMPLICIT, 0)
+    assert [s.time_index for s in record.snapshots] == [4]
+    assert record.consistency_grade == [True]
+    assert not record.diverged and record.diverged_step is None
+    with pytest.raises(SolverError) as err:
+        run_simulation(initial, p, HOMOGENEOUS, Scheme.IMPLICIT, 1)
+    assert err.value.step == 5
+
+
+@pytest.mark.parametrize("value,diverged_step", [
+    (1e12 * (1 + 2 ** -40), 3), (1e12, None),
+    (math.nan, 3), (math.inf, 3), (-math.inf, 3),
+], ids=["above-threshold", "at-threshold", "nan", "inf", "-inf"])
+def test_run_simulation_divergence_test_at_the_edges(value, diverged_step):
+    # the right end jumps to ``value`` at step 3 and the interior is zero
+    # until then, so layer 3 has exactly that max; r = 1/4 keeps every later
+    # layer within it
+    grid = build_uniform_grid(1.0, 8)
+    p = constant_params(1.0, dt=0.25 * grid.dx ** 2, dx=grid.dx)
+    t3 = 3 * p.dt
+    bcs = (BoundaryCondition.dirichlet(0.0),
+           BoundaryCondition.dirichlet(lambda t: value if t >= t3 else 0.0))
+    record = run_simulation(field(np.zeros(9)), p, bcs, Scheme.EXPLICIT, 6,
+                            snapshot_every=2)
+    assert record.diverged is (diverged_step is not None)
+    assert record.diverged_step == diverged_step
+    kept = [0, 2, 3] if diverged_step else [0, 2, 4, 6]
+    assert [s.time_index for s in record.snapshots] == kept
 
 
 def test_run_simulation_divergence_flagging():
