@@ -4,12 +4,16 @@ The spatial mesh covers [0, l] with N cells (N+1 nodes); time layers are
 uniformly spaced and always computed as ``n * dt``, never accumulated, so
 ``t(n)`` is bit-reproducible.  Boundary values are produced by closures:
 Dirichlet pins the endpoint, flux and Robin conditions use the second-order
-one-sided three-point derivative stencil at the endpoint.
+one-sided three-point derivative stencil at the endpoint.  ``closure`` is
+the one place that knows the endpoint formula and which nodes it reads;
+the scheme plans build their closures with it once per run (once per step
+where the endpoint diffusivity varies), and ``close_boundary`` and
+``boundary_closure_coefficients`` are its scalar forms.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -123,37 +127,60 @@ class BoundaryCondition:
                                  forcing=_as_time_function(phi))
 
 
-def closure_geometry(bc: BoundaryCondition, side: Side, nu: float,
-                     dx: float) -> tuple[float, float, float]:
-    """Time-independent part of a boundary closure: (a1, a2, denom).
+class Closure(NamedTuple):
+    """One endpoint of the layer being completed, closed from that layer.
 
-    The boundary value of the layer being completed is
-    ``a1 * u_adj + a2 * u_adj2 + forcing(t) / denom``, where u_adj is the
-    node next to the boundary and u_adj2 the one after it, both on the new
-    layer.  Dirichlet yields (0, 0, 1).  Flux and Robin come from solving
-    a * u + b * nu * u_x = forcing(t) for the endpoint value, with u_x
-    replaced by the one-sided three-point formula
-    (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on the right;
-    a vanishing denominator raises ValueError.
+    The endpoint value is ``a1 * u_adj + a2 * u_adj2 + term(t)``, where
+    u_adj is the node next to the boundary and u_adj2 the one after it, both
+    on the new layer, and term(t) = forcing(t) / denom.  ``put(out, g)``
+    writes it into ``out`` with g = term(t), so a caller that also needs g
+    elsewhere (a folded implicit row) evaluates the forcing once.
     """
+
+    a1: float
+    a2: float
+    term: Callable[[float], float]
+    put: Callable[[np.ndarray, float], None]
+
+
+def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
+    """The closure of ``bc`` at ``side`` for diffusivity nu at the endpoint.
+
+    Dirichlet pins the endpoint to forcing(t): (a1, a2) = (0, 0) and denom
+    = 1.  Flux and Robin come from solving a * u + b * nu * u_x = forcing(t)
+    for the endpoint value, with u_x replaced by the one-sided three-point
+    formula (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on
+    the right; a vanishing denominator raises ValueError.
+    """
+    forcing = bc.forcing
+    j, i1, i2 = (0, 1, 2) if side is Side.LEFT else (-1, -2, -3)
     if bc.kind is BCKind.DIRICHLET:
-        return 0.0, 0.0, 1.0
+        def term(t):
+            return float(forcing(t))
+
+        def put(out, g):
+            out[j] = g
+        return Closure(0.0, 0.0, term, put)
     if bc.kind is BCKind.FLUX:
         a, b = 0.0, 1.0
     else:
         a, b = bc.coeff_a, bc.coeff_b
     w = b * nu / (2.0 * dx)
-    if side is Side.LEFT:
-        denom = a - 3.0 * w
-    else:
-        denom = a + 3.0 * w
+    mirror = -1.0 if side is Side.LEFT else 1.0  # the right end mirrors the left
+    denom = a + mirror * 3.0 * w
     scale = abs(a) + abs(3.0 * w)
     if abs(denom) <= 1e-12 * scale or denom == 0.0:
         raise ValueError(f"degenerate {bc.kind.value} closure: "
                          f"a = {a}, b*nu/(2 dx) = {w}")
-    if side is Side.LEFT:
-        return -4.0 * w / denom, w / denom, denom
-    return 4.0 * w / denom, -w / denom, denom
+    a1, a2 = mirror * 4.0 * w / denom, -mirror * w / denom
+
+    def term(t):
+        return float(forcing(t)) / denom
+
+    def put(out, g):
+        # Python floats: the same IEEE products as numpy scalars, cheaper
+        out[j] = a1 * out.item(i1) + a2 * out.item(i2) + g
+    return Closure(a1, a2, term, put)
 
 
 def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,
@@ -162,13 +189,11 @@ def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,
     """Affine form of the boundary closure at the layer being completed.
 
     Returns (a1, a2, g) such that the boundary value is
-    ``a1 * u_adj + a2 * u_adj2 + g``, with (a1, a2) from
-    ``closure_geometry`` and g = forcing(t_next) / denom; Dirichlet yields
-    (0, 0, forcing(t)).
+    ``a1 * u_adj + a2 * u_adj2 + g``, with g = forcing(t_next) / denom;
+    Dirichlet yields (0, 0, forcing(t)).
     """
-    phi = float(bc.forcing(t_next))
-    a1, a2, denom = closure_geometry(bc, side, nu, dx)
-    return a1, a2, phi / denom
+    end = closure(bc, side, nu, dx)
+    return end.a1, end.a2, end.term(t_next)
 
 
 def close_boundary(bc: BoundaryCondition, side: Side,
@@ -177,14 +202,12 @@ def close_boundary(bc: BoundaryCondition, side: Side,
     """Boundary value of the layer being completed.
 
     ``interior`` must already hold new-layer values at the two nodes next to
-    the boundary (Dirichlet ignores it entirely).
+    the boundary (Dirichlet ignores them); it is not modified.
     """
-    values = interior.values if isinstance(interior, Field) else np.asarray(interior)
-    if bc.kind is BCKind.DIRICHLET:
-        return float(bc.forcing(t_next))
-    if values.shape[0] < 3:
+    values = interior.values if isinstance(interior, Field) else interior
+    out = np.array(values, dtype=float)
+    if bc.kind is not BCKind.DIRICHLET and out.shape[0] < 3:
         raise ValueError("flux/Robin closure needs at least 3 nodes (N >= 2)")
-    a1, a2, g = boundary_closure_coefficients(bc, side, t_next, nu, dx)
-    if side is Side.LEFT:
-        return a1 * float(values[1]) + a2 * float(values[2]) + g
-    return a1 * float(values[-2]) + a2 * float(values[-3]) + g
+    end = closure(bc, side, nu, dx)
+    end.put(out, end.term(t_next))
+    return float(out[0 if side is Side.LEFT else -1])

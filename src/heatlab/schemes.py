@@ -3,15 +3,18 @@
 Every scheme is a plan: ``plan(params, bcs, n_nodes)`` validates the scheme
 against the diffusivity and tau and computes, once per run, everything that
 does not change from step to step: the scheme coefficients, the boundary
-closure geometry, the Saulyev sweep band and, for implicit and
-Crank-Nicolson, the folded tridiagonal bands.  It returns
+closures, the Saulyev sweep band and, for implicit and Crank-Nicolson, the
+folded tridiagonal bands.  All plans take their closures from one
+``_ends_of`` factory (``grid.closure`` per end), which also holds the one
+node-count rule: a flux or Robin end needs N >= 3.  A plan returns
 ``advance(prev, curr, time_index)``, which maps bare arrays (``prev`` is
 None on the first call) to the tuple of new layers: one, or two for the
 Saulyev sweep pair, of which only the last is consistency-grade.  Per step
-an advance evaluates the stencil, the forcing of each closure and, where k
-varies, the diffusivity; interiors are written first, endpoints are closed
-afterwards, and the layer time is always ``time_index * dt``.  Called
-without a previous layer, the multi-layer schemes start themselves.
+an advance evaluates the stencil, each closure's forcing once and, where k
+varies, the diffusivity (and with it the closures); interiors are written
+first, endpoints are closed afterwards through the closures, and the layer
+time is always ``time_index * dt``.  Called without a previous layer, the
+multi-layer schemes start themselves.
 ``run_simulation`` drives every scheme through one table of plans and flags
 divergence; the public ``step_*`` functions build a plan and advance once.
 
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import BCKind, BoundaryCondition, Field, Side, closure_geometry
+from .grid import BCKind, BoundaryCondition, Closure, Field, Side, closure
 # No stepper calls these two; bench/spans.py wraps them as attributes of
 # this module.
 from .grid import boundary_closure_coefficients, close_boundary  # noqa: F401
@@ -175,16 +178,6 @@ class SchemeParams:
     def diffusion_number_r(self) -> float:
         return self.nu * self.dt / self.dx ** 2
 
-    @property
-    def dufort_frankel_number(self) -> float:
-        """Update weight of the two-layer averaged scheme, 2 r."""
-        return 2.0 * self.diffusion_number_r
-
-    @property
-    def saulyev_number(self) -> float:
-        """Sweep weight of the alternating one-sided scheme, r."""
-        return self.diffusion_number_r
-
 
 @dataclass(frozen=True)
 class StepState:
@@ -247,133 +240,99 @@ def _forward_interior(u: np.ndarray, r) -> np.ndarray:
 
 # ------------------------------------------------------------ closures
 
-def _geometries(bcs, nu_left: float, nu_right: float, dx: float) -> tuple:
-    return (closure_geometry(bcs[0], Side.LEFT, nu_left, dx),
-            closure_geometry(bcs[1], Side.RIGHT, nu_right, dx))
+def _ends_of(params: SchemeParams, bcs, n_nodes: int):
+    """``ends_of(u)``: the (left, right) closures of the layer after ``u``.
 
-
-def _end_geometries(model: DiffusivityModel, bcs, dx: float):
-    """``geometries(u)`` of both closures for a layer about to be advanced.
-
-    Fixed when the plan is built for constant k; otherwise the endpoint
-    diffusivities of ``u`` change with every step, and so does the geometry.
+    Every plan builds it, so the one node-count rule lives here: a flux or
+    Robin end needs N >= 3.  Its closure reads two new-layer nodes that must
+    be interior (at N = 2 one of them is the other endpoint, not yet
+    written), a folded end needs two interior unknowns and a Saulyev start
+    reaches three nodes in.  For constant k the closures are built now and
+    ``u`` is ignored; otherwise they depend on the endpoint diffusivities of
+    ``u`` and are rebuilt on every call.
     """
+    if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
+        raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
+    model, dx = params.diffusivity, params.dx
+
+    def ends(nu_left, nu_right):
+        return (closure(bcs[0], Side.LEFT, nu_left, dx),
+                closure(bcs[1], Side.RIGHT, nu_right, dx))
     if model.kind is DiffusivityKind.CONSTANT:
-        fixed = _geometries(bcs, model.nu_value, model.nu_value, dx)
+        fixed = ends(model.nu_value, model.nu_value)
         return lambda u: fixed
-    return lambda u: _geometries(bcs, model.evaluate(float(u[0])),
-                                 model.evaluate(float(u[-1])), dx)
-
-
-def _endpoint(bc: BoundaryCondition, side: Side, geometry: tuple):
-    """``close(out, t)``: write the endpoint of the new layer ``out``.
-
-    Dirichlet pins it to forcing(t); flux and Robin combine the two new-layer
-    neighbours with the closure geometry (a1, a2, denom).
-    """
-    forcing = bc.forcing
-    if bc.kind is BCKind.DIRICHLET:
-        j = 0 if side is Side.LEFT else -1
-
-        def close(out, t):
-            out[j] = float(forcing(t))
-        return close
-    a1, a2, denom = geometry
-    j, i1, i2 = (0, 1, 2) if side is Side.LEFT else (-1, -2, -3)
-
-    def close(out, t):
-        out[j] = a1 * out[i1] + a2 * out[i2] + float(forcing(t)) / denom
-    return close
-
-
-def _endpoints(bcs, geometries: tuple, n_nodes: int) -> tuple:
-    if n_nodes < 3 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
-        raise ValueError("flux/Robin closure needs at least 3 nodes (N >= 2)")
-    return (_endpoint(bcs[0], Side.LEFT, geometries[0]),
-            _endpoint(bcs[1], Side.RIGHT, geometries[1]))
+    return lambda u: ends(model.evaluate(float(u[0])),
+                          model.evaluate(float(u[-1])))
 
 
 def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
-    """Advance of a constant-k explicit scheme: ``interior(prev, u)``, then
-    both closures at the new layer's time."""
+    """Advance of an explicit scheme: ``interior(prev, u)``, then both
+    closures at the new layer's time."""
     dt = params.dt
-    close_left, close_right = _endpoints(
-        bcs, _geometries(bcs, params.nu, params.nu, params.dx), n_nodes)
+    ends_of = _ends_of(params, bcs, n_nodes)
 
     def advance(prev, u, time_index):
         out = np.empty_like(u)
         out[1:-1] = interior(prev, u)
+        left, right = ends_of(u)
         t = (time_index + 1) * dt
-        close_left(out, t)
-        close_right(out, t)
+        left.put(out, left.term(t))
+        right.put(out, right.term(t))
         return (out,)
     return advance
 
 
 # ------------------------------------------------- folded implicit layers
 
-def _check_solve_ends(bcs, m: int):
-    left, right = bcs
-    if m < 2 and (left.kind, right.kind) != (BCKind.DIRICHLET, BCKind.DIRICHLET):
-        raise ValueError("flux/Robin boundaries need at least 2 interior nodes")
-
-
-def _fold(rho: np.ndarray, diag: np.ndarray, geometries: tuple) -> tuple:
+def _fold(rho: np.ndarray, diag: np.ndarray, ends: tuple) -> tuple:
     """Bands (lower, diag, upper) of one implicit layer, closures folded in.
 
     Row j of the interior system reads
-    ``-rho_j u_{j-1} + diag_j u_j - rho_j u_{j+1} = rhs_j``; non-Dirichlet
-    closures express the endpoint through its two interior neighbours and
-    are substituted into the first/last row, which keeps the matrix
-    tridiagonal.  ``diag`` is modified in place.
+    ``-rho_j u_{j-1} + diag_j u_j - rho_j u_{j+1} = rhs_j``; each closure
+    expresses its endpoint through the two interior neighbours and is
+    substituted into the first/last row, which keeps the matrix
+    tridiagonal.  ``diag`` is modified in place.  With one interior node
+    (Dirichlet ends only, a2 = 0) the off-diagonal bands are empty.
     """
-    (a1l, a2l, _), (a1r, a2r, _) = geometries
-    m = len(diag)
+    left, right = ends
     upper = -rho[:-1]
     lower = -rho[1:]
-    diag[0] -= rho[0] * a1l
-    if m >= 2:
-        upper[0] -= rho[0] * a2l
-    diag[m - 1] -= rho[m - 1] * a1r
-    if m >= 2:
-        lower[m - 2] -= rho[m - 1] * a2r
+    diag[0] -= rho[0] * left.a1
+    diag[-1] -= rho[-1] * right.a1
+    if len(upper):
+        upper[0] -= rho[0] * left.a2
+        lower[-1] -= rho[-1] * right.a2
     return lower, diag, upper
 
 
 def _solve_folded(bands: tuple, rho: np.ndarray, rhs: np.ndarray,
-                  geometries: tuple, bcs, t: float) -> np.ndarray:
-    """Solve one folded layer at time t and return it with its endpoints.
-
-    ``rhs`` receives the closures' forcing terms g = forcing(t) / denom in
-    place.
-    """
-    (a1l, a2l, denom_l), (a1r, a2r, denom_r) = geometries
-    gl = float(bcs[0].forcing(t)) / denom_l
-    gr = float(bcs[1].forcing(t)) / denom_r
-    m = len(rhs)
+                  ends: tuple, terms: tuple) -> np.ndarray:
+    """Solve one folded layer and close it; ``terms`` are the closures'
+    forcing terms g at the layer's time, added to ``rhs`` in place."""
+    (left, right), (gl, gr) = ends, terms
     rhs[0] += rho[0] * gl
-    rhs[m - 1] += rho[m - 1] * gr
+    rhs[-1] += rho[-1] * gr
     lower, diag, upper = bands
-    x = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
-                                       upper=upper, rhs=rhs))
-    out = np.empty(m + 2, dtype=float)
-    out[1:-1] = x
-    out[0] = a1l * x[0] + (a2l * x[1] if m >= 2 else 0.0) + gl
-    out[-1] = a1r * x[-1] + (a2r * x[-2] if m >= 2 else 0.0) + gr
+    out = np.empty(len(rhs) + 2)
+    out[1:-1] = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
+                                               upper=upper, rhs=rhs))
+    left.put(out, gl)
+    right.put(out, gr)
     return out
 
 
-def _constant_solver(params: SchemeParams, bcs, rho: np.ndarray):
-    """``solve(rhs, time_index)`` of a layer whose bands never change.
+def _terms(ends: tuple, t: float) -> tuple:
+    return ends[0].term(t), ends[1].term(t)
 
-    The bands are folded once; each solve adds only the forcing terms.
-    """
-    _check_solve_ends(bcs, len(rho))
-    geometries = _geometries(bcs, params.nu, params.nu, params.dx)
-    bands = _fold(rho, 1.0 + 2.0 * rho, geometries)
+
+def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_of) -> Advance:
+    """Advance of a constant-k implicit scheme: solve ``rhs_of(u)`` against
+    bands folded once; each step adds only the forcing terms."""
+    ends = _ends_of(params, bcs, len(rho) + 2)(None)
+    bands = _fold(rho, 1.0 + 2.0 * rho, ends)
     dt = params.dt
-    return lambda rhs, time_index: _solve_folded(
-        bands, rho, rhs, geometries, bcs, (time_index + 1) * dt)
+    return lambda prev, u, time_index: (_solve_folded(
+        bands, rho, rhs_of(u), ends, _terms(ends, (time_index + 1) * dt)),)
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -412,33 +371,21 @@ def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         r = params.diffusion_number_r
         return _closed_plan(params, bcs, n_nodes,
                             lambda prev, u: _forward_interior(u, r))
-    geometries_of = _end_geometries(model, bcs, dx)
-
-    def advance(prev, u, time_index):
-        out = np.empty_like(u)
-        k = model.evaluate_array(u[1:-1])
-        out[1:-1] = _forward_interior(u, k * dt / dx ** 2)
-        close_left, close_right = _endpoints(bcs, geometries_of(u), len(u))
-        t = (time_index + 1) * dt
-        close_left(out, t)
-        close_right(out, t)
-        return (out,)
-    return advance
+    return _closed_plan(params, bcs, n_nodes, lambda prev, u: _forward_interior(
+        u, model.evaluate_array(u[1:-1]) * dt / dx ** 2))
 
 
 def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     _require_constant(params, "implicit scheme")
-    solve = _constant_solver(params, bcs,
-                             np.full(n_nodes - 2, params.diffusion_number_r))
-    return lambda prev, u, time_index: (solve(u[1:-1].copy(), time_index),)
+    return _folded_plan(params, bcs, np.full(n_nodes - 2, params.diffusion_number_r),
+                        lambda u: u[1:-1].copy())
 
 
 def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     _require_constant(params, "Crank-Nicolson scheme")
     rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
-    solve = _constant_solver(params, bcs, np.full(n_nodes - 2, rho))
-    return lambda prev, u, time_index: (
-        solve(u[1:-1] + rho * _second_difference(u), time_index),)
+    return _folded_plan(params, bcs, np.full(n_nodes - 2, rho),
+                        lambda u: u[1:-1] + rho * _second_difference(u))
 
 
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
@@ -455,7 +402,7 @@ def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     _require_constant(params, "Dufort-Frankel scheme")
     r = params.diffusion_number_r
-    lam = params.dufort_frankel_number
+    lam = 2.0 * r
     a = (1.0 - lam) / (1.0 + lam)
     b = lam / (1.0 + lam)
 
@@ -469,19 +416,18 @@ def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int,
                        damping: float = 0.0) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
-    _check_solve_ends(bcs, n_nodes - 2)
-    geometries_of = _end_geometries(model, bcs, dx)
+    ends_of = _ends_of(params, bcs, n_nodes)
 
     def advance(prev, u, time_index):
         k_old = model.evaluate_array(u[1:-1])
         rhs = u[1:-1] + 0.5 * (k_old * dt / dx ** 2) * _second_difference(u)
-        geometries = geometries_of(u)
-        t = (time_index + 1) * dt
+        ends = ends_of(u)
+        terms = _terms(ends, (time_index + 1) * dt)
 
         def iterate(k):
             rho_new = 0.5 * (k * dt / dx ** 2)
-            bands = _fold(rho_new, 1.0 + 2.0 * rho_new, geometries)
-            return _solve_folded(bands, rho_new, rhs.copy(), geometries, bcs, t)
+            bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
+            return _solve_folded(bands, rho_new, rhs.copy(), ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model, damping),)
     return advance
@@ -490,8 +436,7 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int,
 def _plan_ccn(params: SchemeParams, bcs, n_nodes: int,
               damping: float = 0.0) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
-    _check_solve_ends(bcs, n_nodes - 2)
-    geometries_of = _end_geometries(model, bcs, dx)
+    ends_of = _ends_of(params, bcs, n_nodes)
     linear = model.kind is not DiffusivityKind.GENERAL
     if linear:  # k = a + b u, with b = 0 for constant k
         a_k = (model.nu_value if model.kind is DiffusivityKind.CONSTANT
@@ -503,37 +448,34 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int,
         k_old = model.evaluate_array(u[1:-1])
         rho_new = 0.5 * (k_old * dt / dx ** 2)
         d2 = _second_difference(u)
-        geometries = geometries_of(u)
-        t = (time_index + 1) * dt
+        ends = ends_of(u)
+        terms = _terms(ends, (time_index + 1) * dt)
         if linear:
-            bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, geometries)
+            bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, ends)
             return (_solve_folded(bands, rho_new, u[1:-1] + rho_a * d2,
-                                  geometries, bcs, t),)
-        bands = _fold(rho_new, 1.0 + 2.0 * rho_new, geometries)
+                                  ends, terms),)
+        bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
 
         def iterate(k):
             rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
-            return _solve_folded(bands, rho_new, rhs, geometries, bcs, t)
+            return _solve_folded(bands, rho_new, rhs, ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model, damping),)
     return advance
 
 
-def _saulyev_start(bc: BoundaryCondition, side: Side, geometry: tuple,
-                   a: float, c: float, n: int):
+def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
+                   c: float, n: int):
     """``start(base, t)``: first value of a one-sided sweep over ``base``.
 
-    Dirichlet pins it.  Otherwise the closure couples the endpoint to the
-    first two swept unknowns, which themselves depend linearly on the
+    Dirichlet pins it.  Otherwise the closure ``end`` couples the endpoint
+    to the first two swept unknowns, which themselves depend linearly on the
     endpoint; substituting the sweep relation twice reduces the start to one
     scalar equation, whose denominator is checked once, here.
     """
-    forcing = bc.forcing
+    a1, a2, term, _ = end
     if bc.kind is BCKind.DIRICHLET:
-        return lambda base, t: float(forcing(t))
-    if n < 3:
-        raise ValueError("non-Dirichlet Saulyev start needs N >= 3")
-    a1, a2, denom = geometry
+        return lambda base, t: term(t)
     den = 1.0 - a1 * c - a2 * c * c
     if abs(den) <= 1e-12 * (1.0 + abs(a1 * c) + abs(a2 * c * c)):
         raise SingularSystemError("degenerate Saulyev sweep start")
@@ -542,22 +484,21 @@ def _saulyev_start(bc: BoundaryCondition, side: Side, geometry: tuple,
     def start(base, t):
         s1 = a * base[j1] + c * base[j2]
         s2 = a * base[j2] + c * base[j3] + c * s1
-        return (a1 * s1 + a2 * s2 + float(forcing(t)) / denom) / den
+        return (a1 * s1 + a2 * s2 + term(t)) / den
     return start
 
 
 def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     from scipy.linalg.blas import dtbsv
     _require_constant(params, "Saulyev scheme")
-    lam = params.saulyev_number
+    lam = params.diffusion_number_r
     a = (1.0 - lam) / (1.0 + lam)
     c = lam / (1.0 + lam)
     dt = params.dt
     n = n_nodes - 1
-    geometries = _geometries(bcs, params.nu, params.nu, params.dx)
-    close_left, close_right = _endpoints(bcs, geometries, n_nodes)
-    start_left = _saulyev_start(bcs[0], Side.LEFT, geometries[0], a, c, n)
-    start_right = _saulyev_start(bcs[1], Side.RIGHT, geometries[1], a, c, n)
+    left, right = _ends_of(params, bcs, n_nodes)(None)
+    start_left = _saulyev_start(bcs[0], left, Side.LEFT, a, c, n)
+    start_right = _saulyev_start(bcs[1], right, Side.RIGHT, a, c, n)
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
 
     def advance(prev, u, time_index):
@@ -567,13 +508,13 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         out1[0] = start_left(u, t1)
         out1[1:n] = a * u[1:n] + c * u[2:]
         dtbsv(1, band, out1[:n], lower=1, diag=1, overwrite_x=1)
-        close_right(out1, t1)
+        right.put(out1, right.term(t1))
 
         out2 = np.empty(n + 1)
         out2[n] = start_right(out1, t2)
         out2[1:n] = a * out1[1:n] + c * out1[:n - 1]
         dtbsv(1, band, out2[1:], lower=0, diag=1, overwrite_x=1)
-        close_left(out2, t2)
+        left.put(out2, left.term(t2))
         return out1, out2
     return advance
 
@@ -738,8 +679,8 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
     The scheme's plan is built once per run: it validates the scheme against
-    the diffusivity and tau and sets up the coefficients, the closure
-    geometry and, where they never change, the bands of the implicit
+    the diffusivity and tau and sets up the coefficients, the boundary
+    closures and, where they never change, the bands of the implicit
     systems.  Its advance then maps bare arrays (previous layer or None,
     current layer, time index) to the tuple of new layers, of which only the
     last is consistency-grade, so the Saulyev pair's odd layers (and a final
@@ -749,11 +690,14 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     the explicit step, the hyperbolic scheme with the zero-velocity Taylor
     start.  With ``num_steps == 0`` no plan is built.  The run halts and
     flags divergence as soon as a layer has a non-finite value or max-norm
-    above 1e12.  Failures while building the plan or advancing (an
-    ArithmeticError such as a zero pivot or an overflow in k, a
-    FixedPointError or a ValueError such as a degenerate closure or a
-    scheme that needs constant k) are re-raised as SolverError with the
-    failing step index attached; the plan counts as the first step.
+    above 1e12.  Errors raised while the plan is built are misuse and
+    propagate unchanged: a ValueError for a scheme that needs constant k or
+    tau > 0, a flux/Robin end on fewer than 4 nodes or, with constant k, a
+    degenerate closure, and SingularSystemError for a degenerate Saulyev
+    start.  Failures while
+    advancing (an ArithmeticError such as a zero pivot or an overflow in k,
+    a FixedPointError, or a ValueError such as a non-positive k) are
+    re-raised as SolverError with the failing step index attached.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
@@ -767,10 +711,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     start = time_index = initial.time_index
     end = start + num_steps
     prev, curr = None, initial.values
-    try:
-        advance = _STEPPERS[scheme](params, bcs, len(curr))
-    except (ArithmeticError, FixedPointError, ValueError) as exc:
-        raise SolverError(step=start + 1, cause=exc) from exc
+    advance = _STEPPERS[scheme](params, bcs, len(curr))
 
     consistent = True
     while time_index < end:

@@ -376,13 +376,31 @@ def test_main_diverged_exit_code(capsys):
 
 
 def test_main_solver_failure_exit_code(capsys):
-    # robin(6, 1) at dx = 0.25 makes the left closure denominator vanish
+    # at r = 1 the Saulyev sweep factor is 1/2, and robin(6.25, 1) at
+    # dx = 0.1 zeroes the start denominator 1 - a1/2 - a2/4
     code, out, err = run_main(
-        ["run"] + overrides(scheme="explicit", nu=1, length_l=1,
-                            num_cells_N=4, r=0.25, initial="sine:1",
-                            num_steps=3, bc_left="robin:6,1,0"), capsys)
+        ["run"] + overrides(scheme="saulyev", nu=1, length_l=1,
+                            num_cells_N=10, r=1, initial="sine:1",
+                            num_steps=3, bc_left="robin:6.25,1,0"), capsys)
     assert code == EXIT_SOLVER
-    assert "solver failure" in err
+    assert "solver failure: degenerate Saulyev sweep start" in err
+
+
+def test_main_plan_time_misuse_exits_with_config_code(capsys):
+    # robin(6, 1) at dx = 0.25 makes the left closure denominator vanish, a
+    # flux end on three nodes breaks the N >= 3 rule and the hyperbolic
+    # scheme needs tau > 0; the plan sees each before the first step
+    for keys, message in (
+            (dict(num_cells_N=4, bc_left="robin:6,1,0"), "degenerate robin"),
+            (dict(num_cells_N=2, bc_left="flux:0"), "need N >= 3"),
+            (dict(num_cells_N=4, scheme="hyperbolic", tau=0), "tau > 0")):
+        config = dict(scheme="explicit", nu=1, length_l=1, r=0.25,
+                      initial="sine:1", num_steps=3)
+        config.update(keys)
+        code, out, err = run_main(["run"] + overrides(**config), capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and message in err
+        assert out == ""
 
 
 def test_main_bad_flag_exits_with_config_code(capsys):

@@ -31,8 +31,6 @@ def test_diffusion_number_and_scheme_weights():
     p = constant_params(nu=2.0, dt=0.3, dx=0.5)
     r = 2.0 * 0.3 / 0.25
     assert abs(p.diffusion_number_r - r) <= 1e-14 * r
-    assert abs(p.dufort_frankel_number - 2.0 * r) <= 1e-14 * r
-    assert abs(p.saulyev_number - r) <= 1e-14 * r
 
 
 def test_tau_defaults_to_nu_dx():
@@ -202,7 +200,7 @@ def test_saulyev_flux_start_solves_closure_and_sweep():
     u = rng.standard_normal(9)
     first, _ = step_saulyev_pair(StepState(None, field(u), p, bcs))
     v = first.values
-    lam = p.saulyev_number
+    lam = p.diffusion_number_r
     a, c = (1.0 - lam) / (1.0 + lam), lam / (1.0 + lam)
     # the start value satisfies the flux closure and the sweep relation at once
     assert nu * (-3 * v[0] + 4 * v[1] - v[2]) / (2 * grid.dx) == \
@@ -257,7 +255,7 @@ def _saulyev_start_value(bc, side, base, a, c, t_next, nu, dx):
 
 def _saulyev_pair_loops(u, p, bcs):
     """The node-by-node sweeps of step_saulyev_pair, kept as its oracle."""
-    lam = p.saulyev_number
+    lam = p.diffusion_number_r
     a, c = (1.0 - lam) / (1.0 + lam), lam / (1.0 + lam)
     left, right = bcs
     u = list(u)
@@ -609,7 +607,8 @@ def test_run_simulation_zero_steps():
 
 
 def test_run_simulation_zero_steps_never_touches_the_stepper():
-    # implicit with affine k is misuse, reported only once a step is asked for
+    # implicit with affine k is misuse, reported (as the ValueError itself,
+    # not a SolverError) only once a step is asked for
     grid = build_uniform_grid(1.0, 8)
     p = SchemeParams(DiffusivityModel.affine(1.0, 0.2), dt=0.01, dx=grid.dx)
     initial = field(np.sin(np.pi * grid.nodes), time_index=4)
@@ -617,9 +616,8 @@ def test_run_simulation_zero_steps_never_touches_the_stepper():
     assert [s.time_index for s in record.snapshots] == [4]
     assert record.consistency_grade == [True]
     assert not record.diverged and record.diverged_step is None
-    with pytest.raises(SolverError) as err:
+    with pytest.raises(ValueError, match="requires constant diffusivity"):
         run_simulation(initial, p, HOMOGENEOUS, Scheme.IMPLICIT, 1)
-    assert err.value.step == 5
 
 
 @pytest.mark.parametrize("value,diverged_step", [
@@ -682,14 +680,23 @@ def test_run_simulation_saulyev_layer_flags():
 
 
 def test_run_simulation_wraps_stepper_failures_with_step_index():
+    # robin(6, 1) is degenerate at dx = 0.25 when the endpoint k is 1.  With
+    # constant k the plan sees that before any step: misuse, a plain
+    # ValueError.  With general k the closure depends on the layer, so the
+    # same closure fails inside the step and is wrapped with its index.
     grid = build_uniform_grid(1.0, 4)
-    p = constant_params(1.0, dt=0.25 * grid.dx ** 2, dx=grid.dx)
-    bcs = (BoundaryCondition.robin(6.0, 1.0, 0.0),  # degenerate at dx = 0.25
+    dt = 0.25 * grid.dx ** 2
+    bcs = (BoundaryCondition.robin(6.0, 1.0, 0.0),
            BoundaryCondition.dirichlet(0.0))
-    u = np.sin(np.pi * grid.nodes)
-    with pytest.raises(SolverError) as err:
-        run_simulation(field(u), p, bcs, Scheme.EXPLICIT, 3)
-    assert err.value.step == 1
+    initial = field(np.sin(np.pi * grid.nodes), time_index=4)
+    with pytest.raises(ValueError, match="degenerate robin closure"):
+        run_simulation(initial, constant_params(1.0, dt=dt, dx=grid.dx), bcs,
+                       Scheme.EXPLICIT, 3)
+    p = SchemeParams(DiffusivityModel.general(lambda u: 1.0), dt=dt, dx=grid.dx)
+    with pytest.raises(SolverError, match="degenerate robin closure") as err:
+        run_simulation(initial, p, bcs, Scheme.EXPLICIT, 3)
+    assert err.value.step == 5
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.CN_NONLINEAR, Scheme.EXPLICIT],
@@ -780,3 +787,31 @@ def test_run_simulation_saulyev_divergence_at_first_layer():
     assert record.diverged and record.diverged_step == 1
     assert [s.time_index for s in record.snapshots] == [0, 1]
     assert record.consistency_grade == [True, False]
+
+
+# One node-count rule for every scheme: a flux or Robin end needs N >= 3.
+# With fewer nodes an explicit closure would read a neighbour of the new
+# layer that has not been written yet (the opposite endpoint at N = 2).
+_NEEDS_FOUR_NODES = r"flux/Robin boundaries need N >= 3 \(at least 4 nodes\)"
+_SCHEME_CASES = [(s, "constant") for s in Scheme] + [(Scheme.EXPLICIT, "general")]
+
+
+@pytest.mark.parametrize("bcs", [
+    (BoundaryCondition.flux(0.1), BoundaryCondition.dirichlet(0.0)),
+    (BoundaryCondition.dirichlet(0.0), BoundaryCondition.flux(0.1)),
+    (BoundaryCondition.robin(1.0, 0.5, 0.2), BoundaryCondition.robin(1.0, 0.5, 0.2)),
+], ids=["F-D", "D-F", "R-R"])
+@pytest.mark.parametrize("scheme,kind", _SCHEME_CASES,
+                         ids=[f"{s.value}-{k}" for s, k in _SCHEME_CASES])
+def test_flux_and_robin_ends_need_four_nodes(scheme, kind, bcs):
+    model = (DiffusivityModel.constant(1.0) if kind == "constant"
+             else DiffusivityModel.general(lambda u: 1.0))
+    p = SchemeParams(model, dt=0.1, dx=0.5)
+    stepper = _HAND_STEPPERS.get(scheme, step_saulyev_pair)
+    state = StepState(field([0.0, 1.0, 0.0], 0), field([0.2, 1.0, 0.3], 1), p, bcs)
+    with pytest.raises(ValueError, match=_NEEDS_FOUR_NODES):
+        stepper(state)
+    with pytest.raises(ValueError, match=_NEEDS_FOUR_NODES):
+        run_simulation(state.curr, p, bcs, scheme, 2)
+    record = run_simulation(field([0.2, 1.0, 0.5, 0.3]), p, bcs, scheme, 2)
+    assert np.all(np.isfinite(record.final.values))
