@@ -11,10 +11,10 @@ node-count rule: a flux or Robin end needs N >= 3.  A plan returns
 None on the first call) to the tuple of new layers: one, or two for the
 Saulyev sweep pair, of which only the last is consistency-grade.  Per step
 an advance evaluates the stencil, each closure's forcing once and, where k
-varies, the diffusivity (and with it the closures); interiors are written
-first, endpoints are closed afterwards through the closures, and the layer
-time is always ``time_index * dt``.  Called without a previous layer, the
-multi-layer schemes start themselves.
+varies, the diffusivity (and with it the flux/Robin closures); interiors are
+written first, endpoints are closed afterwards through the closures, and the
+layer time is always ``time_index * dt``.  Called without a previous layer,
+the multi-layer schemes start themselves.
 ``run_simulation`` drives every scheme through one table of plans and flags
 divergence; the public ``step_*`` functions build a plan and advance once.
 
@@ -40,7 +40,7 @@ FIXED_POINT_MAX_ITERS = 50
 
 
 class DiffusivityError(ValueError):
-    """Diffusivity evaluated to a non-positive value."""
+    """Diffusivity evaluated to a non-positive or non-finite value."""
 
 
 class FixedPointError(RuntimeError):
@@ -89,16 +89,18 @@ class DiffusivityKind(Enum):
 class DiffusivityModel:
     """Diffusion coefficient: constant nu, affine a + b u, or a callable k(u).
 
-    General k is called with one Python float per node and must return a
-    number.  Every evaluation must stay positive; a non-positive value raises
-    DiffusivityError and flags the run.
+    General k is called once per evaluation, on a read-only float64 view of
+    the nodes that it must not write into, and returns a scalar or an array
+    that broadcasts to their shape.  Overflow, invalid operations and division
+    by zero in k raise FloatingPointError.  A value that is not finite and
+    positive raises DiffusivityError naming its index, u and k.
     """
 
     kind: DiffusivityKind
     nu_value: Optional[float] = None
     affine_a: float = 0.0
     affine_b: float = 0.0
-    general_k: Optional[Callable[[float], float]] = None
+    general_k: Optional[Callable[[np.ndarray], object]] = None
 
     @staticmethod
     def constant(nu: float) -> "DiffusivityModel":
@@ -112,19 +114,11 @@ class DiffusivityModel:
                                 affine_a=float(a), affine_b=float(b))
 
     @staticmethod
-    def general(k: Callable[[float], float]) -> "DiffusivityModel":
+    def general(k: Callable[[np.ndarray], object]) -> "DiffusivityModel":
         return DiffusivityModel(kind=DiffusivityKind.GENERAL, general_k=k)
 
     def evaluate(self, u: float) -> float:
-        if self.kind is DiffusivityKind.CONSTANT:
-            value = self.nu_value
-        elif self.kind is DiffusivityKind.AFFINE:
-            value = self.affine_a + self.affine_b * u
-        else:
-            value = float(self.general_k(u))
-        if not value > 0.0:
-            raise DiffusivityError(f"diffusivity k({u}) = {value} is not positive")
-        return value
+        return float(self.evaluate_array(np.array([u], dtype=float))[0])
 
     def evaluate_array(self, u: np.ndarray) -> np.ndarray:
         if self.kind is DiffusivityKind.CONSTANT:
@@ -132,12 +126,17 @@ class DiffusivityModel:
         elif self.kind is DiffusivityKind.AFFINE:
             values = self.affine_a + self.affine_b * u
         else:
-            values = np.fromiter(map(self.general_k, u.tolist()), dtype=float,
-                                 count=len(u))
-        if not np.all(values > 0.0):
-            bad = int(np.argmin(values))
-            raise DiffusivityError(
-                f"diffusivity k({u[bad]}) = {values[bad]} is not positive")
+            view = u.view()
+            view.flags.writeable = False
+            with np.errstate(all="raise", under="ignore"):
+                values = np.asarray(self.general_k(view), dtype=float)
+            if values.shape != u.shape:  # broadcast_to costs a few us
+                values = np.broadcast_to(values, u.shape)
+        ok = np.isfinite(values) & (values > 0.0)
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise DiffusivityError(f"diffusivity k(u[{bad}] = {u[bad]}) = "
+                                   f"{values[bad]} is not finite and positive")
         return values
 
 
@@ -244,25 +243,30 @@ def _ends_of(params: SchemeParams, bcs, n_nodes: int):
     """``ends_of(u)``: the (left, right) closures of the layer after ``u``.
 
     Every plan builds it, so the one node-count rule lives here: a flux or
-    Robin end needs N >= 3.  Its closure reads two new-layer nodes that must
-    be interior (at N = 2 one of them is the other endpoint, not yet
-    written), a folded end needs two interior unknowns and a Saulyev start
-    reaches three nodes in.  For constant k the closures are built now and
-    ``u`` is ignored; otherwise they depend on the endpoint diffusivities of
-    ``u`` and are rebuilt on every call.
+    Robin end needs N >= 3, as its closure reads two interior new-layer
+    nodes (at N = 2 one is the other endpoint, not yet written), a folded
+    end needs two interior unknowns and a Saulyev start reaches three nodes
+    in.  Closures are built now, except a flux or Robin closure under
+    varying k: it reads k at its endpoint of ``u`` and is rebuilt per call.
     """
     if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
         raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
     model, dx = params.diffusivity, params.dx
-
-    def ends(nu_left, nu_right):
-        return (closure(bcs[0], Side.LEFT, nu_left, dx),
-                closure(bcs[1], Side.RIGHT, nu_right, dx))
-    if model.kind is DiffusivityKind.CONSTANT:
-        fixed = ends(model.nu_value, model.nu_value)
+    sides = {0: Side.LEFT, -1: Side.RIGHT}  # an end's index in bcs and in u
+    varying = [i for i in sides if bcs[i].kind is not BCKind.DIRICHLET
+               and model.kind is not DiffusivityKind.CONSTANT]
+    # nu_value is None for non-constant k, which a Dirichlet closure ignores
+    ends = [None if i in varying else closure(bcs[i], side, model.nu_value, dx)
+            for i, side in sides.items()]
+    if not varying:
+        fixed = tuple(ends)
         return lambda u: fixed
-    return lambda u: ends(model.evaluate(float(u[0])),
-                          model.evaluate(float(u[-1])))
+
+    def ends_of(u):  # one evaluation of k for the varying ends together
+        for i, nu in zip(varying, model.evaluate_array(u[varying]).tolist()):
+            ends[i] = closure(bcs[i], sides[i], nu, dx)
+        return tuple(ends)
+    return ends_of
 
 
 def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
@@ -341,11 +345,10 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     """Repeat ``v <- iterate(k(v))`` until the max-norm change is 1e-12.
 
     ``iterate`` maps the interior diffusivities of the latest iterate to the
-    next one.  ``k`` must be ``model`` evaluated on the interior of the
-    starting ``v``, so every iterate evaluates k once and the converged one
-    not at all.  ``damping`` blends each new iterate with the previous one
-    (0 means undamped); after 50 iterations FixedPointError reports the last
-    change.
+    next one; ``k`` is ``model`` on the interior of the starting ``v``, so
+    each iterate calls k once, on its interior, and the converged one not at
+    all.  ``damping`` blends each new iterate with the previous one (0 means
+    undamped); after 50 iterations FixedPointError reports the last change.
     """
     delta = np.inf
     for i in range(FIXED_POINT_MAX_ITERS):
@@ -694,10 +697,10 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     propagate unchanged: a ValueError for a scheme that needs constant k or
     tau > 0, a flux/Robin end on fewer than 4 nodes or, with constant k, a
     degenerate closure, and SingularSystemError for a degenerate Saulyev
-    start.  Failures while
-    advancing (an ArithmeticError such as a zero pivot or an overflow in k,
-    a FixedPointError, or a ValueError such as a non-positive k) are
-    re-raised as SolverError with the failing step index attached.
+    start.  Failures while advancing (an ArithmeticError such as a zero pivot
+    or a FloatingPointError from an overflow in k, a FixedPointError, or a
+    ValueError such as a k that is not finite and positive or does not
+    broadcast) are re-raised as SolverError with the failing step attached.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")

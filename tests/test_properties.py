@@ -7,8 +7,12 @@ iterated trapezoidal scheme.  Explicit runs stay within r <= 1/2 and
 hyperbolic runs (tau = nu dx, so dt <= dx sqrt(tau / nu) whenever r <= 1)
 within r <= 1, where they do not amplify round-off; leap-frog amplifies it
 at every r, so it runs at r <= 0.1 and its tolerance carries the max-norm
-growth bound (1 + 8 r)^steps.
+growth bound (1 + 8 r)^steps.  Runs with a general k(u), which is called
+on arrays, must instead match a reference that maps k over Python floats
+bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heatlab import (BCKind, BoundaryCondition, DiffusivityModel, Field,
-                     Scheme, SchemeParams, build_uniform_grid, run_simulation)
+from heatlab import (BCKind, BoundaryCondition, DiffusivityError,
+                     DiffusivityModel, Field, Scheme, SchemeParams, SolverError,
+                     build_uniform_grid, run_simulation)
 from heatlab.schemes import FIXED_POINT_TOL
 
 EPS = np.finfo(float).eps
@@ -168,3 +173,48 @@ def test_constant_field_stays_constant_under_zero_flux(scheme, cells, steps, r,
     tol = tolerance(abs(value), steps, r, scheme)
     for layer in snapshots(u, params_for(cells, r), bcs, scheme, steps):
         assert np.abs(layer - value).max() <= tol
+
+
+# ------------------------------------------ array-valued k, node by node
+
+def per_node_evaluate_array(model: DiffusivityModel, u: np.ndarray) -> np.ndarray:
+    """General k mapped over the nodes as Python floats, one call per node:
+    the evaluation the array contract replaced, kept as its reference."""
+    values = np.fromiter(map(model.general_k, u.tolist()), dtype=float,
+                         count=len(u))
+    if not np.all(values > 0.0):
+        bad = int(np.argmin(values))
+        raise DiffusivityError(
+            f"diffusivity k({u[bad]}) = {values[bad]} is not positive")
+    return values
+
+
+def outcome(initial, params, bcs, scheme, steps):
+    """Every layer's bytes and the divergence flags, or the failure's cause."""
+    try:
+        record = run_simulation(Field(values=initial, time_index=0), params, bcs,
+                                scheme, steps)
+    except SolverError as exc:
+        return repr(exc.__cause__)
+    return ([s.values.tobytes() for s in record.snapshots], record.diverged,
+            record.diverged_step)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EXPLICIT, Scheme.CN_NONLINEAR,
+                                    Scheme.CROSS_CN], ids=lambda s: s.value)
+@PROPERTY
+@given(data=st.data(), cells=st.integers(3, 30), steps=st.integers(1, 6),
+       r=st.floats(0.01, 0.5), c0=st.floats(0.5, 1.5), c1=st.floats(-1.0, 1.0),
+       c2=st.floats(0.0, 1.0), left=end_conditions(-1), right=end_conditions(1))
+def test_array_k_matches_per_node_reference(scheme, data, cells, steps, r, c0,
+                                            c1, c2, left, right):
+    # k > 0 for every u; only + and *, which numpy rounds as Python floats do
+    def k(u):
+        return c0 + c2 * (u + c1) * (u + c1)
+    u = data.draw(profile(cells + 1))
+    p = params_for(cells, r, DiffusivityModel.general(k))
+    array = outcome(u, p, (left, right), scheme, steps)
+    with mock.patch.object(DiffusivityModel, "evaluate_array",
+                           per_node_evaluate_array):
+        reference = outcome(u, p, (left, right), scheme, steps)
+    assert array == reference

@@ -11,8 +11,10 @@ from heatlab import (BoundaryCondition, DiffusivityError, DiffusivityModel,
                      step_crank_nicolson, step_dufort_frankel, step_explicit,
                      step_hyperbolic, step_implicit, step_leapfrog,
                      step_saulyev_pair)
+from heatlab import schemes
 from heatlab.grid import (BCKind, Side, boundary_closure_coefficients,
                           close_boundary)
+from heatlab.tridiag import thomas_solve
 
 HOMOGENEOUS = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
 
@@ -451,7 +453,7 @@ FIXED_POINT_STEPPERS = [
 @pytest.mark.parametrize("stepper,smooth_k", FIXED_POINT_STEPPERS)
 def test_cn_nonlinear_reports_iteration_failure(stepper, smooth_k):
     grid = build_uniform_grid(1.0, 8)
-    model = DiffusivityModel.general(lambda u: 1.5 + math.sin(100.0 * u))
+    model = DiffusivityModel.general(lambda u: 1.5 + np.sin(100.0 * u))
     p = SchemeParams(model, dt=0.5, dx=grid.dx)
     f = field(2.0 * np.sin(np.pi * grid.nodes))
     with pytest.raises(FixedPointError) as err:
@@ -471,9 +473,16 @@ def test_cn_nonlinear_damping_still_converges(stepper, smooth_k):
 
 @pytest.mark.parametrize("stepper", [step_cn_nonlinear, step_ccn],
                          ids=["cn_nonlinear", "ccn"])
-def test_general_k_called_once_per_node_per_iterate(stepper):
-    # a constant field with matching Dirichlet ends converges at the first
-    # iterate: m interior calls for that iterate plus the two endpoints
+def test_general_k_called_once_per_iterate_on_node_array(stepper, monkeypatch):
+    # each iterate solves once and evaluates k once, on the m interior nodes
+    # (the start layer's k serves the first iterate, the converged one needs
+    # none); a flux end adds one endpoint call per step, a Dirichlet end none
+    solves = []
+
+    def counting_solve(system):
+        solves.append(len(system.diag))
+        return thomas_solve(system)
+    monkeypatch.setattr(schemes, "thomas_solve", counting_solve)
     calls = []
 
     def k(u):
@@ -482,10 +491,18 @@ def test_general_k_called_once_per_node_per_iterate(stepper):
 
     grid = build_uniform_grid(1.0, 16)
     p = SchemeParams(DiffusivityModel.general(k), dt=0.01, dx=grid.dx)
-    bcs = (BoundaryCondition.dirichlet(0.5), BoundaryCondition.dirichlet(0.5))
-    stepper(StepState(None, field(np.full(17, 0.5)), p, bcs))
-    assert len(calls) == 15 + 2
-    assert all(type(v) is float for v in calls)
+    f = field(np.sin(np.pi * grid.nodes))
+    stepper(StepState(None, f, p, HOMOGENEOUS))
+    assert len(solves) >= 2 and len(calls) == len(solves)
+    assert all(type(u) is np.ndarray and u.dtype == np.float64
+               and u.shape == (15,) for u in calls)
+
+    calls.clear()
+    solves.clear()
+    bcs = (BoundaryCondition.flux(0.0), BoundaryCondition.dirichlet(0.0))
+    stepper(StepState(None, f, p, bcs))
+    assert len(calls) == len(solves) + 1
+    assert [len(u) for u in calls].count(1) == 1
 
 
 # ----------------------------------------------------------------- properties
@@ -709,7 +726,69 @@ def test_run_simulation_wraps_diffusivity_overflow(scheme):
     with pytest.raises(SolverError) as err:
         run_simulation(field(np.full(9, 1e200)), p, bcs, scheme, 3)
     assert err.value.step == 1
-    assert isinstance(err.value.__cause__, OverflowError)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert isinstance(err.value.__cause__, ArithmeticError)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CN_NONLINEAR, Scheme.EXPLICIT],
+                         ids=lambda s: s.value)
+def test_general_k_not_evaluated_at_dirichlet_ends(scheme):
+    # k(u) = u vanishes at the pinned ends, which no Dirichlet closure reads
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.general(lambda u: u), dt=1e-3, dx=grid.dx)
+    record = run_simulation(field(np.sin(np.pi * grid.nodes)), p, HOMOGENEOUS,
+                            scheme, 3)
+    assert not record.diverged and len(record.snapshots) == 4
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_general_k_rejects_non_finite_values(bad):
+    model = DiffusivityModel.general(lambda u: np.where(u > 1.5, bad, 1.0))
+    with pytest.raises(DiffusivityError,
+                       match=rf"k\(u\[1\] = 2.0\) = {bad} is not finite"):
+        model.evaluate_array(np.array([1.0, 2.0, 1.0]))
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.general(lambda u: bad), dt=1e-3, dx=grid.dx)
+    with pytest.raises(SolverError) as err:
+        run_simulation(field(np.sin(np.pi * grid.nodes)), p, HOMOGENEOUS,
+                       Scheme.EXPLICIT, 3)
+    assert err.value.step == 1
+    assert isinstance(err.value.__cause__, DiffusivityError)
+
+
+def test_general_k_scalar_result_broadcasts():
+    model = DiffusivityModel.general(lambda u: 2.0)
+    np.testing.assert_array_equal(model.evaluate_array(np.zeros(5)), np.full(5, 2.0))
+    assert model.evaluate(0.3) == 2.0
+    grid = build_uniform_grid(1.0, 8)
+    bcs = (BoundaryCondition.flux(0.3), BoundaryCondition.robin(1.0, 0.5, 0.2))
+    initial = field(np.sin(np.pi * grid.nodes))
+    runs = [run_simulation(initial, SchemeParams(m, dt=1e-3, dx=grid.dx),
+                           bcs, Scheme.EXPLICIT, 3).final.values
+            for m in (DiffusivityModel.general(lambda u: 1.0),
+                      DiffusivityModel.constant(1.0))]
+    np.testing.assert_array_equal(*runs)
+
+
+def _writes_its_argument(u):
+    u[0] = 1.0
+    return 1.0 + u
+
+
+@pytest.mark.parametrize("k,message", [
+    (lambda u: np.ones(len(u) + 1), "broadcast"),
+    (lambda u: np.ones((len(u), 1)), "more dimensions"),
+    (_writes_its_argument, "read-only"),
+], ids=["too-long", "column", "writes-argument"])
+def test_general_k_shape_and_no_write_contract(k, message):
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.general(k), dt=1e-3, dx=grid.dx)
+    initial = np.sin(np.pi * grid.nodes)
+    with pytest.raises(SolverError, match=message) as err:
+        run_simulation(field(initial), p, HOMOGENEOUS, Scheme.CN_NONLINEAR, 2)
+    assert err.value.step == 1
+    assert type(err.value.__cause__) is ValueError
+    np.testing.assert_array_equal(initial, np.sin(np.pi * grid.nodes))
 
 
 def test_run_simulation_rejects_bad_arguments():
