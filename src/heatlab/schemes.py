@@ -93,7 +93,8 @@ class DiffusivityModel:
     the nodes that it must not write into, and returns a scalar or an array
     that broadcasts to their shape.  Overflow, invalid operations and division
     by zero in k raise FloatingPointError.  A value that is not finite and
-    positive raises DiffusivityError naming its index, u and k.
+    positive raises DiffusivityError naming its index, u and k; so does a
+    TypeError from k (a k written for Python floats).
     """
 
     kind: DiffusivityKind
@@ -129,7 +130,13 @@ class DiffusivityModel:
             view = u.view()
             view.flags.writeable = False
             with np.errstate(all="raise", under="ignore"):
-                values = np.asarray(self.general_k(view), dtype=float)
+                try:
+                    values = self.general_k(view)
+                except TypeError as exc:
+                    raise DiffusivityError(
+                        f"k raised TypeError ({exc}); k is called once on the "
+                        "float64 node array, not once per node") from exc
+                values = np.asarray(values, dtype=float)
             if values.shape != u.shape:  # broadcast_to costs a few us
                 values = np.broadcast_to(values, u.shape)
         ok = np.isfinite(values) & (values > 0.0)

@@ -11,6 +11,8 @@ from heatlab.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_SOLVER,
                          ConfigError, ExperimentConfig, cmd_bound,
                          cmd_converge, cmd_dispersion, cmd_infospeed, cmd_run,
                          cmd_stability)
+from heatlab.reference import (SineSeriesSolution, evaluate_series,
+                               hyperbolic_mode_solution)
 
 
 def base_mapping(**overrides):
@@ -305,6 +307,56 @@ def test_bound_rejects_negative_inputs():
         run_cmd(cmd_bound, -1.0, 1.0, 1.0, None)
 
 
+def bound_config(nu, length, mode):
+    return ExperimentConfig.from_mapping({
+        "scheme": "hyperbolic", "nu": repr(nu), "length_l": repr(length),
+        "num_cells_N": "16", "dt": "0.001", "initial": f"sine:{mode}",
+        "num_steps": "1"})
+
+
+def row_loop_gap(nu, tau, length, mode, horizon):
+    """The relaxation gap as one oracle call pair per time row."""
+    sol = SineSeriesSolution.single_mode(length, nu, mode)
+    xs = np.linspace(0.0, length, 200)
+    measured = 0.0
+    for t in np.linspace(0.0, horizon, 200):
+        par = evaluate_series(sol, xs, t)
+        hyp = hyperbolic_mode_solution(nu, tau, length, mode, t, xs)
+        measured = max(measured, float(np.max(np.abs(hyp - par))))
+    return measured
+
+
+# tau as a multiple of the critical 1 / (4 nu k^2): below it the relaxed mode
+# is over-damped, above it oscillates
+@pytest.mark.parametrize("damping", [1e-3, 0.3, 1.0, 4.0],
+                         ids=["tiny", "over", "critical", "under"])
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("length", [1.0, math.pi], ids=["l1", "lpi"])
+def test_bound_gap_equals_row_loop_bit_for_bit(damping, mode, length):
+    nu, horizon = 0.7, 2.0
+    k = mode * math.pi / length
+    tau = damping / (4.0 * nu * k * k)
+    code, text = run_cmd(cmd_bound, tau, 0.0, horizon,
+                         bound_config(nu, length, mode))
+    _, rows = parse_csv(text)
+    assert code == EXIT_OK
+    assert float(rows[0][4]) == row_loop_gap(nu, tau, length, mode, horizon)
+
+
+def test_bound_makes_one_call_per_oracle(monkeypatch):
+    calls = {"evaluate_series": 0, "hyperbolic_mode_solution": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    config = bound_config(1.0, math.pi, 2)
+    run_cmd(cmd_bound, 1e-3, 0.0, 1.0, config)
+    assert calls == {"evaluate_series": 1, "hyperbolic_mode_solution": 1}
+    run_cmd(cmd_bound, 0.0, 0.0, 1.0, config)
+    assert calls == {"evaluate_series": 1, "hyperbolic_mode_solution": 1}
+
+
 # ----------------------------------------------------------------- infospeed
 
 def test_infospeed_explicit_exact_cell_speed():
@@ -406,6 +458,30 @@ def test_main_plan_time_misuse_exits_with_config_code(capsys):
 def test_main_bad_flag_exits_with_config_code(capsys):
     code, out, err = run_main(["run", "--no-such-flag"], capsys)
     assert code == EXIT_CONFIG
+
+
+def test_main_reuses_one_parser():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_set_overrides_do_not_leak_into_next_call(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in base_mapping().items()))
+    code, out, _ = run_main(["run", "--config", str(path),
+                             "--set", "num_steps=2"], capsys)
+    assert code == EXIT_OK and len(parse_csv(out)[1]) == 3
+    code, out, _ = run_main(["run", "--config", str(path)], capsys)
+    assert code == EXIT_OK and len(parse_csv(out)[1]) == 5   # num_steps=4
+
+
+def test_main_failed_call_leaves_next_call_unchanged(capsys):
+    argv = ["stability", "--schemes", "explicit,cn", "--r-values", "0.5,2"]
+    cli._build_parser.cache_clear()
+    fresh = run_main(argv, capsys)
+    code, out, err = run_main(["stability", "--schemes", "explicit",
+                               "--r-values", "0.5,x"], capsys)
+    assert code == EXIT_CONFIG and out == "" and "bad --r-values" in err
+    assert run_main(argv, capsys) == fresh
 
 
 def test_main_stability_and_dispersion(capsys):

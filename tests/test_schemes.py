@@ -791,6 +791,22 @@ def test_general_k_shape_and_no_write_contract(k, message):
     np.testing.assert_array_equal(initial, np.sin(np.pi * grid.nodes))
 
 
+@pytest.mark.parametrize("scheme", [Scheme.CN_NONLINEAR, Scheme.EXPLICIT],
+                         ids=lambda s: s.value)
+def test_general_k_for_python_floats_is_a_named_error(scheme):
+    # math.sin takes no array: k gets the whole node array in one call
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.general(lambda u: 1.5 + math.sin(u)),
+                     dt=1e-3, dx=grid.dx)
+    with pytest.raises(SolverError, match="once on the float64 node array") as err:
+        run_simulation(field(np.sin(np.pi * grid.nodes)), p, HOMOGENEOUS,
+                       scheme, 3)
+    assert err.value.step == 1
+    cause = err.value.__cause__
+    assert isinstance(cause, DiffusivityError)
+    assert isinstance(cause.__cause__, TypeError)
+
+
 def test_run_simulation_rejects_bad_arguments():
     p = constant_params(1.0, dt=0.1, dx=0.5)
     with pytest.raises(ValueError):
