@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .schemes import RunRecord, Scheme, SchemeParams
+from .schemes import SPECS, RunRecord, Scheme, SchemeParams, SchemeSpec
 
 DEFAULT_THETA_SAMPLES = 721
 DEFAULT_SUPPORT_THRESHOLD = 1e-14
@@ -68,10 +68,10 @@ class ErrorBoundInputs:
             raise ValueError("error-bound inputs must be nonnegative")
 
 
-def _quadratic_roots(a, b, c) -> tuple:
-    """Roots of a g^2 + b g + c = 0 (a != 0), elementwise over arrays."""
-    root = np.sqrt((b * b - 4.0 * a * c).astype(complex))
-    return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
+def _spec(scheme: Scheme) -> SchemeSpec:
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return SPECS[scheme]
 
 
 def amplification(scheme: Scheme, r: Optional[float],
@@ -79,23 +79,13 @@ def amplification(scheme: Scheme, r: Optional[float],
                   params: Optional[SchemeParams] = None) -> AmplificationResult:
     """Characteristic roots of one scheme at Fourier phases theta = kappa dx.
 
-    ``theta`` is a scalar or an array of phases in [0, pi]; the roots and
-    their largest modulus come back with theta's shape, scalars for a
-    scalar theta.  Single-layer schemes have one root, two-layer schemes
-    two.  With s = sin^2(theta/2):
-
-    - explicit:        g = 1 - 4 r s
-    - implicit:        g = 1 / (1 + 4 r s)
-    - Crank-Nicolson:  g = (1 - 2 r s) / (1 + 2 r s)
-    - leap-frog:       g^2 + 8 r s g - 1 = 0
-    - Dufort-Frankel:  (1 + w) g^2 - 2 w cos(theta) g - (1 - w) = 0, w = 2 r
-    - hyperbolic:      a g^2 - (2 tau/dt^2 - 4 nu s/dx^2) g + b = 0 with
-      a = tau/dt^2 + 1/(2 dt), b = tau/dt^2 - 1/(2 dt); needs ``params``.
-
-    The Saulyev sweeps have no single-stage symbol here (their stability is
-    asserted empirically) and the nonlinear trapezoidal variants share the
-    Crank-Nicolson symbol, so all three are rejected.  A phase outside
-    [0, pi] raises ``ValueError`` naming the first such value.
+    The roots, one per layer the scheme steps from, are the ``symbol`` of
+    its entry in ``schemes.SPECS``.  ``theta`` is a scalar or an array of
+    phases in [0, pi]; the roots and their largest modulus come back with
+    theta's shape, scalars for a scalar theta.  A relaxed scheme's symbol
+    reads ``params`` (tau > 0) instead of ``r``.  A scheme without a symbol,
+    an argument that is not a ``Scheme`` and a phase outside [0, pi] (named
+    in the message) raise ``ValueError``.
     """
     # a scalar theta runs as a one-element array, so it takes the same
     # ufunc loops (and round-off) as an element of an array call
@@ -105,34 +95,18 @@ def amplification(scheme: Scheme, r: Optional[float],
         raise ValueError(f"theta must lie in [0, pi], got {phases[bad][0]}")
     s = np.sin(phases / 2.0) ** 2
 
-    if scheme is Scheme.HYPERBOLIC:
+    spec = _spec(scheme)
+    if spec.relaxed:
         if params is None:
-            raise ValueError("hyperbolic amplification needs params "
+            raise ValueError(f"{scheme.value} amplification needs params "
                              "(tau, dt, dx, nu)")
-        tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
-        if tau <= 0.0:
-            raise ValueError("hyperbolic amplification needs tau > 0")
-        a = tau / dt ** 2 + 1.0 / (2.0 * dt)
-        b = tau / dt ** 2 - 1.0 / (2.0 * dt)
-        mid = 2.0 * tau / dt ** 2 - 4.0 * nu * s / dx ** 2
-        roots = _quadratic_roots(a, -mid, b)
-    else:
-        if r is None or not r > 0.0:
-            raise ValueError(f"diffusion number r must be positive, got {r}")
-        if scheme is Scheme.EXPLICIT:
-            roots = (1.0 - 4.0 * r * s,)
-        elif scheme is Scheme.IMPLICIT:
-            roots = (1.0 / (1.0 + 4.0 * r * s),)
-        elif scheme is Scheme.CRANK_NICOLSON:
-            roots = ((1.0 - 2.0 * r * s) / (1.0 + 2.0 * r * s),)
-        elif scheme is Scheme.LEAPFROG:
-            roots = _quadratic_roots(1.0, 8.0 * r * s, -1.0)
-        elif scheme is Scheme.DUFORT_FRANKEL:
-            w = 2.0 * r
-            roots = _quadratic_roots(1.0 + w, -2.0 * w * np.cos(phases),
-                                     -(1.0 - w))
-        else:
-            raise ValueError(f"no closed-form amplification for {scheme.value}")
+        if params.tau <= 0.0:
+            raise ValueError(f"{scheme.value} amplification needs tau > 0")
+    elif r is None or not r > 0.0:
+        raise ValueError(f"diffusion number r must be positive, got {r}")
+    if spec.symbol is None:
+        raise ValueError(f"no closed-form amplification for {scheme.value}")
+    roots = spec.symbol(params if spec.relaxed else r, s, phases)
 
     shape = np.shape(theta)
     roots = tuple(np.asarray(g, dtype=complex).reshape(shape) for g in roots)
@@ -267,8 +241,7 @@ def truncation_residual(scheme: Scheme,
     studies of this residual then expose each scheme's consistency order
     without symbolic expansions.
     """
-    u = smooth_solution
-    dt, dx = params.dt, params.dx
+    u, dx = smooth_solution, params.dx
 
     def k_at(xx: float, tt: float) -> float:
         return params.diffusivity.evaluate(u(xx, tt))
@@ -276,42 +249,4 @@ def truncation_residual(scheme: Scheme,
     def d2(tt: float) -> float:
         return u(x - dx, tt) - 2.0 * u(x, tt) + u(x + dx, tt)
 
-    if scheme is Scheme.EXPLICIT:
-        nu = params.nu
-        return (u(x, t + dt) - u(x, t)) / dt - nu * d2(t) / dx ** 2
-    if scheme is Scheme.IMPLICIT:
-        nu = params.nu
-        return (u(x, t + dt) - u(x, t)) / dt - nu * d2(t + dt) / dx ** 2
-    if scheme is Scheme.CRANK_NICOLSON:
-        nu = params.nu
-        return (u(x, t + dt) - u(x, t)) / dt - nu * (
-            d2(t) + d2(t + dt)) / (2.0 * dx ** 2)
-    if scheme is Scheme.CN_NONLINEAR:
-        return (u(x, t + dt) - u(x, t)) / dt \
-            - k_at(x, t) * d2(t) / (2.0 * dx ** 2) \
-            - k_at(x, t + dt) * d2(t + dt) / (2.0 * dx ** 2)
-    if scheme is Scheme.CROSS_CN:
-        return (u(x, t + dt) - u(x, t)) / dt \
-            - k_at(x, t + dt) * d2(t) / (2.0 * dx ** 2) \
-            - k_at(x, t) * d2(t + dt) / (2.0 * dx ** 2)
-    if scheme is Scheme.LEAPFROG:
-        nu = params.nu
-        return (u(x, t + dt) - u(x, t - dt)) / (2.0 * dt) - nu * d2(t) / dx ** 2
-    if scheme is Scheme.DUFORT_FRANKEL:
-        nu = params.nu
-        avg = u(x - dx, t) - (u(x, t - dt) + u(x, t + dt)) + u(x + dx, t)
-        return (u(x, t + dt) - u(x, t - dt)) / (2.0 * dt) - nu * avg / dx ** 2
-    if scheme is Scheme.SAULYEV:
-        # sum of the two one-sided stages divided by two
-        nu = params.nu
-        stages = (u(x + dx, t) - u(x, t)
-                  - 2.0 * u(x, t + dt) + 2.0 * u(x - dx, t + dt)
-                  + u(x + dx, t + 2.0 * dt) - u(x, t + 2.0 * dt))
-        return (u(x, t + 2.0 * dt) - u(x, t)) / (2.0 * dt) \
-            - nu * stages / (2.0 * dx ** 2)
-    if scheme is Scheme.HYPERBOLIC:
-        nu, tau = params.nu, params.tau
-        return tau * (u(x, t + dt) - 2.0 * u(x, t) + u(x, t - dt)) / dt ** 2 \
-            + (u(x, t + dt) - u(x, t - dt)) / (2.0 * dt) \
-            - nu * d2(t) / dx ** 2
-    raise ValueError(f"unknown scheme {scheme}")
+    return _spec(scheme).residual(u, d2, k_at, params, x, t)

@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -26,8 +26,8 @@ from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
     sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
     hyperbolic_mode_solution
-from .schemes import DiffusivityModel, FixedPointError, Scheme, SchemeParams, \
-    SolverError, run_simulation
+from .schemes import SPECS, DiffusivityModel, FixedPointError, Scheme, \
+    SchemeParams, SolverError, run_simulation
 from .tridiag import SingularSystemError
 
 EXIT_OK = 0
@@ -36,8 +36,9 @@ EXIT_DIVERGED = 2
 EXIT_SOLVER = 3
 
 STABILITY_TOL = 1e-12
-_SYMBOL_SCHEMES = (Scheme.EXPLICIT, Scheme.IMPLICIT, Scheme.CRANK_NICOLSON,
-                   Scheme.LEAPFROG, Scheme.DUFORT_FRANKEL)
+# a relaxed scheme's symbol reads tau, dt and dx as well as r
+_SYMBOL_SCHEMES = tuple(scheme for scheme, spec in SPECS.items()
+                        if spec.symbol is not None and not spec.relaxed)
 
 _CONFIG_KEYS = {"scheme", "nu", "length_l", "num_cells_N", "dt", "r", "tau",
                 "cs", "bc_left", "bc_right", "initial", "num_steps",
@@ -88,9 +89,7 @@ def _parse_bc(spec: str) -> BoundaryCondition:
         if kind == "robin":
             a, b, phi = (float(v) for v in payload.split(","))
             return BoundaryCondition.robin(a, b, phi)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except (ValueError, TypeError):
         raise ConfigError(f"bad boundary spec {spec!r}") from None
     raise ConfigError(f"unknown boundary kind {kind!r} "
                       "(expected dirichlet/flux/robin)")
@@ -172,24 +171,7 @@ class ExperimentConfig:
             raise ConfigError("snapshot_every must be >= 1")
         seed = _parse_int(mapping, "seed", 0)
         initial = str(mapping["initial"]).strip()
-        head, _, payload = initial.partition(":")
-        if head not in ("dirac", "sine", "custom"):
-            raise ConfigError(f"unknown initial profile {initial!r} "
-                              "(expected dirac[:node], sine:m or custom:file)")
-        if head == "sine":
-            try:
-                mode = int(payload)
-            except ValueError:
-                raise ConfigError(f"sine profile needs an integer mode, "
-                                  f"got {payload!r}") from None
-            if mode < 1:
-                raise ConfigError("sine mode must be >= 1")
-        if head == "dirac" and payload:
-            try:
-                int(payload)
-            except ValueError:
-                raise ConfigError(f"dirac profile needs an integer node, "
-                                  f"got {payload!r}") from None
+        _parse_initial(initial)
         bc_left = str(mapping.get("bc_left", "dirichlet:0"))
         bc_right = str(mapping.get("bc_right", "dirichlet:0"))
         _parse_bc(bc_left)
@@ -251,33 +233,45 @@ class ExperimentConfig:
         return grid, params, bcs, self.build_initial(grid)
 
     def build_initial(self, grid: Grid1D) -> Field:
-        kind, _, arg = self.initial.partition(":")
+        kind, arg = _parse_initial(self.initial)
         if kind == "dirac":
-            node = grid.num_cells_N // 2 if arg == "" else int(arg)
+            node = grid.num_cells_N // 2 if arg is None else arg
             if not 0 <= node <= grid.num_cells_N:
                 raise ConfigError(f"dirac node {node} outside 0..{grid.num_cells_N}")
             values = np.zeros(grid.num_cells_N + 1)
             values[node] = 1.0
             return Field(values=values, time_index=0)
         if kind == "sine":
-            try:
-                m = int(arg)
-            except ValueError:
-                raise ConfigError(f"sine profile needs an integer mode, "
-                                  f"got {arg!r}") from None
-            if m < 1:
-                raise ConfigError("sine mode must be >= 1")
-            k = m * math.pi / grid.length_l
+            k = arg * math.pi / grid.length_l
             return sample_initial(lambda x: math.sin(k * x), grid)
-        if kind == "custom":
-            return _load_custom_profile(arg, grid)
-        raise ConfigError(f"unknown initial profile {self.initial!r}")
+        return _load_custom_profile(arg, grid)
 
     def sine_mode(self) -> int:
-        kind, _, arg = self.initial.partition(":")
+        kind, mode = _parse_initial(self.initial)
         if kind != "sine":
             raise ConfigError("this command needs a sine:m initial profile")
-        return int(arg)
+        return mode
+
+
+def _parse_initial(spec: str) -> tuple:
+    """("dirac", node or None), ("sine", mode >= 1) or ("custom", path)."""
+    kind, _, arg = spec.partition(":")
+    if kind not in ("dirac", "sine", "custom"):
+        raise ConfigError(f"unknown initial profile {spec!r} "
+                          "(expected dirac[:node], sine:m or custom:file)")
+    if kind == "custom":
+        return kind, arg
+    if kind == "dirac" and not arg:
+        return kind, None
+    noun = "mode" if kind == "sine" else "node"
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ConfigError(f"{kind} profile needs an integer {noun}, "
+                          f"got {arg!r}") from None
+    if kind == "sine" and value < 1:
+        raise ConfigError("sine mode must be >= 1")
+    return kind, value
 
 
 def _load_custom_profile(path: str, grid: Grid1D) -> Field:
@@ -334,30 +328,25 @@ def cmd_converge(config: ExperimentConfig, refinements: int, dt_rule: str,
     horizon = config.num_steps * dt0
     anchor = dt0 / dx0 ** power
 
+    spec = SPECS[config.scheme]
     out.write("N,dx,dt,max_error,observed_order\n")
     prev_dx = prev_err = None
     for level in range(refinements):
         cells = config.num_cells_N * 2 ** level
-        grid = build_uniform_grid(config.length_l, cells)
-        dt_target = anchor * grid.dx ** power
-        if config.scheme is Scheme.SAULYEV:
-            steps = 2 * max(1, math.ceil(horizon / (2.0 * dt_target) - 1e-9))
-        else:
-            steps = max(1, math.ceil(horizon / dt_target - 1e-9))
-        dt = horizon / steps
-        params = SchemeParams(diffusivity=DiffusivityModel.constant(config.nu),
-                              dt=dt, dx=grid.dx,
-                              tau=config.resolve_tau(grid.dx))
-        bcs = (_parse_bc(config.bc_left), _parse_bc(config.bc_right))
-        initial = config.build_initial(grid)
+        dt_target = anchor * (config.length_l / cells) ** power
+        # whole advances only, so the final layer is consistency-grade
+        steps = spec.layers * max(
+            1, math.ceil(horizon / (spec.layers * dt_target) - 1e-9))
+        grid, params, bcs, initial = replace(
+            config, num_cells_N=cells, dt=horizon / steps, r=None).build()
         record = run_simulation(initial, params, bcs, config.scheme,
                                 num_steps=steps, snapshot_every=steps)
         if record.diverged:
             print(f"converge: run diverged at N={cells}", file=sys.stderr)
             return EXIT_DIVERGED
         final = record.final
-        t_final = final.time_index * dt
-        if config.scheme is Scheme.HYPERBOLIC:
+        t_final = final.time_index * params.dt
+        if spec.relaxed:
             exact = hyperbolic_mode_solution(config.nu, params.tau,
                                              config.length_l, mode, t_final,
                                              grid.nodes)
@@ -369,7 +358,7 @@ def cmd_converge(config: ExperimentConfig, refinements: int, dt_rule: str,
             order = ""
         else:
             order = _fmt(math.log(prev_err / err) / math.log(prev_dx / grid.dx))
-        out.write(f"{cells},{_fmt(grid.dx)},{_fmt(dt)},{_fmt(err)},{order}\n")
+        out.write(f"{cells},{_fmt(grid.dx)},{_fmt(params.dt)},{_fmt(err)},{order}\n")
         prev_dx, prev_err = grid.dx, err
     return EXIT_OK
 
@@ -387,12 +376,14 @@ def cmd_stability(schemes: list, r_values: list, theta_samples: int,
                 f"{scheme.value} has no r-only amplification symbol; "
                 f"supported: {', '.join(s.value for s in _SYMBOL_SCHEMES)}")
         parsed.append(scheme)
+    # all rows come before the first write: a rejected r leaves stdout empty
+    rows = [(scheme, r, max_amplification(scheme, float(r),
+                                          theta_samples=theta_samples))
+            for scheme in parsed for r in r_values]
     out.write("scheme,r,max_amplification,stable\n")
-    for scheme in parsed:
-        for r in r_values:
-            mx = max_amplification(scheme, float(r), theta_samples=theta_samples)
-            out.write(f"{scheme.value},{_fmt(r)},{_fmt(mx)},"
-                      f"{_fmt_bool(mx <= 1.0 + STABILITY_TOL)}\n")
+    for scheme, r, mx in rows:
+        out.write(f"{scheme.value},{_fmt(r)},{_fmt(mx)},"
+                  f"{_fmt_bool(mx <= 1.0 + STABILITY_TOL)}\n")
     return EXIT_OK
 
 
@@ -461,7 +452,7 @@ def cmd_infospeed(config: ExperimentConfig, out: TextIO) -> int:
     touches a boundary (or at the first touching snapshot), so the reported
     rate is not polluted by boundary clipping.
     """
-    if not config.initial.split(":", 1)[0] == "dirac":
+    if _parse_initial(config.initial)[0] != "dirac":
         raise ConfigError("infospeed needs the dirac initial profile")
     grid, params, bcs, initial = config.build()
     record = run_simulation(initial, params, bcs, config.scheme,

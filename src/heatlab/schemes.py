@@ -1,12 +1,13 @@
 """Time-stepping schemes for u_t = nu u_xx (and k(u) u_xx) behind one contract.
 
-Every scheme is a plan: ``plan(params, bcs, n_nodes)`` validates the scheme
-against the diffusivity and tau and computes, once per run, everything that
-does not change from step to step: the scheme coefficients, the boundary
-closures, the Saulyev sweep band and, for implicit and Crank-Nicolson, the
-folded tridiagonal bands.  All plans take their closures from one
-``_ends_of`` factory (``grid.closure`` per end), which also holds the one
-node-count rule: a flux or Robin end needs N >= 3.  A plan returns
+``SPECS`` holds one ``SchemeSpec`` per scheme, so a new scheme is one entry.
+A spec's plan, ``plan(params, bcs, n_nodes)``, runs once per run after one
+gate has checked the spec's constant-k and tau > 0 needs, and computes
+everything that does not change from step to step: the scheme coefficients,
+the boundary closures, the Saulyev sweep band and, for implicit and
+Crank-Nicolson, the folded tridiagonal bands.  All plans take their closures
+from one ``_ends_of`` factory (``grid.closure`` per end), which also holds
+the one node-count rule: a flux or Robin end needs N >= 3.  A plan returns
 ``advance(prev, curr, time_index)``, which maps bare arrays (``prev`` is
 None on the first call) to the tuple of new layers: one, or two for the
 Saulyev sweep pair, of which only the last is consistency-grade.  Per step
@@ -15,7 +16,7 @@ varies, the diffusivity (and with it the flux/Robin closures); interiors are
 written first, endpoints are closed afterwards through the closures, and the
 layer time is always ``time_index * dt``.  Called without a previous layer,
 the multi-layer schemes start themselves.
-``run_simulation`` drives every scheme through one table of plans and flags
+``run_simulation`` drives every scheme through its plan and flags
 divergence; the public ``step_*`` functions build a plan and advance once.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
@@ -226,11 +227,6 @@ class RunRecord:
         return self.snapshots[-1]
 
 
-def _require_constant(params: SchemeParams, scheme_name: str):
-    if params.diffusivity.kind is not DiffusivityKind.CONSTANT:
-        raise ValueError(f"{scheme_name} requires constant diffusivity")
-
-
 # A plan's advance maps (prev, curr, time_index) to the tuple of new layers.
 Advance = Callable[[Optional[np.ndarray], np.ndarray, int], tuple]
 
@@ -355,9 +351,9 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     next one; ``k`` is ``model`` on the interior of the starting ``v``, so
     each iterate calls k once, on its interior, and the converged one not at
     all.  ``damping`` blends each new iterate with the previous one (0 means
-    undamped); after 50 iterations FixedPointError reports the last change.
+    undamped).  FixedPointError reports the last change after 50 iterations,
+    or once one passes DIVERGENCE_THRESHOLD, before k can overflow on v.
     """
-    delta = np.inf
     for i in range(FIXED_POINT_MAX_ITERS):
         if i:
             k = model.evaluate_array(v[1:-1])
@@ -368,8 +364,10 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
         v = candidate
         if delta <= FIXED_POINT_TOL:
             return v
+        if not delta <= DIVERGENCE_THRESHOLD:
+            break
     raise FixedPointError(
-        f"no convergence after {FIXED_POINT_MAX_ITERS} iterations "
+        f"no convergence after {i + 1} iterations "
         f"(last change {delta:.3e})", residual=delta)
 
 
@@ -386,20 +384,17 @@ def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 
 def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    _require_constant(params, "implicit scheme")
     return _folded_plan(params, bcs, np.full(n_nodes - 2, params.diffusion_number_r),
                         lambda u: u[1:-1].copy())
 
 
 def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    _require_constant(params, "Crank-Nicolson scheme")
     rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
     return _folded_plan(params, bcs, np.full(n_nodes - 2, rho),
                         lambda u: u[1:-1] + rho * _second_difference(u))
 
 
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    _require_constant(params, "leap-frog scheme")
     r = params.diffusion_number_r
 
     def interior(prev, u):
@@ -410,7 +405,6 @@ def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 
 def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    _require_constant(params, "Dufort-Frankel scheme")
     r = params.diffusion_number_r
     lam = 2.0 * r
     a = (1.0 - lam) / (1.0 + lam)
@@ -500,7 +494,6 @@ def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
 
 def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     from scipy.linalg.blas import dtbsv
-    _require_constant(params, "Saulyev scheme")
     lam = params.diffusion_number_r
     a = (1.0 - lam) / (1.0 + lam)
     c = lam / (1.0 + lam)
@@ -530,10 +523,6 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 
 def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    _require_constant(params, "hyperbolic scheme")
-    if params.tau <= 0.0:
-        raise ValueError("hyperbolic scheme needs tau > 0 "
-                         "(with tau = 0 use the explicit scheme)")
     tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
     a = tau / dt ** 2 + 1.0 / (2.0 * dt)
     b = tau / dt ** 2 - 1.0 / (2.0 * dt)
@@ -549,15 +538,118 @@ def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
+# -------------------------------------------------------- the scheme table
+
+def _quadratic_roots(a, b, c) -> tuple:
+    """Roots of a g^2 + b g + c = 0 (a != 0), elementwise over arrays."""
+    root = np.sqrt((b * b - 4.0 * a * c).astype(complex))
+    return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
+
+
+def _hyperbolic_symbol(params: SchemeParams, s, theta) -> tuple:
+    tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
+    a = tau / dt ** 2 + 1.0 / (2.0 * dt)
+    b = tau / dt ** 2 - 1.0 / (2.0 * dt)
+    mid = 2.0 * tau / dt ** 2 - 4.0 * nu * s / dx ** 2
+    return _quadratic_roots(a, -mid, b)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SchemeSpec:
+    """One scheme: its plan, the ``layers`` one advance makes, whether it needs
+    constant k, whether it is ``relaxed`` (solves tau u_tt + u_t = nu u_xx, so
+    needs tau > 0), its roots ``symbol(r or params, sin^2(theta/2), theta)``
+    or None, and its ``residual(u, d2, k, params, x, t)`` on a smooth u, with
+    d2(t) u's second difference at x and k(x, t) the diffusivity there."""
+
+    plan: Callable[..., Advance]
+    layers: int = 1
+    constant_k: bool = True
+    relaxed: bool = False
+    symbol: Optional[Callable[..., tuple]] = None
+    residual: Callable[..., float]
+
+
+SPECS = {
+    Scheme.EXPLICIT: SchemeSpec(
+        plan=_plan_explicit, constant_k=False,
+        symbol=lambda r, s, theta: (1.0 - 4.0 * r * s,),
+        residual=lambda u, d2, k, p, x, t:
+            (u(x, t + p.dt) - u(x, t)) / p.dt - p.nu * d2(t) / p.dx ** 2),
+    Scheme.IMPLICIT: SchemeSpec(
+        plan=_plan_implicit, symbol=lambda r, s, theta: (1.0 / (1.0 + 4.0 * r * s),),
+        residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
+            - p.nu * d2(t + p.dt) / p.dx ** 2),
+    Scheme.CRANK_NICOLSON: SchemeSpec(
+        plan=_plan_crank_nicolson,
+        symbol=lambda r, s, theta: ((1.0 - 2.0 * r * s) / (1.0 + 2.0 * r * s),),
+        residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
+            - p.nu * (d2(t) + d2(t + p.dt)) / (2.0 * p.dx ** 2)),
+    # the nonlinear trapezoidal variants share the Crank-Nicolson symbol
+    Scheme.CN_NONLINEAR: SchemeSpec(
+        plan=_plan_cn_nonlinear, constant_k=False,
+        residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
+            - k(x, t) * d2(t) / (2.0 * p.dx ** 2)
+            - k(x, t + p.dt) * d2(t + p.dt) / (2.0 * p.dx ** 2)),
+    Scheme.CROSS_CN: SchemeSpec(
+        plan=_plan_ccn, constant_k=False,
+        residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
+            - k(x, t + p.dt) * d2(t) / (2.0 * p.dx ** 2)
+            - k(x, t) * d2(t + p.dt) / (2.0 * p.dx ** 2)),
+    Scheme.LEAPFROG: SchemeSpec(
+        plan=_plan_leapfrog,
+        symbol=lambda r, s, theta: _quadratic_roots(1.0, 8.0 * r * s, -1.0),
+        residual=lambda u, d2, k, p, x, t:
+            (u(x, t + p.dt) - u(x, t - p.dt)) / (2.0 * p.dt)
+            - p.nu * d2(t) / p.dx ** 2),
+    Scheme.DUFORT_FRANKEL: SchemeSpec(  # w = 2 r
+        plan=_plan_dufort_frankel,
+        symbol=lambda r, s, theta: _quadratic_roots(
+            1.0 + 2.0 * r, -2.0 * (2.0 * r) * np.cos(theta), -(1.0 - 2.0 * r)),
+        residual=lambda u, d2, k, p, x, t:
+            (u(x, t + p.dt) - u(x, t - p.dt)) / (2.0 * p.dt) - p.nu * (
+                u(x - p.dx, t) - (u(x, t - p.dt) + u(x, t + p.dt))
+                + u(x + p.dx, t)) / p.dx ** 2),
+    # no single-stage symbol: the sweeps' stability is asserted empirically;
+    # the residual sums the two one-sided stages and divides by two
+    Scheme.SAULYEV: SchemeSpec(
+        plan=_plan_saulyev, layers=2,
+        residual=lambda u, d2, k, p, x, t:
+            (u(x, t + 2.0 * p.dt) - u(x, t)) / (2.0 * p.dt) - p.nu * (
+                u(x + p.dx, t) - u(x, t)
+                - 2.0 * u(x, t + p.dt) + 2.0 * u(x - p.dx, t + p.dt)
+                + u(x + p.dx, t + 2.0 * p.dt) - u(x, t + 2.0 * p.dt))
+            / (2.0 * p.dx ** 2)),
+    Scheme.HYPERBOLIC: SchemeSpec(
+        plan=_plan_hyperbolic, relaxed=True, symbol=_hyperbolic_symbol,
+        residual=lambda u, d2, k, p, x, t:
+            p.tau * (u(x, t + p.dt) - 2.0 * u(x, t) + u(x, t - p.dt)) / p.dt ** 2
+            + (u(x, t + p.dt) - u(x, t - p.dt)) / (2.0 * p.dt)
+            - p.nu * d2(t) / p.dx ** 2),
+}
+
+
+def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int,
+          **options) -> Advance:
+    """``scheme``'s plan, built after the checks its spec asks for."""
+    spec = SPECS[scheme]
+    if spec.constant_k and params.diffusivity.kind is not DiffusivityKind.CONSTANT:
+        raise ValueError(f"{scheme.value} scheme requires constant diffusivity")
+    if spec.relaxed and params.tau <= 0.0:
+        raise ValueError(f"{scheme.value} scheme needs tau > 0 "
+                         "(with tau = 0 use the explicit scheme)")
+    return spec.plan(params, bcs, n_nodes, **options)
+
+
 # ------------------------------------------------------- public steppers
 
-def _advance_once(plan, state: StepState, needs_prev: str = "",
+def _advance_once(scheme: Scheme, state: StepState, needs_prev: bool = False,
                   **options) -> tuple:
-    """The layers one call of ``plan``'s advance makes from ``state``."""
+    """The layers one advance of ``scheme``'s plan makes from ``state``."""
     curr = state.curr
-    advance = plan(state.params, state.bcs, len(curr.values), **options)
+    advance = _plan(scheme, state.params, state.bcs, len(curr.values), **options)
     if needs_prev and state.prev is None:
-        raise ValueError(f"{needs_prev} needs the previous layer")
+        raise ValueError(f"{scheme.value} needs the previous layer")
     prev = None if state.prev is None else state.prev.values
     layers = advance(prev, curr.values, curr.time_index)
     return tuple(Field(values=values, time_index=curr.time_index + i + 1)
@@ -571,17 +663,17 @@ def step_explicit(state: StepState) -> Field:
     diffusivity k(u) the weight is evaluated pointwise at the stencil center
     of the old layer.
     """
-    return _advance_once(_plan_explicit, state)[0]
+    return _advance_once(Scheme.EXPLICIT, state)[0]
 
 
 def step_implicit(state: StepState) -> Field:
     """Backward-in-time update: (1 + 2r) u_j - r (u_{j-1} + u_{j+1}) = u_j^old."""
-    return _advance_once(_plan_implicit, state)[0]
+    return _advance_once(Scheme.IMPLICIT, state)[0]
 
 
 def step_crank_nicolson(state: StepState) -> Field:
     """Trapezoidal update: both layers carry half of the diffusion operator."""
-    return _advance_once(_plan_crank_nicolson, state)[0]
+    return _advance_once(Scheme.CRANK_NICOLSON, state)[0]
 
 
 def step_leapfrog(state: StepState) -> Field:
@@ -589,7 +681,7 @@ def step_leapfrog(state: StepState) -> Field:
 
     u_j <- u_j^{prev} + 2 r (u_{j-1} - 2 u_j + u_{j+1}).
     """
-    return _advance_once(_plan_leapfrog, state, needs_prev="leap-frog")[0]
+    return _advance_once(Scheme.LEAPFROG, state, needs_prev=True)[0]
 
 
 def step_dufort_frankel(state: StepState) -> Field:
@@ -597,8 +689,7 @@ def step_dufort_frankel(state: StepState) -> Field:
 
     With w = 2 r: u_j <- ((1-w)/(1+w)) u_j^{prev} + (w/(1+w)) (u_{j+1} + u_{j-1}).
     """
-    return _advance_once(_plan_dufort_frankel, state,
-                         needs_prev="Dufort-Frankel")[0]
+    return _advance_once(Scheme.DUFORT_FRANKEL, state, needs_prev=True)[0]
 
 
 def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
@@ -609,7 +700,7 @@ def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
     the max-norm change drops to 1e-12 or 50 iterations pass.  ``damping``
     blends each new iterate with the previous one (0 means undamped).
     """
-    return _advance_once(_plan_cn_nonlinear, state, damping=damping)[0]
+    return _advance_once(Scheme.CN_NONLINEAR, state, damping=damping)[0]
 
 
 def step_ccn(state: StepState, damping: float = 0.0) -> Field:
@@ -620,7 +711,7 @@ def step_ccn(state: StepState, damping: float = 0.0) -> Field:
     tridiagonal solve advances the step.  General k falls back to the same
     fixed-point iteration as the plain nonlinear trapezoidal stepper.
     """
-    return _advance_once(_plan_ccn, state, damping=damping)[0]
+    return _advance_once(Scheme.CROSS_CN, state, damping=damping)[0]
 
 
 def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:
@@ -638,7 +729,7 @@ def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:
     on the first call; its fused multiply-add may differ from the plain
     recurrence in the last bits.
     """
-    return _advance_once(_plan_saulyev, state)
+    return _advance_once(Scheme.SAULYEV, state)
 
 
 def step_hyperbolic(state: StepState) -> Field:
@@ -647,8 +738,7 @@ def step_hyperbolic(state: StepState) -> Field:
     With a = tau/dt^2 + 1/(2 dt) and b = tau/dt^2 - 1/(2 dt):
     u_j <- [2 tau/dt^2 u_j - b u_j^{prev} + nu (u_{j+1} - 2 u_j + u_{j-1})/dx^2] / a.
     """
-    return _advance_once(_plan_hyperbolic, state,
-                         needs_prev="hyperbolic stepper")[0]
+    return _advance_once(Scheme.HYPERBOLIC, state, needs_prev=True)[0]
 
 
 def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
@@ -664,23 +754,9 @@ def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
     if bcs is None:
         bcs = (BoundaryCondition.dirichlet(float(u[0])),
                BoundaryCondition.dirichlet(float(u[-1])))
-    return _advance_once(_plan_hyperbolic,
+    return _advance_once(Scheme.HYPERBOLIC,
                          StepState(prev=None, curr=initial, params=params,
                                    bcs=bcs))[0]
-
-
-# Scheme -> plan(params, bcs, n_nodes) -> advance(prev, curr, time_index).
-_STEPPERS = {
-    Scheme.EXPLICIT: _plan_explicit,
-    Scheme.IMPLICIT: _plan_implicit,
-    Scheme.CRANK_NICOLSON: _plan_crank_nicolson,
-    Scheme.CN_NONLINEAR: _plan_cn_nonlinear,
-    Scheme.CROSS_CN: _plan_ccn,
-    Scheme.LEAPFROG: _plan_leapfrog,
-    Scheme.DUFORT_FRANKEL: _plan_dufort_frankel,
-    Scheme.SAULYEV: _plan_saulyev,
-    Scheme.HYPERBOLIC: _plan_hyperbolic,
-}
 
 
 def run_simulation(initial: Field, params: SchemeParams, bcs,
@@ -721,7 +797,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     start = time_index = initial.time_index
     end = start + num_steps
     prev, curr = None, initial.values
-    advance = _STEPPERS[scheme](params, bcs, len(curr))
+    advance = _plan(scheme, params, bcs, len(curr))
 
     consistent = True
     while time_index < end:

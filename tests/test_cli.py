@@ -206,6 +206,20 @@ def test_stability_rejects_symbol_free_schemes():
         run_cmd(cmd_stability, [], [1.0], 721)
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--r-values", "0.5,-1"], "r must be positive, got -1.0"),
+    (["--r-values", "0.5,nan"], "r must be positive, got nan"),
+    (["--r-values", "0.5", "--theta-samples", "1"], "at least 2 theta samples"),
+])
+def test_main_stability_rejects_bad_input_before_any_output(extra, message,
+                                                            capsys):
+    code, out, err = run_main(["stability", "--schemes", "explicit,cn"] + extra,
+                              capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: ") and message in err
+
+
 # ---------------------------------------------------------------- dispersion
 
 def test_dispersion_first_row_and_gap_column():

@@ -1,0 +1,104 @@
+"""One table entry per scheme: ``schemes.SPECS``.
+
+Analysis and the CLI read a scheme's spec instead of naming ``Scheme``
+members, so a new scheme touches ``schemes.py`` alone.  No linter runs on
+this repository, so the source check below stands in for one.
+"""
+
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
+                     SchemeParams, StepState, amplification, run_simulation,
+                     step_ccn, step_cn_nonlinear, step_crank_nicolson,
+                     step_dufort_frankel, step_explicit, step_hyperbolic,
+                     step_implicit, step_leapfrog, step_saulyev_pair,
+                     truncation_residual)
+from heatlab import cli
+from heatlab.schemes import SPECS
+
+SRC = Path(cli.__file__).parent
+HOMOGENEOUS = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
+STEPPERS = {
+    Scheme.EXPLICIT: step_explicit, Scheme.IMPLICIT: step_implicit,
+    Scheme.CRANK_NICOLSON: step_crank_nicolson,
+    Scheme.CN_NONLINEAR: step_cn_nonlinear, Scheme.CROSS_CN: step_ccn,
+    Scheme.LEAPFROG: step_leapfrog, Scheme.DUFORT_FRANKEL: step_dufort_frankel,
+    Scheme.SAULYEV: step_saulyev_pair, Scheme.HYPERBOLIC: step_hyperbolic,
+}
+
+
+def sine(n_cells=8, time_index=0):
+    nodes = np.linspace(0.0, 1.0, n_cells + 1)
+    return Field(values=np.sin(np.pi * nodes), time_index=time_index)
+
+
+def test_every_scheme_has_one_spec():
+    assert set(SPECS) == set(Scheme)
+    assert set(STEPPERS) == set(Scheme)
+
+
+@pytest.mark.parametrize("module", ["analysis.py", "cli.py"])
+def test_analysis_and_cli_name_no_scheme_member(module):
+    text = (SRC / module).read_text()
+    assert re.findall(r"\bScheme\.[A-Z][A-Z_]*", text) == []
+
+
+def test_analysis_rejects_what_is_not_a_scheme():
+    p = SchemeParams(DiffusivityModel.constant(1.0), dt=0.001, dx=0.125)
+    with pytest.raises(ValueError, match="unknown scheme 'explicit'"):
+        amplification("explicit", 0.5, 1.0)
+    with pytest.raises(ValueError, match="unknown scheme 'explicit'"):
+        truncation_residual("explicit", lambda x, t: x, p, 0.5, 0.5)
+
+
+def test_stability_rejection_lists_the_r_only_symbols():
+    with pytest.raises(cli.ConfigError, match="no r-only") as info:
+        cli.cmd_stability(["hyperbolic"], [1.0], 721, io.StringIO())
+    listed = str(info.value).split("supported: ")[1].split(", ")
+    assert sorted(listed) == sorted(["explicit", "implicit", "cn", "leapfrog",
+                                     "dufort_frankel"])
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_gate_applies_constant_k_to_runs_and_public_steppers(scheme):
+    p = SchemeParams(DiffusivityModel.affine(1.0, 0.2), dt=0.001, dx=0.125,
+                     tau=0.05)
+    prev, curr = sine(), sine(time_index=1)
+    calls = (lambda: run_simulation(prev, p, HOMOGENEOUS, scheme, 1),
+             lambda: STEPPERS[scheme](StepState(prev, curr, p, HOMOGENEOUS)))
+    for call in calls:
+        if SPECS[scheme].constant_k:
+            with pytest.raises(ValueError,
+                               match=f"^{scheme.value} scheme requires constant"):
+                call()
+        else:
+            call()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_gate_applies_tau_to_relaxed_schemes_only(scheme):
+    p = SchemeParams(DiffusivityModel.constant(1.0), dt=0.001, dx=0.125,
+                     tau=0.0)
+    prev, curr = sine(), sine(time_index=1)
+    calls = (lambda: run_simulation(prev, p, HOMOGENEOUS, scheme, 1),
+             lambda: STEPPERS[scheme](StepState(prev, curr, p, HOMOGENEOUS)))
+    for call in calls:
+        if SPECS[scheme].relaxed:
+            with pytest.raises(ValueError, match="needs tau > 0"):
+                call()
+        else:
+            call()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_layers_is_what_one_advance_makes(scheme):
+    p = SchemeParams(DiffusivityModel.constant(1.0), dt=0.001, dx=0.125)
+    layers = SPECS[scheme].layers
+    record = run_simulation(sine(), p, HOMOGENEOUS, scheme, 2 * layers)
+    pair = [False] * (layers - 1) + [True]
+    assert record.consistency_grade == [True] + pair + pair
