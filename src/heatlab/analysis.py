@@ -102,7 +102,7 @@ def amplification(scheme: Scheme, r: Optional[float],
                              "(tau, dt, dx, nu)")
         if params.tau <= 0.0:
             raise ValueError(f"{scheme.value} amplification needs tau > 0")
-    elif r is None or not r > 0.0:
+    elif r is None or not 0.0 < r < math.inf:
         raise ValueError(f"diffusion number r must be positive, got {r}")
     if spec.symbol is None:
         raise ValueError(f"no closed-form amplification for {scheme.value}")

@@ -12,22 +12,22 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
 import numpy as np
 
 from .analysis import (DEFAULT_SUPPORT_THRESHOLD, DEFAULT_THETA_SAMPLES,
-                       ErrorBoundInputs, UndefinedGrowthError,
-                       dispersion_branches, hyperbolization_error_bound,
-                       information_speed, max_amplification)
+                       ErrorBoundInputs, dispersion_branches,
+                       hyperbolization_error_bound, information_speed,
+                       max_amplification)
 from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
     sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
     hyperbolic_mode_solution
-from .schemes import SPECS, DiffusivityModel, FixedPointError, Scheme, \
-    SchemeParams, SolverError, run_simulation
+from .schemes import SPECS, DiffusivityModel, Scheme, SchemeParams, \
+    SolverError, run_simulation
 from .tridiag import SingularSystemError
 
 EXIT_OK = 0
@@ -39,10 +39,6 @@ STABILITY_TOL = 1e-12
 # a relaxed scheme's symbol reads tau, dt and dx as well as r
 _SYMBOL_SCHEMES = tuple(scheme for scheme, spec in SPECS.items()
                         if spec.symbol is not None and not spec.relaxed)
-
-_CONFIG_KEYS = {"scheme", "nu", "length_l", "num_cells_N", "dt", "r", "tau",
-                "cs", "bc_left", "bc_right", "initial", "num_steps",
-                "snapshot_every", "seed"}
 
 
 class ConfigError(ValueError):
@@ -57,13 +53,22 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def finite_float(raw) -> float:
+    """``float(raw)`` if that is finite and raw is no bool, else ValueError."""
+    value = float(raw)
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _parse_float(mapping, key, default=None) -> Optional[float]:
     if key not in mapping:
         return default
     try:
-        return float(mapping[key])
+        return finite_float(mapping[key])
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {mapping[key]!r}") from None
+        raise ConfigError(f"{key} must be a finite number, "
+                          f"got {mapping[key]!r}") from None
 
 
 def _parse_int(mapping, key, default=None) -> Optional[int]:
@@ -121,7 +126,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(mapping: dict) -> "ExperimentConfig":
-        unknown = set(mapping) - _CONFIG_KEYS
+        unknown = set(mapping) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("scheme", "nu", "length_l", "num_cells_N", "initial",
@@ -154,9 +159,9 @@ class ExperimentConfig:
             tau: Union[float, str] = tau_raw.strip()
         else:
             try:
-                tau = float(tau_raw)
+                tau = finite_float(tau_raw)
             except (TypeError, ValueError):
-                raise ConfigError(f"tau must be a number, 'nu_dx' or "
+                raise ConfigError(f"tau must be a finite number, 'nu_dx' or "
                                   f"'dx_over_cs', got {tau_raw!r}") from None
             if tau < 0.0:
                 raise ConfigError("tau must be >= 0")
@@ -370,7 +375,7 @@ def cmd_stability(schemes: list, r_values: list, theta_samples: int,
         raise ConfigError("need at least one scheme and one r value")
     parsed = []
     for name in schemes:
-        scheme = Scheme.parse(name) if isinstance(name, str) else name
+        scheme = Scheme.parse(name)
         if scheme not in _SYMBOL_SCHEMES:
             raise ConfigError(
                 f"{scheme.value} has no r-only amplification symbol; "
@@ -518,16 +523,16 @@ def _build_parser() -> _Parser:
                         default=DEFAULT_THETA_SAMPLES)
 
     p_disp = sub.add_parser("dispersion", help="frequency branches table")
-    p_disp.add_argument("--nu", type=float, required=True)
-    p_disp.add_argument("--tau", type=float, required=True)
-    p_disp.add_argument("--kappa-max", type=float, required=True)
+    p_disp.add_argument("--nu", type=finite_float, required=True)
+    p_disp.add_argument("--tau", type=finite_float, required=True)
+    p_disp.add_argument("--kappa-max", type=finite_float, required=True)
     p_disp.add_argument("--samples", type=int, required=True)
 
     p_bound = sub.add_parser("bound", help="relaxation error bound")
-    p_bound.add_argument("--tau", type=float, required=True)
-    p_bound.add_argument("--big-m", type=float, default=0.0,
+    p_bound.add_argument("--tau", type=finite_float, required=True)
+    p_bound.add_argument("--big-m", type=finite_float, default=0.0,
                          help="sup |u_tt| bound M (ignored with --config)")
-    p_bound.add_argument("--horizon", type=float, required=True)
+    p_bound.add_argument("--horizon", type=finite_float, required=True)
     add_config_args(p_bound)
 
     p_info = sub.add_parser("infospeed", help="support growth of a point source")
@@ -569,8 +574,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, SingularSystemError, FixedPointError,
-            UndefinedGrowthError) as exc:
+    except (SolverError, SingularSystemError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

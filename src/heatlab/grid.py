@@ -197,15 +197,14 @@ def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,
 
 
 def close_boundary(bc: BoundaryCondition, side: Side,
-                   interior: Union[Field, Sequence[float], np.ndarray],
+                   interior: Union[Sequence[float], np.ndarray],
                    t_next: float, nu: float, dx: float) -> float:
     """Boundary value of the layer being completed.
 
     ``interior`` must already hold new-layer values at the two nodes next to
     the boundary (Dirichlet ignores them); it is not modified.
     """
-    values = interior.values if isinstance(interior, Field) else interior
-    out = np.array(values, dtype=float)
+    out = np.array(interior, dtype=float)
     if bc.kind is not BCKind.DIRICHLET and out.shape[0] < 3:
         raise ValueError("flux/Robin closure needs at least 3 nodes (N >= 2)")
     end = closure(bc, side, nu, dx)

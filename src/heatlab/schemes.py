@@ -106,7 +106,7 @@ class DiffusivityModel:
 
     @staticmethod
     def constant(nu: float) -> "DiffusivityModel":
-        if not nu > 0.0:
+        if not 0.0 < nu < np.inf:
             raise ValueError(f"constant diffusivity must be positive, got {nu}")
         return DiffusivityModel(kind=DiffusivityKind.CONSTANT, nu_value=float(nu))
 
@@ -163,16 +163,16 @@ class SchemeParams:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if not self.dt > 0.0:
+        if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.dx > 0.0:
+        if not 0.0 < self.dx < np.inf:
             raise ValueError(f"dx must be positive, got {self.dx}")
         if self.tau is None:
             if self.diffusivity.kind is DiffusivityKind.CONSTANT:
                 object.__setattr__(self, "tau", self.diffusivity.nu_value * self.dx)
             else:
                 object.__setattr__(self, "tau", 0.0)
-        if self.tau < 0.0:
+        if not 0.0 <= self.tau < np.inf:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
     @property
@@ -343,23 +343,19 @@ def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_of) -> Advance:
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
-                 k: np.ndarray, model: DiffusivityModel,
-                 damping: float) -> np.ndarray:
+                 k: np.ndarray, model: DiffusivityModel) -> np.ndarray:
     """Repeat ``v <- iterate(k(v))`` until the max-norm change is 1e-12.
 
     ``iterate`` maps the interior diffusivities of the latest iterate to the
     next one; ``k`` is ``model`` on the interior of the starting ``v``, so
     each iterate calls k once, on its interior, and the converged one not at
-    all.  ``damping`` blends each new iterate with the previous one (0 means
-    undamped).  FixedPointError reports the last change after 50 iterations,
-    or once one passes DIVERGENCE_THRESHOLD, before k can overflow on v.
+    all.  FixedPointError reports the last change after 50 iterations, or
+    once one passes DIVERGENCE_THRESHOLD, before k can overflow on v.
     """
     for i in range(FIXED_POINT_MAX_ITERS):
         if i:
             k = model.evaluate_array(v[1:-1])
         candidate = iterate(k)
-        if damping:
-            candidate = (1.0 - damping) * candidate + damping * v
         delta = float(np.max(np.abs(candidate - v)))
         v = candidate
         if delta <= FIXED_POINT_TOL:
@@ -417,8 +413,7 @@ def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
-def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int,
-                       damping: float = 0.0) -> Advance:
+def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
     ends_of = _ends_of(params, bcs, n_nodes)
 
@@ -433,12 +428,11 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int,
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
             return _solve_folded(bands, rho_new, rhs.copy(), ends, terms)
 
-        return (_fixed_point(iterate, u, k_old, model, damping),)
+        return (_fixed_point(iterate, u, k_old, model),)
     return advance
 
 
-def _plan_ccn(params: SchemeParams, bcs, n_nodes: int,
-              damping: float = 0.0) -> Advance:
+def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
     ends_of = _ends_of(params, bcs, n_nodes)
     linear = model.kind is not DiffusivityKind.GENERAL
@@ -464,7 +458,7 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int,
             rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
             return _solve_folded(bands, rho_new, rhs, ends, terms)
 
-        return (_fixed_point(iterate, u, k_old, model, damping),)
+        return (_fixed_point(iterate, u, k_old, model),)
     return advance
 
 
@@ -585,7 +579,8 @@ SPECS = {
         symbol=lambda r, s, theta: ((1.0 - 2.0 * r * s) / (1.0 + 2.0 * r * s),),
         residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
             - p.nu * (d2(t) + d2(t + p.dt)) / (2.0 * p.dx ** 2)),
-    # the nonlinear trapezoidal variants share the Crank-Nicolson symbol
+    # the nonlinear trapezoidal variants have no symbol of their own; under
+    # constant k both reduce to Crank-Nicolson
     Scheme.CN_NONLINEAR: SchemeSpec(
         plan=_plan_cn_nonlinear, constant_k=False,
         residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
@@ -629,8 +624,7 @@ SPECS = {
 }
 
 
-def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int,
-          **options) -> Advance:
+def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
     """``scheme``'s plan, built after the checks its spec asks for."""
     spec = SPECS[scheme]
     if spec.constant_k and params.diffusivity.kind is not DiffusivityKind.CONSTANT:
@@ -638,16 +632,16 @@ def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int,
     if spec.relaxed and params.tau <= 0.0:
         raise ValueError(f"{scheme.value} scheme needs tau > 0 "
                          "(with tau = 0 use the explicit scheme)")
-    return spec.plan(params, bcs, n_nodes, **options)
+    return spec.plan(params, bcs, n_nodes)
 
 
 # ------------------------------------------------------- public steppers
 
-def _advance_once(scheme: Scheme, state: StepState, needs_prev: bool = False,
-                  **options) -> tuple:
+def _advance_once(scheme: Scheme, state: StepState,
+                  needs_prev: bool = False) -> tuple:
     """The layers one advance of ``scheme``'s plan makes from ``state``."""
     curr = state.curr
-    advance = _plan(scheme, state.params, state.bcs, len(curr.values), **options)
+    advance = _plan(scheme, state.params, state.bcs, len(curr.values))
     if needs_prev and state.prev is None:
         raise ValueError(f"{scheme.value} needs the previous layer")
     prev = None if state.prev is None else state.prev.values
@@ -692,18 +686,17 @@ def step_dufort_frankel(state: StepState) -> Field:
     return _advance_once(Scheme.DUFORT_FRANKEL, state, needs_prev=True)[0]
 
 
-def step_cn_nonlinear(state: StepState, damping: float = 0.0) -> Field:
+def step_cn_nonlinear(state: StepState) -> Field:
     """Trapezoidal update for u_t = k(u) u_xx with k frozen per iterate.
 
     Solves the implicit relation by fixed-point iteration: evaluate k at the
     latest iterate, solve the resulting linear tridiagonal layer, repeat until
-    the max-norm change drops to 1e-12 or 50 iterations pass.  ``damping``
-    blends each new iterate with the previous one (0 means undamped).
+    the max-norm change drops to 1e-12 or 50 iterations pass.
     """
-    return _advance_once(Scheme.CN_NONLINEAR, state, damping=damping)[0]
+    return _advance_once(Scheme.CN_NONLINEAR, state)[0]
 
 
-def step_ccn(state: StepState, damping: float = 0.0) -> Field:
+def step_ccn(state: StepState) -> Field:
     """Cross-weighted trapezoidal update for u_t = k(u) u_xx.
 
     The new-layer diffusivity multiplies the old-layer difference and vice
@@ -711,7 +704,7 @@ def step_ccn(state: StepState, damping: float = 0.0) -> Field:
     tridiagonal solve advances the step.  General k falls back to the same
     fixed-point iteration as the plain nonlinear trapezoidal stepper.
     """
-    return _advance_once(Scheme.CROSS_CN, state, damping=damping)[0]
+    return _advance_once(Scheme.CROSS_CN, state)[0]
 
 
 def step_saulyev_pair(state: StepState) -> tuple[Field, Field]:

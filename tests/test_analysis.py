@@ -86,6 +86,8 @@ def test_amplification_rejects_bad_input():
         amplification(Scheme.CN_NONLINEAR, 1.0, 0.5)
     with pytest.raises(ValueError):
         amplification(Scheme.EXPLICIT, -1.0, 0.5)
+    with pytest.raises(ValueError, match="r must be positive, got inf"):
+        amplification(Scheme.EXPLICIT, math.inf, 0.5)
     with pytest.raises(ValueError):
         amplification(Scheme.EXPLICIT, 1.0, 4.0)
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +471,41 @@ def test_main_plan_time_misuse_exits_with_config_code(capsys):
         assert out == ""
 
 
+HYPERBOLIC_RUN = dict(scheme="hyperbolic", nu=1, length_l=1, num_cells_N=16,
+                      dt=0.001, initial="sine:1", num_steps=3, tau=0.01)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "tau": "nan"}),
+     "tau must be a finite number, 'nu_dx' or 'dx_over_cs', got 'nan'"),
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "tau": "inf"}),
+     "tau must be a finite number, 'nu_dx' or 'dx_over_cs', got 'inf'"),
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "dt": "inf"}),
+     "dt must be a finite number, got 'inf'"),
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "nu": "inf"}),
+     "nu must be a finite number, got 'inf'"),
+    (["bound", "--tau", "0.01", "--horizon", "inf"],
+     "argument --horizon: invalid finite_float value: 'inf'"),
+    (["dispersion", "--nu", "nan", "--tau", "0.01", "--kappa-max", "1",
+      "--samples", "3"], "argument --nu: invalid finite_float value: 'nan'"),
+    (["stability", "--schemes", "explicit", "--r-values", "inf"],
+     "r must be positive, got inf"),
+], ids=["run-tau-nan", "run-tau-inf", "run-dt-inf", "run-nu-inf",
+        "bound-horizon-inf", "dispersion-nu-nan", "stability-r-inf"])
+def test_main_rejects_non_finite_numbers(argv, message, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and message in err
+
+
+def test_main_rejects_a_json_bool_for_a_number(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**HYPERBOLIC_RUN, "nu": True}))
+    code, out, err = run_main(["run", "--config", str(path)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: nu must be a finite number, got True\n"
+
+
 def test_main_bad_flag_exits_with_config_code(capsys):
     code, out, err = run_main(["run", "--no-such-flag"], capsys)
     assert code == EXIT_CONFIG
@@ -559,3 +596,12 @@ def test_main_reproduces_readme_golden_output(entry, tmp_path, capsys):
             else:
                 assert float(g) == pytest.approx(float(w), rel=entry["rtol"],
                                                  abs=0.0)
+
+
+def test_readme_config_example_lists_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("or a JSON object with the same keys:\n\n```\n")[1]
+    example = example.split("```")[0]
+    # dt and cs appear commented out: r is set instead and tau needs no cs
+    keys = re.findall(r"^#?(\w+)=", example, flags=re.M)
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))

@@ -51,6 +51,15 @@ def test_params_reject_bad_steps():
         constant_params(nu=1.0, dt=0.1, dx=0.0)
     with pytest.raises(ValueError):
         DiffusivityModel.constant(0.0)
+    # a non-finite value fails the same check, with the same message
+    for key, value, message in (
+            ("dt", math.inf, "dt must be positive, got inf"),
+            ("dx", math.inf, "dx must be positive, got inf"),
+            ("tau", math.nan, "tau must be >= 0, got nan"),
+            ("tau", math.inf, "tau must be >= 0, got inf"),
+            ("nu", math.inf, "constant diffusivity must be positive, got inf")):
+        with pytest.raises(ValueError, match=message):
+            constant_params(**{"nu": 1.0, "dt": 0.1, "dx": 0.25, key: value})
 
 
 def test_step_state_checks_layer_indices():
@@ -441,17 +450,9 @@ def test_ccn_general_path_agrees_with_affine_path():
     assert np.max(np.abs(affine.values - general.values)) <= 1e-10
 
 
-# step_ccn iterates only for general k, so it gets the general form of 1 + 0.2 u
-FIXED_POINT_STEPPERS = [
-    pytest.param(step_cn_nonlinear, DiffusivityModel.affine(1.0, 0.2),
-                 id="cn_nonlinear"),
-    pytest.param(step_ccn, DiffusivityModel.general(lambda u: 1.0 + 0.2 * u),
-                 id="ccn"),
-]
-
-
-@pytest.mark.parametrize("stepper,smooth_k", FIXED_POINT_STEPPERS)
-def test_cn_nonlinear_reports_iteration_failure(stepper, smooth_k):
+@pytest.mark.parametrize("stepper", [step_cn_nonlinear, step_ccn],
+                         ids=["cn_nonlinear", "ccn"])
+def test_cn_nonlinear_reports_iteration_failure(stepper):
     grid = build_uniform_grid(1.0, 8)
     model = DiffusivityModel.general(lambda u: 1.5 + np.sin(100.0 * u))
     p = SchemeParams(model, dt=0.5, dx=grid.dx)
@@ -459,16 +460,6 @@ def test_cn_nonlinear_reports_iteration_failure(stepper, smooth_k):
     with pytest.raises(FixedPointError) as err:
         stepper(StepState(None, f, p, HOMOGENEOUS))
     assert err.value.residual > 0.0
-
-
-@pytest.mark.parametrize("stepper,smooth_k", FIXED_POINT_STEPPERS)
-def test_cn_nonlinear_damping_still_converges(stepper, smooth_k):
-    grid = build_uniform_grid(math.pi, 8)
-    p = SchemeParams(smooth_k, dt=0.01, dx=grid.dx)
-    f = sample_initial(math.sin, grid)
-    undamped = stepper(StepState(None, f, p, HOMOGENEOUS))
-    damped = stepper(StepState(None, f, p, HOMOGENEOUS), damping=0.3)
-    assert np.max(np.abs(undamped.values - damped.values)) <= 1e-10
 
 
 @pytest.mark.parametrize("stepper", [step_cn_nonlinear, step_ccn],

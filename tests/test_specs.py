@@ -5,6 +5,7 @@ members, so a new scheme touches ``schemes.py`` alone.  No linter runs on
 this repository, so the source check below stands in for one.
 """
 
+import inspect
 import io
 import re
 from pathlib import Path
@@ -18,7 +19,7 @@ from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
                      step_dufort_frankel, step_explicit, step_hyperbolic,
                      step_implicit, step_leapfrog, step_saulyev_pair,
                      truncation_residual)
-from heatlab import cli
+from heatlab import cli, schemes
 from heatlab.schemes import SPECS
 
 SRC = Path(cli.__file__).parent
@@ -102,3 +103,17 @@ def test_layers_is_what_one_advance_makes(scheme):
     record = run_simulation(sine(), p, HOMOGENEOUS, scheme, 2 * layers)
     pair = [False] * (layers - 1) + [True]
     assert record.consistency_grade == [True] + pair + pair
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_every_plan_takes_params_bcs_and_node_count(scheme):
+    signature = inspect.signature(SPECS[scheme].plan)
+    assert list(signature.parameters) == ["params", "bcs", "n_nodes"]
+
+
+def test_public_steppers_take_only_their_step_state():
+    steppers = [name for name in dir(schemes) if name.startswith("step_")]
+    assert len(steppers) == len(STEPPERS)
+    for name in steppers:
+        parameters = inspect.signature(getattr(schemes, name)).parameters
+        assert list(parameters) == ["state"], name
