@@ -12,7 +12,7 @@ exact solution instead of doing symbolic Taylor work.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
@@ -64,7 +64,7 @@ class ErrorBoundInputs:
     horizon_T: float
 
     def __post_init__(self):
-        if self.tau < 0.0 or self.sup_utt_M < 0.0 or self.horizon_T < 0.0:
+        if not all(0.0 <= x < math.inf for x in astuple(self)):
             raise ValueError("error-bound inputs must be nonnegative")
 
 
@@ -209,8 +209,10 @@ def dispersion_branches(nu: float, tau: float, kappa: float) -> DispersionSample
     omega_+- = (-i +- sqrt(4 nu kappa^2 tau - 1)) / (2 tau)
     (principal complex square root).
     """
-    if tau <= 0.0 or nu <= 0.0:
+    if not (0.0 < tau < math.inf and 0.0 < nu < math.inf):
         raise ValueError("need tau > 0 and nu > 0")
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     root = np.sqrt(complex(4.0 * nu * kappa ** 2 * tau - 1.0))
     omega_plus = (-1j + root) / (2.0 * tau)
     omega_minus = (-1j - root) / (2.0 * tau)

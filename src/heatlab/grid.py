@@ -91,6 +91,8 @@ def _as_time_function(phi: Union[float, TimeFunction]) -> TimeFunction:
     if callable(phi):
         return phi
     value = float(phi)
+    if not np.isfinite(value):
+        raise ValueError(f"boundary value must be finite, got {value}")
     return lambda t: value
 
 
@@ -100,6 +102,7 @@ class BoundaryCondition:
 
     Dirichlet enforces u = forcing(t); flux enforces nu * u_x = forcing(t);
     Robin combines the two: coeff_a * u + coeff_b * nu * u_x = forcing(t).
+    Non-finite coefficients or constant forcing raise ValueError.
     """
 
     kind: BCKind
@@ -108,6 +111,9 @@ class BoundaryCondition:
     forcing: TimeFunction = field(default=lambda t: 0.0)
 
     def __post_init__(self):
+        if not (np.isfinite(self.coeff_a) and np.isfinite(self.coeff_b)):
+            raise ValueError("boundary coefficients must be finite, got "
+                             f"({self.coeff_a}, {self.coeff_b})")
         if self.kind is BCKind.ROBIN and self.coeff_a == 0.0 and self.coeff_b == 0.0:
             raise ValueError("Robin condition needs (coeff_a, coeff_b) != (0, 0)")
 

@@ -14,7 +14,7 @@ import pytest
 
 import heatlab as hl
 from heatlab import Scheme
-from heatlab.cli import ExperimentConfig, cmd_infospeed
+from heatlab.cli import ExperimentConfig, cmd_bound, cmd_infospeed
 
 import io
 
@@ -256,27 +256,24 @@ def test_c07_dispersion_gap_halves_with_tau(kappa):
 
 def test_c08_hyperbolization_error_bound():
     start = time.perf_counter()
-    length, nu, mode, horizon = math.pi, 1.0, 1, 1.0
-    oracle = hl.SineSeriesSolution.single_mode(length, nu, mode)
-    k = mode * math.pi / length
-    big_m = (nu * k * k) ** 2  # sup |u_tt| of the diffusive mode at t = 0
+    # cmd_bound replaces M by the mode's analytic sup |u_tt| = (nu k^2)^2
+    config = ExperimentConfig.from_mapping({
+        "scheme": "hyperbolic", "nu": "1", "length_l": repr(math.pi),
+        "num_cells_N": "16", "dt": "0.001", "initial": "sine:1",
+        "num_steps": "1"})
     results = {}
-    xs = np.linspace(0.0, length, 200)
-    ts = np.linspace(0.0, horizon, 200)
     for tau in (1e-2, 1e-3):
-        measured = 0.0
-        for t in ts:
-            par = hl.evaluate_series(oracle, xs, t)
-            hyp = hl.hyperbolic_mode_solution(nu, tau, length, mode, t, xs)
-            measured = max(measured, float(np.max(np.abs(hyp - par))))
-        bound = hl.hyperbolization_error_bound(
-            hl.ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))
-        results[tau] = (measured, bound)
+        out = io.StringIO()
+        assert cmd_bound(tau, 0.0, 1.0, config, out) == 0
+        header, values = out.getvalue().split()
+        row = dict(zip(header.split(","), values.split(",")))
+        results[tau] = (float(row["measured_max_delta_u"]), float(row["bound"]),
+                        row["within_bound"] == "true")
     elapsed = time.perf_counter() - start
 
-    ok = all(measured <= bound for measured, bound in results.values())
+    ok = all(within for _, _, within in results.values())
     detail = ", ".join(f"tau={tau}: {m:.5f} <= {b:.5f}"
-                       for tau, (m, b) in results.items())
+                       for tau, (m, b, _) in results.items())
     assert report(8, "relaxation gap within the analytic bound",
                   ok and elapsed < 1.0, detail + f", {elapsed:.2f}s")
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,19 @@ def test_dispersion_rejects_bad_parameters():
         dispersion_branches(0.0, 0.1, 1.0)
 
 
+@pytest.mark.parametrize("nu,tau,kappa,message", [
+    (math.nan, 0.01, 1.0, "need tau > 0 and nu > 0"),
+    (math.inf, 0.01, 1.0, "need tau > 0 and nu > 0"),
+    (1.0, math.inf, 1.0, "need tau > 0 and nu > 0"),
+    (1.0, math.nan, 1.0, "need tau > 0 and nu > 0"),
+    (1.0, 0.01, math.inf, "kappa must be finite, got inf"),
+    (1.0, 0.01, math.nan, "kappa must be finite, got nan"),
+], ids=["nu-nan", "nu-inf", "tau-inf", "tau-nan", "kappa-inf", "kappa-nan"])
+def test_dispersion_rejects_non_finite_numbers(nu, tau, kappa, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dispersion_branches(nu, tau, kappa)
+
+
 # ------------------------------------------------------------- error bound
 
 def test_error_bound_vanishes_without_relaxation_or_curvature():
@@ -380,6 +394,16 @@ def test_error_bound_reference_value():
 def test_error_bound_rejects_negative_inputs():
     with pytest.raises(ValueError):
         ErrorBoundInputs(tau=-0.1, sup_utt_M=1.0, horizon_T=1.0)
+
+
+@pytest.mark.parametrize("inputs", [
+    dict(tau=0.01, sup_utt_M=0.0, horizon_T=math.inf),
+    dict(tau=math.nan, sup_utt_M=1.0, horizon_T=1.0),
+    dict(tau=0.01, sup_utt_M=math.inf, horizon_T=1.0),
+], ids=["horizon-inf", "tau-nan", "m-inf"])
+def test_error_bound_rejects_non_finite_inputs(inputs):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        ErrorBoundInputs(**inputs)
 
 
 # ------------------------------------------------------- truncation residual

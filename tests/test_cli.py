@@ -386,6 +386,29 @@ def test_infospeed_explicit_exact_cell_speed():
     assert lines[-1] == "c_s_physical,100"
 
 
+# each run's front falls below the support threshold, or implicit's reaches
+# the Dirichlet ends, before its last snapshot
+@pytest.mark.parametrize("scheme,cells,r,steps,every,speed", [
+    ("explicit", 50, 0.5, 30, 1, 1.0),
+    ("explicit", 50, 0.5, 30, 10, 1.0),
+    ("dufort_frankel", 50, 1.0, 40, 1, 1.0),
+    ("explicit", 400, 0.5, 90, 1, 1.0),
+    ("implicit", 50, 1.0, 10, 1, 24.0),
+], ids=["explicit", "explicit-every-10", "dufort_frankel", "explicit-N400",
+        "implicit"])
+def test_infospeed_reads_the_fastest_front(scheme, cells, r, steps, every,
+                                           speed):
+    cfg = ExperimentConfig.from_mapping(base_mapping(
+        scheme=scheme, num_cells_N=str(cells), r=repr(r), initial="dirac",
+        num_steps=str(steps), snapshot_every=str(every)))
+    _, params, _, _ = cfg.build()
+    code, text = run_cmd(cmd_infospeed, cfg)
+    lines = text.strip().split("\n")
+    assert code == EXIT_OK
+    assert lines[-2] == f"c_s_cells_per_step,{speed:.17g}"
+    assert float(lines[-1].split(",")[1]) == speed * params.dx / params.dt
+
+
 def test_infospeed_zero_steps():
     cfg = ExperimentConfig.from_mapping(base_mapping(
         num_cells_N="10", r="0.5", initial="dirac", num_steps="0"))
@@ -490,8 +513,15 @@ HYPERBOLIC_RUN = dict(scheme="hyperbolic", nu=1, length_l=1, num_cells_N=16,
       "--samples", "3"], "argument --nu: invalid finite_float value: 'nan'"),
     (["stability", "--schemes", "explicit", "--r-values", "inf"],
      "r must be positive, got inf"),
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "bc_left": "robin:nan,1,0"}),
+     "bad boundary spec 'robin:nan,1,0'"),
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "bc_right": "dirichlet:inf"}),
+     "bad boundary spec 'dirichlet:inf'"),
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "bc_left": "flux:nan"}),
+     "bad boundary spec 'flux:nan'"),
 ], ids=["run-tau-nan", "run-tau-inf", "run-dt-inf", "run-nu-inf",
-        "bound-horizon-inf", "dispersion-nu-nan", "stability-r-inf"])
+        "bound-horizon-inf", "dispersion-nu-nan", "stability-r-inf",
+        "run-robin-nan", "run-dirichlet-inf", "run-flux-nan"])
 def test_main_rejects_non_finite_numbers(argv, message, capsys):
     code, out, err = run_main(argv, capsys)
     assert (code, out) == (EXIT_CONFIG, "")
@@ -504,6 +534,65 @@ def test_main_rejects_a_json_bool_for_a_number(tmp_path, capsys):
     code, out, err = run_main(["run", "--config", str(path)], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == "config error: nu must be a finite number, got True\n"
+
+
+def run_argv(**changes):
+    """``run`` argv for a small explicit run; a None value drops that key."""
+    config = dict(scheme="explicit", nu=1, length_l=1, num_cells_N=4, r=0.25,
+                  initial="sine:1", num_steps=2)
+    config.update(changes)
+    return ["run"] + overrides(**{k: v for k, v in config.items()
+                                  if v is not None})
+
+
+# "{tmp}" in argv and message stands for the test's directory; the message
+# is a prefix where it ends in a parser's or the OS's own text
+@pytest.mark.parametrize("files,argv,message", [
+    ({}, run_argv(num_cells_N="x"), "num_cells_N must be an integer, got 'x'"),
+    ({}, run_argv(nu=0), "nu must be positive, got '0'"),
+    ({}, run_argv(length_l=-1), "length_l must be positive"),
+    ({}, run_argv(num_cells_N=1), "num_cells_N must be an integer >= 2"),
+    ({}, run_argv(r=None, dt=-0.1), "dt must be positive"),
+    ({}, run_argv(r=0), "r must be positive"),
+    ({}, run_argv(num_steps=-1), "num_steps must be an integer >= 0"),
+    ({}, run_argv(snapshot_every=0), "snapshot_every must be >= 1"),
+    ({"run.json": "{"}, ["run", "--config", "{tmp}/run.json"],
+     "bad JSON config: "),
+    ({"run.json": "[1]"}, ["run", "--config", "{tmp}/run.json"],
+     "JSON config must be an object"),
+    ({"run.cfg": "scheme explicit\n"}, ["run", "--config", "{tmp}/run.cfg"],
+     "{tmp}/run.cfg:1: expected key=value, got 'scheme explicit'"),
+    ({}, run_argv() + ["--set", "num_steps"],
+     "--set needs key=value, got 'num_steps'"),
+    ({}, run_argv(initial="dirac:9"), "dirac node 9 outside 0..4"),
+    ({}, run_argv(initial="sine:x"), "sine profile needs an integer mode, "
+                                     "got 'x'"),
+    ({}, run_argv(initial="custom:{tmp}/none.txt"),
+     "cannot read custom profile '{tmp}/none.txt': "),
+    ({"u.txt": "0 a\n"}, run_argv(initial="custom:{tmp}/u.txt"),
+     "bad custom profile '{tmp}/u.txt': "),
+    ({"u.txt": "0 0 0\n" * 5}, run_argv(initial="custom:{tmp}/u.txt"),
+     "custom profile '{tmp}/u.txt' must have two columns x u"),
+    ({"u.txt": "0 0\n1 0\n"}, run_argv(initial="custom:{tmp}/u.txt"),
+     "custom profile has 2 samples, grid has 5 nodes"),
+    ({}, ["converge", "--refinements", "2", "--dt-rule", "dx"]
+     + run_argv(num_steps=0)[1:],
+     "converge needs num_steps >= 1 to set the horizon"),
+    ({}, ["dispersion", "--nu", "0", "--tau", "0.01", "--kappa-max", "1",
+          "--samples", "3"], "need nu > 0, tau > 0 and kappa_max > 0"),
+], ids=["int", "nu", "length", "cells", "dt", "r", "steps", "snapshot_every",
+        "json-syntax", "json-array", "key-value-line", "set-without-value",
+        "dirac-node", "sine-mode", "custom-missing", "custom-bad-number",
+        "custom-columns", "custom-samples", "converge-steps",
+        "dispersion-nu"])
+def test_main_names_each_config_error(files, argv, message, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: "
+                          + message.replace("{tmp}", str(tmp_path)))
 
 
 def test_main_bad_flag_exits_with_config_code(capsys):
@@ -545,6 +634,18 @@ def test_main_stability_and_dispersion(capsys):
                              "--kappa-max", "4", "--samples", "5"], capsys)
     assert code == EXIT_OK
     assert out.startswith("kappa,re_wplus,")
+
+
+def test_main_converge_reports_the_level_that_diverged(capsys):
+    # r = dt / dx^2 is 0.26 at N = 16 but 0.52 > 1/2 at N = 32 under dt ~ dx
+    code, out, err = run_main(
+        ["converge", "--refinements", "3", "--dt-rule", "dx"]
+        + overrides(scheme="explicit", nu=1, length_l=math.pi, num_cells_N=16,
+                    dt=0.01, initial="sine:1", num_steps=2000), capsys)
+    assert code == EXIT_DIVERGED
+    header, rows = parse_csv(out)
+    assert header[0] == "N" and [row[0] for row in rows] == ["16"]
+    assert err == "converge: run diverged at N=32\n"
 
 
 def test_main_converge_and_infospeed(capsys):
@@ -598,10 +699,15 @@ def test_main_reproduces_readme_golden_output(entry, tmp_path, capsys):
                                                  abs=0.0)
 
 
-def test_readme_config_example_lists_every_config_key():
+def test_readme_config_example_lists_every_config_key(tmp_path, capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example = readme.split("or a JSON object with the same keys:\n\n```\n")[1]
     example = example.split("```")[0]
     # dt and cs appear commented out: r is set instead and tau needs no cs
     keys = re.findall(r"^#?(\w+)=", example, flags=re.M)
     assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+    path = tmp_path / "experiment.cfg"
+    path.write_text(example)
+    code, _, err = run_main(["run", "--config", str(path),
+                             "--set", "num_steps=2"], capsys)
+    assert (code, err) == (EXIT_OK, "")

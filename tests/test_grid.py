@@ -95,6 +95,24 @@ def test_robin_rejects_zero_coefficients():
         BoundaryCondition.robin(0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BoundaryCondition.robin(math.nan, 1.0),
+    lambda: BoundaryCondition.robin(1.0, -math.inf),
+    lambda: BoundaryCondition.robin(1.0, 1.0, math.nan),
+    lambda: BoundaryCondition.dirichlet(math.inf),
+    lambda: BoundaryCondition.flux(math.nan),
+], ids=["robin-a-nan", "robin-b-inf", "robin-value-nan", "dirichlet-inf",
+        "flux-nan"])
+def test_boundary_condition_rejects_non_finite_numbers(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
+def test_boundary_condition_leaves_a_callable_forcing_unchecked():
+    bc = BoundaryCondition.dirichlet(lambda t: math.inf)
+    assert bc.forcing(0.0) == math.inf
+
+
 def test_robin_degenerate_combination_rejected():
     # left closure denominator a - 3 b nu / (2 dx) vanishes for a = 6, b = 1,
     # nu = 1, dx = 0.25

@@ -462,6 +462,20 @@ def test_cn_nonlinear_reports_iteration_failure(stepper):
     assert err.value.residual > 0.0
 
 
+def test_diverging_fixed_point_stops_before_k_overflows():
+    # the ccn iterate's change passes DIVERGENCE_THRESHOLD at the tenth
+    # iterate, so the run names the iteration, not an overflow inside k
+    grid = build_uniform_grid(1.0, 3)
+    model = DiffusivityModel.general(lambda u: 1.0 + (u + 1.0) ** 2)
+    p = SchemeParams(model, dt=0.5 * grid.dx ** 2, dx=grid.dx)
+    ends = (BoundaryCondition.dirichlet(1.0), BoundaryCondition.dirichlet(1.0))
+    with pytest.raises(SolverError, match="^step 1: ") as err:
+        run_simulation(field([1.0, 0.0, 1.0, 1.0]), p, ends, Scheme.CROSS_CN, 1)
+    assert repr(err.value.__cause__) == (
+        "FixedPointError('no convergence after 10 iterations "
+        "(last change 1.067e+13)')")
+
+
 @pytest.mark.parametrize("stepper", [step_cn_nonlinear, step_ccn],
                          ids=["cn_nonlinear", "ccn"])
 def test_general_k_called_once_per_iterate_on_node_array(stepper, monkeypatch):
