@@ -8,7 +8,7 @@ scheme actually does.
 """
 
 from .analysis import (AmplificationResult, DispersionSample,
-                       ErrorBoundInputs, UndefinedGrowthError, amplification,
+                       UndefinedGrowthError, amplification,
                        dispersion_branches, empirical_growth,
                        hyperbolization_error_bound, information_speed,
                        max_amplification, observed_order, truncation_residual)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplificationResult", "BCKind", "BoundaryCondition", "DIVERGENCE_THRESHOLD",
     "DiffusivityError", "DiffusivityKind", "DiffusivityModel",
-    "DispersionSample", "ErrorBoundInputs", "Field", "FixedPointError",
+    "DispersionSample", "Field", "FixedPointError",
     "Grid1D", "RunRecord", "Scheme", "SchemeParams", "Side",
     "SineSeriesSolution", "SingularSystemError", "SolverError", "StepState",
     "TridiagonalSystem", "UndefinedGrowthError", "amplification",

@@ -12,7 +12,7 @@ exact solution instead of doing symbolic Taylor work.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,7 +21,7 @@ import numpy as np
 from .schemes import SPECS, RunRecord, Scheme, SchemeParams, SchemeSpec
 
 DEFAULT_THETA_SAMPLES = 721
-DEFAULT_SUPPORT_THRESHOLD = 1e-14
+SUPPORT_THRESHOLD = 1e-14
 
 
 class UndefinedGrowthError(ArithmeticError):
@@ -36,7 +36,6 @@ class AmplificationResult:
     largest |g|; each has theta's shape, so a scalar theta gives scalars.
     """
 
-    theta: Union[float, np.ndarray]
     roots: tuple
     max_modulus: Union[float, np.ndarray]
 
@@ -45,27 +44,9 @@ class AmplificationResult:
 class DispersionSample:
     """Frequency branches at one wavenumber kappa."""
 
-    kappa: float
     omega_parabolic: complex
     omega_plus: complex
     omega_minus: complex
-
-
-@dataclass(frozen=True)
-class ErrorBoundInputs:
-    """Inputs of the relaxation error estimate.
-
-    sup_utt_M bounds |u_tt| of the diffusion solution over the relevant
-    space-time cone; horizon_T is the final time.
-    """
-
-    tau: float
-    sup_utt_M: float
-    horizon_T: float
-
-    def __post_init__(self):
-        if not all(0.0 <= x < math.inf for x in astuple(self)):
-            raise ValueError("error-bound inputs must be nonnegative")
 
 
 def _spec(scheme: Scheme) -> SchemeSpec:
@@ -112,7 +93,7 @@ def amplification(scheme: Scheme, r: Optional[float],
     roots = tuple(np.asarray(g, dtype=complex).reshape(shape) for g in roots)
     # hypot, like abs() of a Python complex, keeps the moduli libm-exact
     max_modulus = reduce(np.maximum, (np.hypot(g.real, g.imag) for g in roots))
-    return AmplificationResult(theta=theta, roots=tuple(g[()] for g in roots),
+    return AmplificationResult(roots=tuple(g[()] for g in roots),
                                max_modulus=max_modulus[()])
 
 
@@ -171,22 +152,19 @@ def observed_order(errors: Sequence[tuple[float, float]]) -> float:
 
 
 def information_speed(record: RunRecord,
-                      support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
                       source: Optional[int] = None) -> list[int]:
     """Support radius of each snapshot around a source node.
 
-    The radius of a snapshot is max |j - source| over nodes with |u_j| above
-    the threshold (0 when nothing exceeds it).  Without ``source`` the initial
-    snapshot must be a one-node indicator and that node is the source.
+    The radius of a snapshot is max |j - source| over nodes with |u_j| >
+    ``SUPPORT_THRESHOLD`` (0 when there are none).  Without ``source`` the
+    initial snapshot must be a one-node indicator and that node is the source.
     Explicit three-point stencils grow the radius by exactly one cell per
     step; fully implicit solves light up the whole domain in a single step.
     """
-    if support_threshold <= 0.0:
-        raise ValueError("support threshold must be positive")
     if not record.snapshots:
         raise ValueError("record has no snapshots")
     if source is None:
-        first = np.abs(record.snapshots[0].values) > support_threshold
+        first = np.abs(record.snapshots[0].values) > SUPPORT_THRESHOLD
         sources = np.flatnonzero(first)
         if len(sources) != 1:
             raise ValueError("initial field is not a one-node indicator "
@@ -194,7 +172,7 @@ def information_speed(record: RunRecord,
         source = int(sources[0])
     radii = []
     for snap in record.snapshots:
-        above = np.flatnonzero(np.abs(snap.values) > support_threshold)
+        above = np.flatnonzero(np.abs(snap.values) > SUPPORT_THRESHOLD)
         radius = 0 if len(above) == 0 else int(np.max(np.abs(above - source)))
         radii.append(radius)
     return radii
@@ -217,20 +195,24 @@ def dispersion_branches(nu: float, tau: float, kappa: float) -> DispersionSample
     omega_plus = (-1j + root) / (2.0 * tau)
     omega_minus = (-1j - root) / (2.0 * tau)
     omega_parabolic = -1j * nu * kappa ** 2
-    return DispersionSample(kappa=kappa, omega_parabolic=omega_parabolic,
+    return DispersionSample(omega_parabolic=omega_parabolic,
                             omega_plus=complex(omega_plus),
                             omega_minus=complex(omega_minus))
 
 
-def hyperbolization_error_bound(inputs: ErrorBoundInputs) -> float:
+def hyperbolization_error_bound(tau: float, sup_utt_M: float,
+                                horizon_T: float) -> float:
     """Uniform bound on the gap between relaxed and diffusive solutions.
 
     |u_relaxed - u_diffusion| <= tau M (1 + 2/sqrt(pi))
-                                 (8 sqrt(2) tau + (2 pi^2)^{1/4} / 2 * T).
+                                 (8 sqrt(2) tau + (2 pi^2)^{1/4} / 2 * T),
+    where M = sup_utt_M bounds |u_tt| of the diffusion solution over the
+    space-time cone and T = horizon_T is the final time; all are finite >= 0.
     """
-    tau, big_m, horizon = inputs.tau, inputs.sup_utt_M, inputs.horizon_T
-    return tau * big_m * (1.0 + 2.0 / math.sqrt(math.pi)) * (
-        8.0 * math.sqrt(2.0) * tau + (2.0 * math.pi ** 2) ** 0.25 / 2.0 * horizon)
+    if not all(0.0 <= x < math.inf for x in (tau, sup_utt_M, horizon_T)):
+        raise ValueError("error-bound inputs must be nonnegative")
+    return tau * sup_utt_M * (1.0 + 2.0 / math.sqrt(math.pi)) * (
+        8.0 * math.sqrt(2.0) * tau + (2.0 * math.pi ** 2) ** 0.25 / 2.0 * horizon_T)
 
 
 def truncation_residual(scheme: Scheme,

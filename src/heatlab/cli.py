@@ -18,9 +18,9 @@ from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .analysis import (DEFAULT_THETA_SAMPLES, ErrorBoundInputs,
-                       dispersion_branches, hyperbolization_error_bound,
-                       information_speed, max_amplification)
+from .analysis import (DEFAULT_THETA_SAMPLES, dispersion_branches,
+                       hyperbolization_error_bound, information_speed,
+                       max_amplification)
 from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
     sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
@@ -60,9 +60,9 @@ def finite_float(raw) -> float:
     return value
 
 
-def _parse_float(mapping, key, default=None) -> Optional[float]:
+def _parse_float(mapping, key) -> Optional[float]:
     if key not in mapping:
-        return default
+        return None
     try:
         return finite_float(mapping[key])
     except (TypeError, ValueError):
@@ -287,6 +287,8 @@ def _load_custom_profile(path: str, grid: Grid1D) -> Field:
         raise ConfigError(f"bad custom profile {path!r}: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigError(f"custom profile {path!r} must have two columns x u")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"custom profile {path!r} has a non-finite sample")
     if data.shape[0] != grid.num_cells_N + 1:
         raise ConfigError(f"custom profile has {data.shape[0]} samples, "
                           f"grid has {grid.num_cells_N + 1} nodes")
@@ -439,8 +441,7 @@ def cmd_bound(tau: float, big_m: float, horizon: float,
             par = evaluate_series(sol, xs, ts)
             hyp = hyperbolic_mode_solution(nu, tau, length, mode, ts, xs)
             measured = float(np.max(np.abs(hyp - par)))
-    bound = hyperbolization_error_bound(
-        ErrorBoundInputs(tau=tau, sup_utt_M=big_m, horizon_T=horizon))
+    bound = hyperbolization_error_bound(tau, big_m, horizon)
     measured_text = "" if measured is None else _fmt(measured)
     within_text = "" if measured is None else _fmt_bool(measured <= bound)
     out.write("tau,M,T,bound,measured_max_delta_u,within_bound\n")

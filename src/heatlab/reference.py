@@ -28,9 +28,9 @@ def fundamental_solution(x: float, t: float, nu: float) -> float:
     nu : float
         Diffusion coefficient, must be positive.
     """
-    if t <= 0.0:
+    if not 0.0 < t < math.inf:
         raise ValueError(f"fundamental solution needs t > 0, got {t}")
-    if nu <= 0.0:
+    if not 0.0 < nu < math.inf:
         raise ValueError(f"diffusivity must be positive, got {nu}")
     return math.exp(-x * x / (4.0 * nu * t)) / math.sqrt(4.0 * math.pi * nu * t)
 
@@ -48,19 +48,17 @@ class SineSeriesSolution:
     modes: Sequence[tuple[int, float]]
 
     def __post_init__(self):
-        if self.length_l <= 0.0:
+        if not 0.0 < self.length_l < math.inf:
             raise ValueError("domain length must be positive")
-        if self.nu <= 0.0:
+        if not 0.0 < self.nu < math.inf:
             raise ValueError("diffusivity must be positive")
         for m, _ in self.modes:
             if m < 1:
                 raise ValueError(f"mode index must be >= 1, got {m}")
 
     @staticmethod
-    def single_mode(length_l: float, nu: float, m: int,
-                    amplitude: float = 1.0) -> "SineSeriesSolution":
-        return SineSeriesSolution(length_l=length_l, nu=nu,
-                                  modes=((m, amplitude),))
+    def single_mode(length_l: float, nu: float, m: int) -> "SineSeriesSolution":
+        return SineSeriesSolution(length_l=length_l, nu=nu, modes=((m, 1.0),))
 
 
 def evaluate_series(sol: SineSeriesSolution, x: ArrayLike,
@@ -89,9 +87,9 @@ def hyperbolic_mode_solution(nu: float, tau: float, length_l: float,
     damped oscillatory regime and a double root degenerates to (1 - s t) e^{s t}.
     ``t`` and ``x`` broadcast against each other, as in ``evaluate_series``.
     """
-    if tau <= 0.0:
+    if not 0.0 < tau < math.inf:
         raise ValueError(f"relaxation time must be positive, got {tau}")
-    if nu <= 0.0 or length_l <= 0.0 or m < 1:
+    if not (0.0 < nu < math.inf and 0.0 < length_l < math.inf and m >= 1):
         raise ValueError("need nu > 0, length_l > 0 and m >= 1")
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     # scalars run as one-element arrays: numpy's complex multiply rounds

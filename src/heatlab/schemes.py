@@ -112,11 +112,16 @@ class DiffusivityModel:
 
     @staticmethod
     def affine(a: float, b: float) -> "DiffusivityModel":
+        if not np.isfinite([a, b]).all():
+            raise ValueError("affine diffusivity needs finite a and b, "
+                             f"got {a} and {b}")
         return DiffusivityModel(kind=DiffusivityKind.AFFINE,
                                 affine_a=float(a), affine_b=float(b))
 
     @staticmethod
     def general(k: Callable[[np.ndarray], object]) -> "DiffusivityModel":
+        if not callable(k):
+            raise ValueError(f"general diffusivity k must be callable, got {k!r}")
         return DiffusivityModel(kind=DiffusivityKind.GENERAL, general_k=k)
 
     def evaluate(self, u: float) -> float:
@@ -735,18 +740,13 @@ def step_hyperbolic(state: StepState) -> Field:
 
 
 def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
-                         bcs: Optional[tuple] = None) -> Field:
+                         bcs: tuple) -> Field:
     """Synthetic first layer for the three-layer relaxed scheme.
 
     Starts from zero initial velocity, so a second-order Taylor start gives
-    u_j^1 = u_j^0 + (dt^2 / (2 tau)) nu (u_{j+1} - 2 u_j + u_{j-1}) / dx^2.
-    Endpoints come from the closures when BCs are provided, otherwise they
-    are carried over unchanged.
+    u_j^1 = u_j^0 + (dt^2 / (2 tau)) nu (u_{j+1} - 2 u_j + u_{j-1}) / dx^2,
+    with the endpoints closed by ``bcs``.
     """
-    u = initial.values
-    if bcs is None:
-        bcs = (BoundaryCondition.dirichlet(float(u[0])),
-               BoundaryCondition.dirichlet(float(u[-1])))
     return _advance_once(Scheme.HYPERBOLIC,
                          StepState(prev=None, curr=initial, params=params,
                                    bcs=bcs))[0]

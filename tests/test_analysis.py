@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from heatlab import (BoundaryCondition, DiffusivityModel, ErrorBoundInputs,
-                     Field, Scheme, SchemeParams, SineSeriesSolution,
-                     UndefinedGrowthError, amplification, build_uniform_grid,
-                     dispersion_branches, empirical_growth, evaluate_series,
+from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
+                     SchemeParams, SineSeriesSolution, UndefinedGrowthError,
+                     amplification, build_uniform_grid, dispersion_branches,
+                     empirical_growth, evaluate_series,
                      hyperbolic_mode_solution, hyperbolization_error_bound,
                      information_speed, max_amplification, observed_order,
                      run_simulation, truncation_residual)
@@ -296,9 +296,6 @@ def test_information_speed_rejects_non_dirac_initial():
                             HOMOGENEOUS, Scheme.EXPLICIT, 2)
     with pytest.raises(ValueError, match="one-node indicator"):
         information_speed(record)
-    with pytest.raises(ValueError):
-        information_speed(make_dirac_record(Scheme.EXPLICIT, 16, 0.5, 0),
-                          support_threshold=0.0)
 
 
 def test_information_speed_explicit_source_on_sine_field():
@@ -377,23 +374,20 @@ def test_dispersion_rejects_non_finite_numbers(nu, tau, kappa, message):
 # ------------------------------------------------------------- error bound
 
 def test_error_bound_vanishes_without_relaxation_or_curvature():
-    assert hyperbolization_error_bound(
-        ErrorBoundInputs(tau=0.0, sup_utt_M=5.0, horizon_T=2.0)) == 0.0
-    assert hyperbolization_error_bound(
-        ErrorBoundInputs(tau=0.1, sup_utt_M=0.0, horizon_T=2.0)) == 0.0
+    assert hyperbolization_error_bound(0.0, 5.0, 2.0) == 0.0
+    assert hyperbolization_error_bound(0.1, 0.0, 2.0) == 0.0
 
 
 def test_error_bound_reference_value():
     # tau M (1 + 2/sqrt(pi)) (8 sqrt(2) tau + (2 pi^2)^{1/4}/2 T)
     # at tau = 0.01, M = 1, T = 1
-    value = hyperbolization_error_bound(
-        ErrorBoundInputs(tau=0.01, sup_utt_M=1.0, horizon_T=1.0))
+    value = hyperbolization_error_bound(tau=0.01, sup_utt_M=1.0, horizon_T=1.0)
     assert value == pytest.approx(0.024839130949764327, rel=1e-12)
 
 
 def test_error_bound_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        ErrorBoundInputs(tau=-0.1, sup_utt_M=1.0, horizon_T=1.0)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        hyperbolization_error_bound(-0.1, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("inputs", [
@@ -403,7 +397,7 @@ def test_error_bound_rejects_negative_inputs():
 ], ids=["horizon-inf", "tau-nan", "m-inf"])
 def test_error_bound_rejects_non_finite_inputs(inputs):
     with pytest.raises(ValueError, match="must be nonnegative"):
-        ErrorBoundInputs(**inputs)
+        hyperbolization_error_bound(**inputs)
 
 
 # ------------------------------------------------------- truncation residual

@@ -575,6 +575,12 @@ def run_argv(**changes):
      "custom profile '{tmp}/u.txt' must have two columns x u"),
     ({"u.txt": "0 0\n1 0\n"}, run_argv(initial="custom:{tmp}/u.txt"),
      "custom profile has 2 samples, grid has 5 nodes"),
+    ({"u.txt": "0 0\n0.25 nan\n0.5 1\n0.75 0\n1 0\n"},
+     run_argv(initial="custom:{tmp}/u.txt"),
+     "custom profile '{tmp}/u.txt' has a non-finite sample"),
+    ({"u.txt": "0 0\nnan 0.5\n0.5 1\n0.75 0.5\n1 0\n"},
+     run_argv(initial="custom:{tmp}/u.txt"),
+     "custom profile '{tmp}/u.txt' has a non-finite sample"),
     ({}, ["converge", "--refinements", "2", "--dt-rule", "dx"]
      + run_argv(num_steps=0)[1:],
      "converge needs num_steps >= 1 to set the horizon"),
@@ -583,7 +589,8 @@ def run_argv(**changes):
 ], ids=["int", "nu", "length", "cells", "dt", "r", "steps", "snapshot_every",
         "json-syntax", "json-array", "key-value-line", "set-without-value",
         "dirac-node", "sine-mode", "custom-missing", "custom-bad-number",
-        "custom-columns", "custom-samples", "converge-steps",
+        "custom-columns", "custom-samples", "custom-nan-u", "custom-nan-x",
+        "converge-steps",
         "dispersion-nu"])
 def test_main_names_each_config_error(files, argv, message, tmp_path, capsys):
     for name, text in files.items():

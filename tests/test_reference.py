@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,29 @@ def test_series_validation():
         SineSeriesSolution(length_l=0.0, nu=1.0, modes=((1, 1.0),))
     with pytest.raises(ValueError):
         SineSeriesSolution(length_l=1.0, nu=1.0, modes=((0, 1.0),))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SineSeriesSolution(math.nan, 1.0, ((1, 1.0),)),
+     "domain length must be positive"),
+    (lambda: SineSeriesSolution(1.0, math.inf, ((1, 1.0),)),
+     "diffusivity must be positive"),
+    (lambda: hyperbolic_mode_solution(math.nan, 0.01, 1.0, 1, 0.5, 0.3),
+     "need nu > 0, length_l > 0 and m >= 1"),
+    (lambda: hyperbolic_mode_solution(1.0, math.inf, 1.0, 1, 0.5, 0.3),
+     "relaxation time must be positive, got inf"),
+    (lambda: hyperbolic_mode_solution(1.0, 0.01, math.inf, 1, 0.5, 0.3),
+     "need nu > 0, length_l > 0 and m >= 1"),
+    (lambda: fundamental_solution(0.1, math.nan, 1.0),
+     "fundamental solution needs t > 0, got nan"),
+    (lambda: fundamental_solution(0.1, 1.0, math.inf),
+     "diffusivity must be positive, got inf"),
+], ids=["series-length-nan", "series-nu-inf", "mode-nu-nan", "mode-tau-inf",
+        "mode-length-inf", "kernel-t-nan", "kernel-nu-inf"])
+def test_oracles_reject_non_finite_parameters(call, message):
+    # before, these built, returned nan or returned 0.0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_hyperbolic_mode_initial_data():

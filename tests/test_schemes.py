@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,20 @@ def test_step_state_checks_layer_indices():
     with pytest.raises(ValueError):
         StepState(prev=field([0, 0], 0), curr=field([0, 0, 0], 1),
                   params=p, bcs=HOMOGENEOUS)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: DiffusivityModel.affine(math.nan, 0.2),
+     "affine diffusivity needs finite a and b, got nan and 0.2"),
+    (lambda: DiffusivityModel.affine(1.0, math.inf),
+     "affine diffusivity needs finite a and b, got 1.0 and inf"),
+    (lambda: DiffusivityModel.general(5.0),
+     "general diffusivity k must be callable, got 5.0"),
+], ids=["affine-a-nan", "affine-b-inf", "general-not-callable"])
+def test_diffusivity_model_rejects_misuse_at_construction(build, message):
+    # before, each built and a run failed at step 1 as a SolverError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_diffusivity_positivity_guard():
@@ -359,7 +374,8 @@ def test_bootstrap_hyperbolic_examples():
     np.testing.assert_allclose(out.values, [0.0, 0.0, 0.0], atol=1e-15)
     assert out.time_index == 1
 
-    const = bootstrap_hyperbolic(field([2, 2, 2, 2]), p)
+    const = bootstrap_hyperbolic(field([2, 2, 2, 2]), p,
+                                 (BoundaryCondition.dirichlet(2.0),) * 2)
     np.testing.assert_array_equal(const.values, [2.0, 2.0, 2.0, 2.0])
 
     zero = bootstrap_hyperbolic(field([0, 0, 0]), p, HOMOGENEOUS)

@@ -2,9 +2,10 @@
 
 Analysis and the CLI read a scheme's spec instead of naming ``Scheme``
 members, so a new scheme touches ``schemes.py`` alone.  No linter runs on
-this repository, so the source check below stands in for one.
+this repository, so the source checks below stand in for one.
 """
 
+import ast
 import inspect
 import io
 import re
@@ -19,6 +20,7 @@ from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
                      step_dufort_frankel, step_explicit, step_hyperbolic,
                      step_implicit, step_leapfrog, step_saulyev_pair,
                      truncation_residual)
+import heatlab
 from heatlab import cli, schemes
 from heatlab.schemes import SPECS
 
@@ -117,3 +119,38 @@ def test_public_steppers_take_only_their_step_state():
     for name in steppers:
         parameters = inspect.signature(getattr(schemes, name)).parameters
         assert list(parameters) == ["state"], name
+
+
+def imported_names(tree):
+    """Names bound by the module-level imports of a parsed module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.asname or alias.name).split(".")[0]
+                      for alias in node.names]
+    return names
+
+
+# bench/spans.py wraps these two as attributes of heatlab.schemes
+BENCH_SEAMS = {("schemes.py", "boundary_closure_coefficients"),
+               ("schemes.py", "close_boundary")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(heatlab.__all__)
+        unused |= {(path.name, name) for name in imported_names(tree)
+                   if name not in used}
+    assert unused == BENCH_SEAMS
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    assert all(hasattr(heatlab, name) for name in heatlab.__all__)
+    assert len(set(heatlab.__all__)) == len(heatlab.__all__)
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert set(heatlab.__all__) - {"__version__"} == set(imported_names(tree))
