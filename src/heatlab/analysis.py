@@ -157,7 +157,8 @@ def information_speed(record: RunRecord,
 
     The radius of a snapshot is max |j - source| over nodes with |u_j| >
     ``SUPPORT_THRESHOLD`` (0 when there are none).  Without ``source`` the
-    initial snapshot must be a one-node indicator and that node is the source.
+    initial snapshot must be a one-node indicator and that node is the source;
+    a given ``source`` must be a node of the grid, 0 <= source < N + 1.
     Explicit three-point stencils grow the radius by exactly one cell per
     step; fully implicit solves light up the whole domain in a single step.
     """
@@ -170,6 +171,9 @@ def information_speed(record: RunRecord,
             raise ValueError("initial field is not a one-node indicator "
                              f"({len(sources)} nodes above threshold)")
         source = int(sources[0])
+    elif not 0 <= source < len(record.snapshots[0].values):
+        raise ValueError(f"source {source} is not a node of the grid "
+                         f"(0..{len(record.snapshots[0].values) - 1})")
     radii = []
     for snap in record.snapshots:
         above = np.flatnonzero(np.abs(snap.values) > SUPPORT_THRESHOLD)

@@ -5,16 +5,17 @@ A spec's plan, ``plan(params, bcs, n_nodes)``, runs once per run after one
 gate has checked the spec's constant-k and tau > 0 needs, and computes
 everything that does not change from step to step: the scheme coefficients,
 the boundary closures, the Saulyev sweep band and, for implicit and
-Crank-Nicolson, the folded tridiagonal bands.  All plans take their closures
-from one ``_ends_of`` factory (``grid.closure`` per end), which also holds
-the one node-count rule: a flux or Robin end needs N >= 3.  A plan returns
-``advance(prev, curr, time_index)``, which maps bare arrays (``prev`` is
-None on the first call) to the tuple of new layers: one, or two for the
-Saulyev sweep pair, of which only the last is consistency-grade.  Per step
-an advance evaluates the stencil, each closure's forcing once and, where k
-varies, the diffusivity (and with it the flux/Robin closures); interiors are
-written first, endpoints are closed afterwards through the closures, and the
-layer time is always ``time_index * dt``.  Called without a previous layer,
+Crank-Nicolson, the folded tridiagonal matrix, LU-factored once.  All plans
+take their closures from one ``_ends_of`` factory (``grid.closure`` per
+end), which also holds the one node-count rule: a flux or Robin end needs
+N >= 3.  A plan returns ``advance(prev, curr, time_index)``, which maps bare
+arrays (``prev`` is None on the first call) to the tuple of new layers: one,
+or two for the Saulyev sweep pair, of which only the last is
+consistency-grade.  Per step an advance evaluates the stencil, each
+closure's forcing once and, where k varies, the diffusivity (and with it the
+flux/Robin closures); interiors are written first, endpoints are closed
+afterwards through the closures, and the layer time is always
+``time_index * dt``.  Called without a previous layer,
 the multi-layer schemes start themselves.
 ``run_simulation`` drives every scheme through its plan and flags
 divergence; the public ``step_*`` functions build a plan and advance once.
@@ -145,9 +146,9 @@ class DiffusivityModel:
                 values = np.asarray(values, dtype=float)
             if values.shape != u.shape:  # broadcast_to costs a few us
                 values = np.broadcast_to(values, u.shape)
-        ok = np.isfinite(values) & (values > 0.0)
-        if not ok.all():
-            bad = int(np.argmin(ok))
+        # NaN fails both comparisons; the mask is built only to name the index
+        if values.size and not (values.min() > 0.0 and values.max() < np.inf):
+            bad = int(np.argmin(np.isfinite(values) & (values > 0.0)))
             raise DiffusivityError(f"diffusivity k(u[{bad}] = {u[bad]}) = "
                                    f"{values[bad]} is not finite and positive")
         return values
@@ -317,17 +318,56 @@ def _fold(rho: np.ndarray, diag: np.ndarray, ends: tuple) -> tuple:
     return lower, diag, upper
 
 
-def _solve_folded(bands: tuple, rho: np.ndarray, rhs: np.ndarray,
+def _small(bands: tuple):
+    """``solve(rhs)`` for orders m < 3, which the LAPACK wrappers reject
+    (``dgttrf`` below 3, ``dgtsv`` at 1)."""
+    lower, diag, upper = bands
+    return lambda rhs: thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
+                                                      upper=upper, rhs=rhs))
+
+
+def _factored(bands: tuple):
+    """``solve(rhs)`` against ``bands`` LU-factored once by ``dgttrf``, for a
+    matrix that serves many right-hand sides; each call is one ``dgttrs``
+    and overwrites ``rhs``.  A zero pivot raises here, not at the solve.
+    ``dgttrf`` and ``dgtsv`` pivot alike, so the solutions agree bit for bit.
+    """
+    if len(bands[1]) < 3:
+        return _small(bands)
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    *lu, info = dgttrf(*bands)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in row {info - 1}")
+    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
+
+
+def _direct(bands: tuple):
+    """``solve(rhs)`` for a matrix used once: ``dgtsv`` overwrites the
+    bands and ``rhs``, which must be fresh arrays, and skips the factor
+    arrays a later solve would need."""
+    if len(bands[1]) < 3:
+        return _small(bands)
+    from scipy.linalg.lapack import dgtsv
+
+    def solve(rhs):
+        *_, x, info = dgtsv(*bands, rhs, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1, overwrite_b=1)
+        if info > 0:
+            raise SingularSystemError(f"zero pivot in row {info - 1}")
+        return x
+    return solve
+
+
+def _solve_folded(solve, rho: np.ndarray, rhs: np.ndarray,
                   ends: tuple, terms: tuple) -> np.ndarray:
-    """Solve one folded layer and close it; ``terms`` are the closures'
-    forcing terms g at the layer's time, added to ``rhs`` in place."""
+    """Solve one folded layer with ``solve`` and close it; ``terms`` are the
+    closures' forcing terms g at the layer's time, added to ``rhs`` in
+    place."""
     (left, right), (gl, gr) = ends, terms
     rhs[0] += rho[0] * gl
     rhs[-1] += rho[-1] * gr
-    lower, diag, upper = bands
     out = np.empty(len(rhs) + 2)
-    out[1:-1] = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
-                                               upper=upper, rhs=rhs))
+    out[1:-1] = solve(rhs)
     left.put(out, gl)
     right.put(out, gr)
     return out
@@ -339,12 +379,12 @@ def _terms(ends: tuple, t: float) -> tuple:
 
 def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_of) -> Advance:
     """Advance of a constant-k implicit scheme: solve ``rhs_of(u)`` against
-    bands folded once; each step adds only the forcing terms."""
+    bands folded and factored once; each step adds only the forcing terms."""
     ends = _ends_of(params, bcs, len(rho) + 2)(None)
-    bands = _fold(rho, 1.0 + 2.0 * rho, ends)
+    solve = _factored(_fold(rho, 1.0 + 2.0 * rho, ends))
     dt = params.dt
     return lambda prev, u, time_index: (_solve_folded(
-        bands, rho, rhs_of(u), ends, _terms(ends, (time_index + 1) * dt)),)
+        solve, rho, rhs_of(u), ends, _terms(ends, (time_index + 1) * dt)),)
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -431,7 +471,8 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         def iterate(k):
             rho_new = 0.5 * (k * dt / dx ** 2)
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
-            return _solve_folded(bands, rho_new, rhs.copy(), ends, terms)
+            return _solve_folded(_direct(bands), rho_new, rhs.copy(),
+                                 ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
@@ -455,13 +496,14 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         terms = _terms(ends, (time_index + 1) * dt)
         if linear:
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, ends)
-            return (_solve_folded(bands, rho_new, u[1:-1] + rho_a * d2,
-                                  ends, terms),)
-        bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
+            return (_solve_folded(_direct(bands), rho_new,
+                                  u[1:-1] + rho_a * d2, ends, terms),)
+        # the bands hold across the iterates, so they are factored once
+        solve = _factored(_fold(rho_new, 1.0 + 2.0 * rho_new, ends))
 
         def iterate(k):
             rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
-            return _solve_folded(bands, rho_new, rhs, ends, terms)
+            return _solve_folded(solve, rho_new, rhs, ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
@@ -759,7 +801,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
 
     The scheme's plan is built once per run: it validates the scheme against
     the diffusivity and tau and sets up the coefficients, the boundary
-    closures and, where they never change, the bands of the implicit
+    closures and, where they never change, the LU factors of the implicit
     systems.  Its advance then maps bare arrays (previous layer or None,
     current layer, time index) to the tuple of new layers, of which only the
     last is consistency-grade, so the Saulyev pair's odd layers (and a final
@@ -769,14 +811,17 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     the explicit step, the hyperbolic scheme with the zero-velocity Taylor
     start.  With ``num_steps == 0`` no plan is built.  The run halts and
     flags divergence as soon as a layer has a non-finite value or max-norm
-    above 1e12.  Errors raised while the plan is built are misuse and
-    propagate unchanged: a ValueError for a scheme that needs constant k or
-    tau > 0, a flux/Robin end on fewer than 4 nodes or, with constant k, a
-    degenerate closure, and SingularSystemError for a degenerate Saulyev
-    start.  Failures while advancing (an ArithmeticError such as a zero pivot
-    or a FloatingPointError from an overflow in k, a FixedPointError, or a
-    ValueError such as a k that is not finite and positive or does not
-    broadcast) are re-raised as SolverError with the failing step attached.
+    above 1e12.  Errors raised while the plan is built, before the first
+    step, propagate unchanged: a ValueError for misuse (a scheme that needs
+    constant k or tau > 0, a flux/Robin end on fewer than 4 nodes or, with
+    constant k, a degenerate closure), and SingularSystemError for a
+    degenerate Saulyev start or a zero pivot in the implicit or
+    Crank-Nicolson matrix, which the plan factors (at order 3 or more; a
+    smaller one is solved per step).  Failures while advancing (an
+    ArithmeticError such as a zero pivot or a FloatingPointError from an
+    overflow in k, a FixedPointError, or a ValueError such as a k that is
+    not finite and positive or does not broadcast) are re-raised as
+    SolverError with the failing step attached.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")

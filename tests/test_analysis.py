@@ -306,6 +306,15 @@ def test_information_speed_explicit_source_on_sine_field():
                             HOMOGENEOUS, Scheme.EXPLICIT, 2)
     assert information_speed(record, source=8) == [7, 7, 7]
     assert information_speed(record, source=2) == [13, 13, 13]
+    assert information_speed(record, source=16) == [15, 15, 15]
+
+
+@pytest.mark.parametrize("source", [100, 17, -1, -3])
+def test_information_speed_rejects_source_outside_grid(source):
+    record = make_dirac_record(Scheme.EXPLICIT, 16, 0.5, 2)
+    with pytest.raises(ValueError, match=rf"^source {source} is not a node "
+                                         r"of the grid \(0\.\.16\)$"):
+        information_speed(record, source=source)
 
 
 # ------------------------------------------------------------------ dispersion

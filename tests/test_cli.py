@@ -477,6 +477,20 @@ def test_main_solver_failure_exit_code(capsys):
     assert "solver failure: degenerate Saulyev sweep start" in err
 
 
+@pytest.mark.parametrize("scheme,r", [("implicit", 0.5), ("cn", 1)])
+def test_main_zero_pivot_is_a_solver_failure_before_the_first_step(
+        scheme, r, capsys):
+    # robin(2, 0.5) at dx = 0.25 and a diagonal weight of 1/2 zero the folded
+    # first row; the plan's factorisation finds it, so no step runs
+    code, out, err = run_main(
+        ["run"] + overrides(scheme=scheme, nu=1, length_l=1, num_cells_N=4,
+                            r=r, initial="sine:1", num_steps=3,
+                            bc_left="robin:2,0.5,0"), capsys)
+    assert code == EXIT_SOLVER
+    assert err == "solver failure: zero pivot in row 2\n"
+    assert out == ""
+
+
 def test_main_plan_time_misuse_exits_with_config_code(capsys):
     # robin(6, 1) at dx = 0.25 makes the left closure denominator vanish, a
     # flux end on three nodes breaks the N >= 3 rule and the hyperbolic

@@ -15,7 +15,7 @@ from heatlab import (BoundaryCondition, DiffusivityError, DiffusivityModel,
 from heatlab import schemes
 from heatlab.grid import (BCKind, Side, boundary_closure_coefficients,
                           close_boundary)
-from heatlab.tridiag import thomas_solve
+from heatlab.tridiag import TridiagonalSystem, thomas_solve
 
 HOMOGENEOUS = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
 
@@ -95,6 +95,18 @@ def test_diffusivity_positivity_guard():
         model.evaluate_array(np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -2.5],
+                         ids=["nan", "inf", "-inf", "zero", "-zero", "negative"])
+def test_diffusivity_guard_names_the_first_bad_value(bad):
+    # k(u) = u; a NaN must fail the guard although it fails no comparison
+    model = DiffusivityModel.general(lambda u: u)
+    u = np.array([1.0, 0.5, bad, 2.0, bad, 3.0])
+    with pytest.raises(DiffusivityError, match=re.escape(
+            f"diffusivity k(u[2] = {bad}) = {bad} is not finite and positive")):
+        model.evaluate_array(u)
+    np.testing.assert_array_equal(model.evaluate_array(np.abs(u[:2])), u[:2])
+
+
 # ------------------------------------------------------------------ explicit
 
 def test_explicit_hand_examples():
@@ -140,6 +152,98 @@ def test_crank_nicolson_hand_examples():
     const_bcs = (BoundaryCondition.dirichlet(2.5), BoundaryCondition.dirichlet(2.5))
     out = step_crank_nicolson(StepState(None, field([2.5] * 5), p, const_bcs))
     np.testing.assert_allclose(out.values, 2.5, rtol=1e-13)
+
+
+# ------------------------------------------------------ tridiagonal solves
+
+def _random_system(rng, m, kind):
+    """Bands and rhs of order m: diagonally dominant, plain random (most
+    pivot somewhere) or exactly singular through a zero row, which stays
+    zero through the elimination, so some pivot is exactly zero."""
+    lower, upper = rng.normal(size=m - 1), rng.normal(size=m - 1)
+    diag = rng.normal(size=m)
+    if kind == "dominant":
+        off = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
+        diag += np.sign(diag) * (off + 0.1)
+    elif kind == "singular":
+        row = int(rng.integers(m))
+        diag[row] = 0.0
+        lower[row - 1:row] = 0.0
+        upper[row:row + 1] = 0.0
+    return lower, diag, upper, rng.normal(size=m)
+
+
+def _solution_or_error(solve):
+    try:
+        return solve().tobytes()
+    except SingularSystemError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("factory", [schemes._factored, schemes._direct],
+                         ids=["factored", "direct"])
+def test_solve_paths_match_thomas_solve_bit_for_bit(factory):
+    rng = np.random.default_rng(15)
+    kinds = ("dominant", "pivoting", "singular")
+    singular = 0
+    for i in range(1200):
+        m = i // 3 % 12 + 1 if i < 144 else int(rng.integers(3, 601))
+        lower, diag, upper, rhs = _random_system(rng, m, kinds[i % 3])
+        expected = _solution_or_error(lambda: thomas_solve(TridiagonalSystem(
+            lower=lower, diag=diag, upper=upper, rhs=rhs)))
+        got = _solution_or_error(lambda: factory(
+            (lower.copy(), diag.copy(), upper.copy()))(rhs.copy()))
+        assert got == expected, (i, m, kinds[i % 3])
+        singular += isinstance(expected, str)
+    assert singular == 400  # every zero-row system, and no other, is singular
+
+
+@pytest.mark.parametrize("scheme,model,factorisations,factored", [
+    (Scheme.IMPLICIT, DiffusivityModel.constant(1.0), 1, True),
+    (Scheme.CRANK_NICOLSON, DiffusivityModel.constant(1.0), 1, True),
+    (Scheme.CROSS_CN, DiffusivityModel.general(lambda u: 1.0 + 0.1 * u), 5, True),
+    (Scheme.CROSS_CN, DiffusivityModel.affine(1.0, 0.1), 0, False),
+    (Scheme.CN_NONLINEAR, DiffusivityModel.general(lambda u: 1.0 + 0.1 * u), 0, False),
+], ids=["implicit", "cn", "ccn-general", "ccn-affine", "cn_nonlinear"])
+def test_lapack_solve_routines_per_run(scheme, model, factorisations, factored,
+                                       monkeypatch):
+    # a matrix that serves several solves is factored once (per run for
+    # constant k, per step for general-k ccn); one used once goes to dgtsv.
+    # Above order 2 no solve builds a TridiagonalSystem.
+    from scipy.linalg import lapack
+    counts = dict.fromkeys(("dgttrf", "dgttrs", "dgtsv"), 0)
+    for name in counts:
+        def counting(*args, name=name, original=getattr(lapack, name), **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counting)
+
+    def no_system(**bands):
+        raise AssertionError("TridiagonalSystem built")
+    monkeypatch.setattr(schemes, "TridiagonalSystem", no_system)
+    grid = build_uniform_grid(1.0, 16)
+    p = SchemeParams(model, dt=0.01, dx=grid.dx)
+    run_simulation(field(np.sin(np.pi * grid.nodes)), p, HOMOGENEOUS, scheme, 5)
+    assert counts["dgttrf"] == factorisations
+    solves, unused = ("dgttrs", "dgtsv") if factored else ("dgtsv", "dgttrs")
+    assert counts[solves] >= 5 and counts[unused] == 0
+    if scheme in (Scheme.IMPLICIT, Scheme.CRANK_NICOLSON):
+        assert counts["dgttrs"] == 5
+
+
+@pytest.mark.parametrize("scheme,r", [(Scheme.IMPLICIT, 0.5),
+                                      (Scheme.CRANK_NICOLSON, 1.0)],
+                         ids=["implicit", "cn"])
+def test_zero_pivot_found_when_the_plan_is_built(scheme, r):
+    # robin(2, 0.5) at dx = 0.25 and a diagonal weight of 1/2 zero the folded
+    # first row; the plan factors the matrix, so no step runs
+    grid = build_uniform_grid(1.0, 4)
+    p = constant_params(1.0, dt=r * grid.dx ** 2, dx=grid.dx)
+    bcs = (BoundaryCondition.robin(2.0, 0.5, 0.0), BoundaryCondition.dirichlet(0.0))
+    with pytest.raises(SingularSystemError, match=r"^zero pivot in row 2$"):
+        schemes._plan(scheme, p, bcs, len(grid.nodes))
+    with pytest.raises(SingularSystemError, match=r"^zero pivot in row 2$"):
+        run_simulation(field(np.sin(np.pi * grid.nodes)), p, bcs, scheme, 3)
 
 
 # ----------------------------------------------------------------- leap-frog
@@ -499,11 +603,12 @@ def test_general_k_called_once_per_iterate_on_node_array(stepper, monkeypatch):
     # (the start layer's k serves the first iterate, the converged one needs
     # none); a flux end adds one endpoint call per step, a Dirichlet end none
     solves = []
+    solve_folded = schemes._solve_folded
 
-    def counting_solve(system):
-        solves.append(len(system.diag))
-        return thomas_solve(system)
-    monkeypatch.setattr(schemes, "thomas_solve", counting_solve)
+    def counting_solve(solve, rho, rhs, ends, terms):
+        solves.append(len(rhs))
+        return solve_folded(solve, rho, rhs, ends, terms)
+    monkeypatch.setattr(schemes, "_solve_folded", counting_solve)
     calls = []
 
     def k(u):
