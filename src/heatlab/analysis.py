@@ -155,12 +155,16 @@ def information_speed(record: RunRecord,
                       source: Optional[int] = None) -> list[int]:
     """Support radius of each snapshot around a source node.
 
-    The radius of a snapshot is max |j - source| over nodes with |u_j| >
-    ``SUPPORT_THRESHOLD`` (0 when there are none).  Without ``source`` the
-    initial snapshot must be a one-node indicator and that node is the source;
-    a given ``source`` must be a node of the grid, 0 <= source < N + 1.
-    Explicit three-point stencils grow the radius by exactly one cell per
-    step; fully implicit solves light up the whole domain in a single step.
+    The radius of a snapshot is max |j - source| over the interior nodes,
+    0 < j < N, with |u_j| > ``SUPPORT_THRESHOLD`` (0 when there are none).
+    The two end nodes are left out: their closures write them from boundary
+    data or from the nodes next to them, so a flux or Robin end, or nonzero
+    Dirichlet data, lights an end before any front reaches it.  Without
+    ``source`` the initial snapshot must be a one-node indicator and that
+    node is the source; a given ``source`` must be a node of the grid,
+    0 <= source < N + 1.  Explicit three-point stencils grow the radius by
+    exactly one cell per step; fully implicit solves light up the whole
+    interior in a single step.
     """
     if not record.snapshots:
         raise ValueError("record has no snapshots")
@@ -176,9 +180,10 @@ def information_speed(record: RunRecord,
                          f"(0..{len(record.snapshots[0].values) - 1})")
     radii = []
     for snap in record.snapshots:
-        above = np.flatnonzero(np.abs(snap.values) > SUPPORT_THRESHOLD)
-        radius = 0 if len(above) == 0 else int(np.max(np.abs(above - source)))
-        radii.append(radius)
+        lit = (np.abs(snap.values[1:-1]) > SUPPORT_THRESHOLD).nonzero()[0]
+        # |j - source| is largest at the first or the last lit node j
+        radii.append(0 if len(lit) == 0 else
+                     max(source - 1 - int(lit[0]), int(lit[-1]) + 1 - source))
     return radii
 
 

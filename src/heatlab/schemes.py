@@ -9,14 +9,16 @@ Crank-Nicolson, the folded tridiagonal matrix, LU-factored once.  All plans
 take their closures from one ``_ends_of`` factory (``grid.closure`` per
 end), which also holds the one node-count rule: a flux or Robin end needs
 N >= 3.  A plan returns ``advance(prev, curr, time_index)``, which maps bare
-arrays (``prev`` is None on the first call) to the tuple of new layers: one,
-or two for the Saulyev sweep pair, of which only the last is
+float64 arrays (``prev`` is None on the first call) to the tuple of new
+layers: one, or two for the Saulyev sweep pair, of which only the last is
 consistency-grade.  Per step an advance evaluates the stencil, each
 closure's forcing once and, where k varies, the diffusivity (and with it the
 flux/Robin closures); interiors are written first, endpoints are closed
 afterwards through the closures, and the layer time is always
-``time_index * dt``.  Called without a previous layer,
-the multi-layer schemes start themselves.
+``time_index * dt``.  An advance allocates each new layer once, writes its
+interior (and, for the implicit schemes, the solve) into it in place and
+returns it; it never writes into ``prev`` or ``curr``.  Called without a
+previous layer, the multi-layer schemes start themselves.
 ``run_simulation`` drives every scheme through its plan and flags
 divergence; the public ``step_*`` functions build a plan and advance once.
 
@@ -238,12 +240,27 @@ Advance = Callable[[Optional[np.ndarray], np.ndarray, int], tuple]
 
 
 def _second_difference(u: np.ndarray) -> np.ndarray:
-    return u[:-2] - 2.0 * u[1:-1] + u[2:]
+    """``u[:-2] - 2 u[1:-1] + u[2:]`` in one fresh array."""
+    d2 = 2.0 * u[1:-1]
+    np.subtract(u[:-2], d2, out=d2)
+    d2 += u[2:]
+    return d2
 
 
-def _forward_interior(u: np.ndarray, r) -> np.ndarray:
-    """Forward-in-time, centred-in-space interior; r is a scalar or an array."""
-    return u[1:-1] + r * _second_difference(u)
+def _forward_into(out: np.ndarray, u: np.ndarray, r) -> None:
+    """Write the forward-in-time, centred-in-space interior of ``u`` into
+    ``out[1:-1]``; r is a scalar or an array."""
+    d2 = _second_difference(u)
+    d2 *= r
+    np.add(u[1:-1], d2, out=out[1:-1])
+
+
+def _float_layer(values) -> np.ndarray:
+    """``values`` as a float64 array, not copied when they already are one;
+    a complex layer raises ValueError."""
+    if np.iscomplexobj(values):
+        raise ValueError("layer values must be real, got a complex array")
+    return np.asarray(values, dtype=float)
 
 
 # ------------------------------------------------------------ closures
@@ -279,14 +296,15 @@ def _ends_of(params: SchemeParams, bcs, n_nodes: int):
 
 
 def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
-    """Advance of an explicit scheme: ``interior(prev, u)``, then both
+    """Advance of an explicit scheme: a fresh float64 layer ``out``, whose
+    interior ``interior(prev, u, out)`` writes into ``out[1:-1]``, then both
     closures at the new layer's time."""
     dt = params.dt
     ends_of = _ends_of(params, bcs, n_nodes)
 
     def advance(prev, u, time_index):
-        out = np.empty_like(u)
-        out[1:-1] = interior(prev, u)
+        out = np.empty(n_nodes)
+        interior(prev, u, out)
         left, right = ends_of(u)
         t = (time_index + 1) * dt
         left.put(out, left.term(t))
@@ -318,18 +336,27 @@ def _fold(rho: np.ndarray, diag: np.ndarray, ends: tuple) -> tuple:
     return lower, diag, upper
 
 
+# Each factory below returns ``solve(rhs)``, which solves in place: ``rhs``
+# must be a C-contiguous float64 array (a view is fine), and the returned
+# solution is ``rhs`` itself.
+
 def _small(bands: tuple):
     """``solve(rhs)`` for orders m < 3, which the LAPACK wrappers reject
-    (``dgttrf`` below 3, ``dgtsv`` at 1)."""
+    (``dgttrf`` below 3, ``dgtsv`` at 1): ``thomas_solve``'s result is
+    copied into ``rhs``."""
     lower, diag, upper = bands
-    return lambda rhs: thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
-                                                      upper=upper, rhs=rhs))
+
+    def solve(rhs):
+        rhs[:] = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
+                                                upper=upper, rhs=rhs))
+        return rhs
+    return solve
 
 
 def _factored(bands: tuple):
     """``solve(rhs)`` against ``bands`` LU-factored once by ``dgttrf``, for a
     matrix that serves many right-hand sides; each call is one ``dgttrs``
-    and overwrites ``rhs``.  A zero pivot raises here, not at the solve.
+    with ``overwrite_b``.  A zero pivot raises here, not at the solve.
     ``dgttrf`` and ``dgtsv`` pivot alike, so the solutions agree bit for bit.
     """
     if len(bands[1]) < 3:
@@ -343,7 +370,7 @@ def _factored(bands: tuple):
 
 def _direct(bands: tuple):
     """``solve(rhs)`` for a matrix used once: ``dgtsv`` overwrites the
-    bands and ``rhs``, which must be fresh arrays, and skips the factor
+    bands, which must be fresh arrays, and ``rhs``, and skips the factor
     arrays a later solve would need."""
     if len(bands[1]) < 3:
         return _small(bands)
@@ -358,16 +385,20 @@ def _direct(bands: tuple):
     return solve
 
 
-def _solve_folded(solve, rho: np.ndarray, rhs: np.ndarray,
-                  ends: tuple, terms: tuple) -> np.ndarray:
-    """Solve one folded layer with ``solve`` and close it; ``terms`` are the
-    closures' forcing terms g at the layer's time, added to ``rhs`` in
-    place."""
+def _solve_folded(solve, rho, out: np.ndarray, ends: tuple,
+                  terms: tuple) -> np.ndarray:
+    """Solve one folded layer in place in ``out`` and close it.
+
+    The caller has written the right-hand side into ``out[1:-1]``.  The
+    closures' forcing terms g at the layer's time enter its first and last
+    rows as ``rho[0] * g`` and ``rho[-1] * g`` (``rho`` is the row weights,
+    or just those two), ``solve`` overwrites the interior with the solution
+    and the closures then write the endpoints.
+    """
     (left, right), (gl, gr) = ends, terms
-    rhs[0] += rho[0] * gl
-    rhs[-1] += rho[-1] * gr
-    out = np.empty(len(rhs) + 2)
-    out[1:-1] = solve(rhs)
+    out[1] += rho[0] * gl
+    out[-2] += rho[-1] * gr
+    solve(out[1:-1])
     left.put(out, gl)
     right.put(out, gr)
     return out
@@ -377,14 +408,23 @@ def _terms(ends: tuple, t: float) -> tuple:
     return ends[0].term(t), ends[1].term(t)
 
 
-def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_of) -> Advance:
-    """Advance of a constant-k implicit scheme: solve ``rhs_of(u)`` against
-    bands folded and factored once; each step adds only the forcing terms."""
-    ends = _ends_of(params, bcs, len(rho) + 2)(None)
+def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_into) -> Advance:
+    """Advance of a constant-k implicit scheme: ``rhs_into(u, out)`` writes
+    the right-hand side into a fresh layer's interior, which is solved in
+    place against bands folded and factored once; each step adds only the
+    forcing terms, with the two end-row weights kept as Python floats."""
+    n_nodes = len(rho) + 2
+    ends = _ends_of(params, bcs, n_nodes)(None)
     solve = _factored(_fold(rho, 1.0 + 2.0 * rho, ends))
+    edge = (rho.item(0), rho.item(-1))
     dt = params.dt
-    return lambda prev, u, time_index: (_solve_folded(
-        solve, rho, rhs_of(u), ends, _terms(ends, (time_index + 1) * dt)),)
+
+    def advance(prev, u, time_index):
+        out = np.empty(n_nodes)
+        rhs_into(u, out)
+        return (_solve_folded(solve, edge, out, ends,
+                              _terms(ends, (time_index + 1) * dt)),)
+    return advance
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -419,29 +459,36 @@ def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     if model.kind is DiffusivityKind.CONSTANT:
         r = params.diffusion_number_r
         return _closed_plan(params, bcs, n_nodes,
-                            lambda prev, u: _forward_interior(u, r))
-    return _closed_plan(params, bcs, n_nodes, lambda prev, u: _forward_interior(
-        u, model.evaluate_array(u[1:-1]) * dt / dx ** 2))
+                            lambda prev, u, out: _forward_into(out, u, r))
+    return _closed_plan(params, bcs, n_nodes, lambda prev, u, out: _forward_into(
+        out, u, model.evaluate_array(u[1:-1]) * dt / dx ** 2))
+
+
+def _copy_interior(u: np.ndarray, out: np.ndarray) -> None:
+    out[1:-1] = u[1:-1]
 
 
 def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     return _folded_plan(params, bcs, np.full(n_nodes - 2, params.diffusion_number_r),
-                        lambda u: u[1:-1].copy())
+                        _copy_interior)
 
 
 def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
     return _folded_plan(params, bcs, np.full(n_nodes - 2, rho),
-                        lambda u: u[1:-1] + rho * _second_difference(u))
+                        lambda u, out: _forward_into(out, u, rho))
 
 
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     r = params.diffusion_number_r
 
-    def interior(prev, u):
+    def interior(prev, u, out):
         if prev is None:  # the explicit start
-            return _forward_interior(u, r)
-        return prev[1:-1] + (2.0 * r) * _second_difference(u)
+            _forward_into(out, u, r)
+        else:
+            d2 = _second_difference(u)
+            d2 *= 2.0 * r
+            np.add(prev[1:-1], d2, out=out[1:-1])
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -451,10 +498,13 @@ def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     a = (1.0 - lam) / (1.0 + lam)
     b = lam / (1.0 + lam)
 
-    def interior(prev, u):
+    def interior(prev, u, out):
         if prev is None:  # the explicit start
-            return _forward_interior(u, r)
-        return a * prev[1:-1] + b * (u[2:] + u[:-2])
+            _forward_into(out, u, r)
+        else:
+            pair = np.add(u[2:], u[:-2])
+            pair *= b
+            np.add(a * prev[1:-1], pair, out=out[1:-1])
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -471,8 +521,9 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         def iterate(k):
             rho_new = 0.5 * (k * dt / dx ** 2)
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
-            return _solve_folded(_direct(bands), rho_new, rhs.copy(),
-                                 ends, terms)
+            out = np.empty(n_nodes)
+            out[1:-1] = rhs
+            return _solve_folded(_direct(bands), rho_new, out, ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
@@ -496,14 +547,16 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         terms = _terms(ends, (time_index + 1) * dt)
         if linear:
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, ends)
-            return (_solve_folded(_direct(bands), rho_new,
-                                  u[1:-1] + rho_a * d2, ends, terms),)
+            out = np.empty(n_nodes)
+            np.add(u[1:-1], rho_a * d2, out=out[1:-1])
+            return (_solve_folded(_direct(bands), rho_new, out, ends, terms),)
         # the bands hold across the iterates, so they are factored once
         solve = _factored(_fold(rho_new, 1.0 + 2.0 * rho_new, ends))
 
         def iterate(k):
-            rhs = u[1:-1] + (0.5 * (k * dt / dx ** 2)) * d2
-            return _solve_folded(solve, rho_new, rhs, ends, terms)
+            out = np.empty(n_nodes)
+            np.add(u[1:-1], (0.5 * (k * dt / dx ** 2)) * d2, out=out[1:-1])
+            return _solve_folded(solve, rho_new, out, ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
@@ -550,13 +603,13 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         t2 = (time_index + 2) * dt
         out1 = np.empty(n + 1)
         out1[0] = start_left(u, t1)
-        out1[1:n] = a * u[1:n] + c * u[2:]
+        np.add(a * u[1:n], c * u[2:], out=out1[1:n])
         dtbsv(1, band, out1[:n], lower=1, diag=1, overwrite_x=1)
         right.put(out1, right.term(t1))
 
         out2 = np.empty(n + 1)
         out2[n] = start_right(out1, t2)
-        out2[1:n] = a * out1[1:n] + c * out1[:n - 1]
+        np.add(a * out1[1:n], c * out1[:n - 1], out=out2[1:n])
         dtbsv(1, band, out2[1:], lower=0, diag=1, overwrite_x=1)
         left.put(out2, left.term(t2))
         return out1, out2
@@ -571,11 +624,19 @@ def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     taylor = dt ** 2 / (2.0 * tau)
     dx2 = dx ** 2
 
-    def interior(prev, u):
-        diffusion = nu * _second_difference(u) / dx2
+    def interior(prev, u, out):
+        mid = u[1:-1]
+        diffusion = _second_difference(u)
+        diffusion *= nu
+        diffusion /= dx2
         if prev is None:  # the zero-velocity Taylor start
-            return u[1:-1] + taylor * diffusion
-        return (c * u[1:-1] - b * prev[1:-1] + diffusion) / a
+            diffusion *= taylor
+            np.add(mid, diffusion, out=out[1:-1])
+        else:
+            new = c * mid
+            new -= b * prev[1:-1]
+            new += diffusion
+            np.divide(new, a, out=out[1:-1])
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -688,13 +749,14 @@ def _advance_once(scheme: Scheme, state: StepState,
                   needs_prev: bool = False) -> tuple:
     """The layers one advance of ``scheme``'s plan makes from ``state``."""
     curr = state.curr
-    advance = _plan(scheme, state.params, state.bcs, len(curr.values))
+    values = _float_layer(curr.values)
+    advance = _plan(scheme, state.params, state.bcs, len(values))
     if needs_prev and state.prev is None:
         raise ValueError(f"{scheme.value} needs the previous layer")
-    prev = None if state.prev is None else state.prev.values
-    layers = advance(prev, curr.values, curr.time_index)
-    return tuple(Field(values=values, time_index=curr.time_index + i + 1)
-                 for i, values in enumerate(layers))
+    prev = None if state.prev is None else _float_layer(state.prev.values)
+    layers = advance(prev, values, curr.time_index)
+    return tuple(Field(values=layer, time_index=curr.time_index + i + 1)
+                 for i, layer in enumerate(layers))
 
 
 def step_explicit(state: StepState) -> Field:
@@ -809,7 +871,9 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     only for the snapshots kept.  Called without a previous layer, the
     multi-layer schemes start themselves: leap-frog and Dufort-Frankel with
     the explicit step, the hyperbolic scheme with the zero-velocity Taylor
-    start.  With ``num_steps == 0`` no plan is built.  The run halts and
+    start.  The initial values are converted to float64 once (a complex
+    layer raises ValueError), and the initial snapshot holds them.  With
+    ``num_steps == 0`` no plan is built.  The run halts and
     flags divergence as soon as a layer has a non-finite value or max-norm
     above 1e12.  Errors raised while the plan is built, before the first
     step, propagate unchanged: a ValueError for misuse (a scheme that needs
@@ -828,13 +892,16 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
 
+    values = _float_layer(initial.values)
+    if values is not initial.values:
+        initial = Field(values=values, time_index=initial.time_index)
     record = RunRecord()
     record.append(initial, consistent=True)
     if num_steps == 0:
         return record
     start = time_index = initial.time_index
     end = start + num_steps
-    prev, curr = None, initial.values
+    prev, curr = None, values
     advance = _plan(scheme, params, bcs, len(curr))
 
     consistent = True
@@ -845,11 +912,14 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
             raise SolverError(step=time_index + 1, cause=exc) from exc
 
         last = len(produced) - 1
-        for i, layer in enumerate(produced[:end - time_index]):
+        if last >= end - time_index:  # a pair cut short at num_steps
+            produced = produced[:end - time_index]
+        for i, layer in enumerate(produced):
             prev, curr = curr, layer
             time_index += 1
             consistent = i == last
-            norm = float(np.abs(layer).max())
+            # the reduction ndarray.max calls, without its Python wrapper
+            norm = float(np.maximum.reduce(np.abs(layer)))
             if not norm <= DIVERGENCE_THRESHOLD:
                 record.diverged = True
                 record.diverged_step = time_index
@@ -862,5 +932,5 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
 
     if record.snapshots[-1].time_index != time_index:
         record.append(Field(values=curr, time_index=time_index),
-                      consistent=consistent)
+                      consistent, norm)
     return record

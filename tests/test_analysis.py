@@ -309,6 +309,23 @@ def test_information_speed_explicit_source_on_sine_field():
     assert information_speed(record, source=16) == [15, 15, 15]
 
 
+@pytest.mark.parametrize("bcs", [
+    (BoundaryCondition.flux(0.0), BoundaryCondition.flux(0.0)),
+    (BoundaryCondition.robin(1.0, 0.5, 0.0), BoundaryCondition.robin(1.0, 0.5, 0.0)),
+], ids=["flux", "robin"])
+def test_information_speed_leaves_the_end_nodes_out(bcs):
+    # a flux or Robin closure writes its end node from the two nodes next to
+    # it, so the end lights two steps before the front arrives; only the
+    # interior nodes 1..49 count, and the front reaches them at step 24
+    grid = build_uniform_grid(1.0, 50)
+    p = constant_params(1.0, dt=0.5 * grid.dx ** 2, dx=grid.dx)
+    values = np.zeros(51)
+    values[25] = 1.0
+    record = run_simulation(Field(values, 0), p, bcs, Scheme.EXPLICIT, 30)
+    assert abs(record.snapshots[23].values[0]) > 1e-14  # the end is lit
+    assert information_speed(record) == [min(n, 24) for n in range(31)]
+
+
 @pytest.mark.parametrize("source", [100, 17, -1, -3])
 def test_information_speed_rejects_source_outside_grid(source):
     record = make_dirac_record(Scheme.EXPLICIT, 16, 0.5, 2)

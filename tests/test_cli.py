@@ -409,6 +409,19 @@ def test_infospeed_reads_the_fastest_front(scheme, cells, r, steps, every,
     assert float(lines[-1].split(",")[1]) == speed * params.dx / params.dt
 
 
+def test_infospeed_flux_ends_read_one_cell_per_step():
+    # the closures light both end nodes before the front reaches them; the
+    # end nodes do not count as support, so the speed stays one cell per step
+    cfg = ExperimentConfig.from_mapping(base_mapping(
+        num_cells_N="50", r="0.5", initial="dirac", num_steps="30",
+        bc_left="flux:0", bc_right="flux:0"))
+    code, text = run_cmd(cmd_infospeed, cfg)
+    lines = text.strip().split("\n")
+    assert code == EXIT_OK
+    assert lines[-2] == "c_s_cells_per_step,1"
+    assert lines[1 + 30] == "30,24"
+
+
 def test_infospeed_zero_steps():
     cfg = ExperimentConfig.from_mapping(base_mapping(
         num_cells_N="10", r="0.5", initial="dirac", num_steps="0"))

@@ -1036,3 +1036,104 @@ def test_flux_and_robin_ends_need_four_nodes(scheme, kind, bcs):
         run_simulation(state.curr, p, bcs, scheme, 2)
     record = run_simulation(field([0.2, 1.0, 0.5, 0.3]), p, bcs, scheme, 2)
     assert np.all(np.isfinite(record.final.values))
+
+
+# ------------------------------------------------------ in-place layers
+# An advance allocates each new layer once, writes into it and returns it:
+# it never writes into prev or u, and no two layers share memory.
+
+_CONTRACT_BCS = {
+    "dirichlet": (BoundaryCondition.dirichlet(0.2),
+                  BoundaryCondition.dirichlet(lambda t: 1.0 - t)),
+    "robin": (BoundaryCondition.robin(1.0, 0.5, 0.2),
+              BoundaryCondition.robin(2.0, 1.0, lambda t: t)),
+}
+_CONTRACT_CASES = [(s, "constant") for s in Scheme] + [
+    (Scheme.EXPLICIT, "general"), (Scheme.CN_NONLINEAR, "general"),
+    (Scheme.CROSS_CN, "general"), (Scheme.CROSS_CN, "affine")]
+_CONTRACT_MODELS = {
+    "constant": DiffusivityModel.constant(1.0),
+    "affine": DiffusivityModel.affine(1.0, 0.2),
+    "general": DiffusivityModel.general(lambda u: 1.0 + 0.1 * u * u),
+}
+
+
+@pytest.mark.parametrize("cells", [3, 16])
+@pytest.mark.parametrize("bcs", _CONTRACT_BCS.values(), ids=_CONTRACT_BCS.keys())
+@pytest.mark.parametrize("scheme,kind", _CONTRACT_CASES,
+                         ids=[f"{s.value}-{k}" for s, k in _CONTRACT_CASES])
+def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
+    # the hyperbolic scheme runs with its default tau = nu dx > 0; N = 3
+    # takes the small-order solves, N = 16 the LAPACK ones
+    grid = build_uniform_grid(1.0, cells)
+    p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2, dx=grid.dx)
+    advance = schemes._plan(scheme, p, bcs, len(grid.nodes))
+    prev = 1.0 + np.sin(np.pi * grid.nodes)
+    u = prev + 0.3 * grid.nodes
+    for before in (None, prev):
+        inputs = [x for x in (before, u) if x is not None]
+        kept = [x.tobytes() for x in inputs]
+        layers = advance(before, u, 1)
+        assert [x.tobytes() for x in inputs] == kept
+        assert len(layers) == schemes.SPECS[scheme].layers
+        for i, layer in enumerate(layers):
+            assert type(layer) is np.ndarray and layer.dtype == np.float64
+            assert layer.flags.c_contiguous and layer.shape == u.shape
+            assert np.all(np.isfinite(layer))
+            for other in [prev, u, *layers[:i]]:
+                assert not np.shares_memory(layer, other)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40])
+@pytest.mark.parametrize("factory", [schemes._factored, schemes._direct,
+                                     schemes._small],
+                         ids=["factored", "direct", "small"])
+def test_solves_write_into_the_view_they_are_given(factory, m):
+    # the folded plans solve in the interior of the layer they return
+    lower, diag, upper, rhs = _random_system(np.random.default_rng(m), m,
+                                             "dominant")
+    expected = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
+                                              upper=upper, rhs=rhs))
+    layer = np.full(m + 2, 7.0)
+    layer[1:-1] = rhs
+    view = layer[1:-1]
+    x = factory((lower.copy(), diag.copy(), upper.copy()))(view)
+    assert x is view
+    assert layer[1:-1].tobytes() == expected.tobytes()
+    assert layer[0] == layer[-1] == 7.0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_integer_start_layer_runs_as_float64(scheme):
+    # an int Dirac start gives the float start's snapshots bit for bit; an
+    # int output layer would truncate them to zeros
+    u = np.zeros(9, dtype=int)
+    u[4] = 1
+    p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)  # r = 0.4
+    ints = run_simulation(Field(u, 0), p, HOMOGENEOUS, scheme, 3)
+    floats = run_simulation(Field(u.astype(float), 0), p, HOMOGENEOUS, scheme, 3)
+    assert ints.max_norms == floats.max_norms
+    assert ints.consistency_grade == floats.consistency_grade
+    assert [s.time_index for s in ints.snapshots] == [0, 1, 2, 3]
+    for a, b in zip(ints.snapshots, floats.snapshots):
+        assert a.values.dtype == np.float64
+        assert a.values.tobytes() == b.values.tobytes()
+    assert ints.final.values[4] != 0.0
+
+    stepper = _HAND_STEPPERS.get(scheme, step_saulyev_pair)
+
+    def step(values):
+        out = stepper(StepState(Field(values, 0), Field(values, 1), p, HOMOGENEOUS))
+        return [f.values.tobytes() for f in (out if type(out) is tuple else (out,))]
+    assert step(u) == step(u.astype(float))
+
+
+def test_start_layer_conversion_copies_only_when_needed():
+    p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)
+    initial = field(np.sin(np.pi * np.arange(9) / 8))
+    assert run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, 2).snapshots[0] is initial
+    complex_start = Field(np.zeros(9, dtype=complex), 0)
+    with pytest.raises(ValueError, match="^layer values must be real"):
+        run_simulation(complex_start, p, HOMOGENEOUS, Scheme.EXPLICIT, 2)
+    with pytest.raises(ValueError, match="^layer values must be real"):
+        step_explicit(StepState(None, complex_start, p, HOMOGENEOUS))
