@@ -457,10 +457,14 @@ def cmd_infospeed(config: ExperimentConfig, out: TextIO) -> int:
     snapshots after the first (0 when there are none).  A zero Dirichlet
     end or the support threshold can only hold the support back, never push
     it ahead, so the largest rate is the one read before either clipped it.
+    Nonzero boundary data is a config error: it lights nodes next to an end
+    before the source's front reaches them.
     """
     if _parse_initial(config.initial)[0] != "dirac":
         raise ConfigError("infospeed needs the dirac initial profile")
     _, params, bcs, initial = config.build()
+    if any(bc.forcing(0.0) != 0.0 for bc in bcs):  # the specs hold constants
+        raise ConfigError("infospeed needs zero boundary data at both ends")
     record = run_simulation(initial, params, bcs, config.scheme,
                             config.num_steps, config.snapshot_every)
     radii = information_speed(record)

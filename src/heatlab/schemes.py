@@ -20,7 +20,7 @@ interior (and, for the implicit schemes, the solve) into it in place and
 returns it; it never writes into ``prev`` or ``curr``.  Called without a
 previous layer, the multi-layer schemes start themselves.
 ``run_simulation`` drives every scheme through its plan and flags
-divergence; the public ``step_*`` functions build a plan and advance once.
+divergence; each public ``step_*`` function builds a plan and advances once.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -340,27 +340,16 @@ def _fold(rho: np.ndarray, diag: np.ndarray, ends: tuple) -> tuple:
 # must be a C-contiguous float64 array (a view is fine), and the returned
 # solution is ``rhs`` itself.
 
-def _small(bands: tuple):
-    """``solve(rhs)`` for orders m < 3, which the LAPACK wrappers reject
-    (``dgttrf`` below 3, ``dgtsv`` at 1): ``thomas_solve``'s result is
-    copied into ``rhs``."""
-    lower, diag, upper = bands
-
-    def solve(rhs):
-        rhs[:] = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
-                                                upper=upper, rhs=rhs))
-        return rhs
-    return solve
-
-
 def _factored(bands: tuple):
     """``solve(rhs)`` against ``bands`` LU-factored once by ``dgttrf``, for a
     matrix that serves many right-hand sides; each call is one ``dgttrs``
     with ``overwrite_b``.  A zero pivot raises here, not at the solve.
     ``dgttrf`` and ``dgtsv`` pivot alike, so the solutions agree bit for bit.
+    Below order 3, which ``dgttrf`` rejects, each call runs ``_direct`` on
+    fresh copies of the bands, so a zero pivot raises at the solve.
     """
     if len(bands[1]) < 3:
-        return _small(bands)
+        return lambda rhs: _direct(tuple(band.copy() for band in bands))(rhs)
     from scipy.linalg.lapack import dgttrf, dgttrs
     *lu, info = dgttrf(*bands)
     if info > 0:
@@ -371,9 +360,14 @@ def _factored(bands: tuple):
 def _direct(bands: tuple):
     """``solve(rhs)`` for a matrix used once: ``dgtsv`` overwrites the
     bands, which must be fresh arrays, and ``rhs``, and skips the factor
-    arrays a later solve would need."""
-    if len(bands[1]) < 3:
-        return _small(bands)
+    arrays a later solve would need.  Order 1, whose empty off-diagonal
+    bands the ``dgtsv`` wrapper rejects, copies ``thomas_solve``'s result
+    into ``rhs``."""
+    if len(bands[1]) == 1:
+        def solve(rhs):
+            rhs[:] = thomas_solve(TridiagonalSystem(*bands, rhs))
+            return rhs
+        return solve
     from scipy.linalg.lapack import dgtsv
 
     def solve(rhs):
@@ -745,14 +739,12 @@ def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 # ------------------------------------------------------- public steppers
 
-def _advance_once(scheme: Scheme, state: StepState,
-                  needs_prev: bool = False) -> tuple:
-    """The layers one advance of ``scheme``'s plan makes from ``state``."""
+def _advance_once(scheme: Scheme, state: StepState) -> tuple:
+    """The layers one advance of ``scheme``'s plan makes from ``state``; with
+    no previous layer a multi-layer scheme starts as in ``run_simulation``."""
     curr = state.curr
     values = _float_layer(curr.values)
     advance = _plan(scheme, state.params, state.bcs, len(values))
-    if needs_prev and state.prev is None:
-        raise ValueError(f"{scheme.value} needs the previous layer")
     prev = None if state.prev is None else _float_layer(state.prev.values)
     layers = advance(prev, values, curr.time_index)
     return tuple(Field(values=layer, time_index=curr.time_index + i + 1)
@@ -782,17 +774,19 @@ def step_crank_nicolson(state: StepState) -> Field:
 def step_leapfrog(state: StepState) -> Field:
     """Symmetric-in-time explicit update (kept although it never damps).
 
-    u_j <- u_j^{prev} + 2 r (u_{j-1} - 2 u_j + u_{j+1}).
+    u_j <- u_j^{prev} + 2 r (u_{j-1} - 2 u_j + u_{j+1}); with no previous
+    layer, the explicit step.
     """
-    return _advance_once(Scheme.LEAPFROG, state, needs_prev=True)[0]
+    return _advance_once(Scheme.LEAPFROG, state)[0]
 
 
 def step_dufort_frankel(state: StepState) -> Field:
     """Two-layer averaged explicit update, stable for every time step.
 
-    With w = 2 r: u_j <- ((1-w)/(1+w)) u_j^{prev} + (w/(1+w)) (u_{j+1} + u_{j-1}).
+    With w = 2 r: u_j <- ((1-w)/(1+w)) u_j^{prev} + (w/(1+w)) (u_{j+1} + u_{j-1});
+    with no previous layer, the explicit step.
     """
-    return _advance_once(Scheme.DUFORT_FRANKEL, state, needs_prev=True)[0]
+    return _advance_once(Scheme.DUFORT_FRANKEL, state)[0]
 
 
 def step_cn_nonlinear(state: StepState) -> Field:
@@ -839,21 +833,16 @@ def step_hyperbolic(state: StepState) -> Field:
 
     With a = tau/dt^2 + 1/(2 dt) and b = tau/dt^2 - 1/(2 dt):
     u_j <- [2 tau/dt^2 u_j - b u_j^{prev} + nu (u_{j+1} - 2 u_j + u_{j-1})/dx^2] / a.
+    With no previous layer it takes the zero-velocity Taylor start
+    u_j <- u_j + (dt^2 / (2 tau)) nu (u_{j+1} - 2 u_j + u_{j-1}) / dx^2.
     """
-    return _advance_once(Scheme.HYPERBOLIC, state, needs_prev=True)[0]
+    return _advance_once(Scheme.HYPERBOLIC, state)[0]
 
 
 def bootstrap_hyperbolic(initial: Field, params: SchemeParams,
                          bcs: tuple) -> Field:
-    """Synthetic first layer for the three-layer relaxed scheme.
-
-    Starts from zero initial velocity, so a second-order Taylor start gives
-    u_j^1 = u_j^0 + (dt^2 / (2 tau)) nu (u_{j+1} - 2 u_j + u_{j-1}) / dx^2,
-    with the endpoints closed by ``bcs``.
-    """
-    return _advance_once(Scheme.HYPERBOLIC,
-                         StepState(prev=None, curr=initial, params=params,
-                                   bcs=bcs))[0]
+    """``step_hyperbolic`` without a previous layer: the Taylor start."""
+    return step_hyperbolic(StepState(None, initial, params, bcs))
 
 
 def run_simulation(initial: Field, params: SchemeParams, bcs,

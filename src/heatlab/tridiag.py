@@ -2,10 +2,10 @@
 
 ``thomas_solve`` is LAPACK ``dgtsv``: Gaussian elimination with partial
 pivoting, O(m) for a system of order m (Anderson et al., *LAPACK Users'
-Guide*, SIAM 1999).  The steppers call it only for orders m < 3, which the
-LAPACK wrappers reject; larger systems go to LAPACK from ``schemes``
-directly, LU-factored once (``dgttrf``/``dgttrs``) when the matrix serves
-many steps or iterates and ``dgtsv`` in place when it is used once.  Both
+Guide*, SIAM 1999).  The steppers call it only for order 1, which the
+``dgtsv`` wrapper rejects; larger systems go to LAPACK from ``schemes``
+directly, LU-factored once (``dgttrf``/``dgttrs``, from order 3) when the
+matrix serves many steps or iterates and ``dgtsv`` in place otherwise.  Both
 pivot like ``thomas_solve`` and give the same bits.  Pivoting matters
 because the steppers do not always assemble diagonally dominant systems:
 affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the diagonal, which can

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
-                     SchemeParams, SineSeriesSolution, UndefinedGrowthError,
-                     amplification, build_uniform_grid, dispersion_branches,
-                     empirical_growth, evaluate_series,
+from heatlab import (BoundaryCondition, DiffusivityModel, Field, RunRecord,
+                     Scheme, SchemeParams, SineSeriesSolution,
+                     UndefinedGrowthError, amplification, build_uniform_grid,
+                     dispersion_branches, empirical_growth, evaluate_series,
                      hyperbolic_mode_solution, hyperbolization_error_bound,
                      information_speed, max_amplification, observed_order,
                      run_simulation, truncation_residual)
@@ -93,6 +93,10 @@ def test_amplification_rejects_bad_input():
         amplification(Scheme.EXPLICIT, 1.0, 4.0)
     with pytest.raises(ValueError):
         amplification(Scheme.HYPERBOLIC, None, 0.5)
+    with pytest.raises(ValueError,
+                       match="^hyperbolic amplification needs tau > 0$"):
+        amplification(Scheme.HYPERBOLIC, None, 0.5,
+                      params=constant_params(1.0, dt=0.1, dx=0.5, tau=0.0))
 
 
 @pytest.mark.parametrize("r", [0.1, 1.0, 10.0, 100.0])
@@ -209,6 +213,17 @@ def test_empirical_growth_errors():
         empirical_growth(record, 100)
     with pytest.raises(ValueError):
         empirical_growth(record, 0)
+    one = Field(values=np.ones(5), time_index=0)
+    blown = RunRecord()
+    blown.append(one)
+    blown.append(Field(values=np.full(5, np.inf), time_index=1))
+    with pytest.raises(UndefinedGrowthError, match="non-finite norms"):
+        empirical_growth(blown, 1)
+    repeated = RunRecord()
+    repeated.append(one)
+    repeated.append(one)
+    with pytest.raises(ValueError, match="^window spans no time steps$"):
+        empirical_growth(repeated, 1)
 
 
 def test_symbol_matches_simulation_within_one_percent():
@@ -296,6 +311,8 @@ def test_information_speed_rejects_non_dirac_initial():
                             HOMOGENEOUS, Scheme.EXPLICIT, 2)
     with pytest.raises(ValueError, match="one-node indicator"):
         information_speed(record)
+    with pytest.raises(ValueError, match="^record has no snapshots$"):
+        information_speed(RunRecord())
 
 
 def test_information_speed_explicit_source_on_sine_field():

@@ -422,6 +422,25 @@ def test_infospeed_flux_ends_read_one_cell_per_step():
     assert lines[1 + 30] == "30,24"
 
 
+@pytest.mark.parametrize("ends,accepted", [
+    ({"bc_left": "dirichlet:1"}, False),
+    ({"bc_left": "flux:0.5", "bc_right": "robin:1,1,0.2"}, False),
+    ({"bc_left": "flux:0", "bc_right": "robin:1,1,0"}, True),
+], ids=["dirichlet", "flux-robin", "homogeneous-flux-robin"])
+def test_infospeed_rejects_nonzero_boundary_data(ends, accepted, capsys):
+    # a forced end lights node 1 at step 2, which read as a radius of 24 and
+    # a speed of 12 cells per step
+    code, out, err = run_main(["infospeed", *overrides(
+        scheme="explicit", nu="1", length_l="1", num_cells_N="50", r="0.5",
+        initial="dirac", num_steps="5", **ends)], capsys)
+    if accepted:
+        assert code == EXIT_OK
+        assert out.split("\n")[-3] == "c_s_cells_per_step,1"
+    else:
+        assert code == EXIT_CONFIG and out == ""
+        assert "zero boundary data" in err
+
+
 def test_infospeed_zero_steps():
     cfg = ExperimentConfig.from_mapping(base_mapping(
         num_cells_N="10", r="0.5", initial="dirac", num_steps="0"))

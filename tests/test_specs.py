@@ -5,6 +5,7 @@ members, so a new scheme touches ``schemes.py`` alone.  No linter runs on
 this repository, so the source checks below stand in for one.
 """
 
+import argparse
 import ast
 import inspect
 import io
@@ -107,6 +108,46 @@ def test_layers_is_what_one_advance_makes(scheme):
     assert record.consistency_grade == [True] + pair + pair
 
 
+@pytest.mark.parametrize("scheme", [s for s in Scheme if SPECS[s].symbol],
+                         ids=lambda s: s.value)
+def test_every_symbol_agrees_with_its_own_plan(scheme):
+    # a discrete sine mode is an eigenvector of one advance under homogeneous
+    # Dirichlet ends: a one-layer plan multiplies it by g, a two-layer plan
+    # maps (prev, curr) = (0, v) to alpha v and (v, 0) to beta v, and the
+    # roots of g^2 - alpha g - beta are the symbol's
+    n = 64
+    nodes = np.arange(n + 1)
+    spec = SPECS[scheme]
+    for r in [0.1, 0.5, 3.0]:
+        if scheme is Scheme.EXPLICIT and r > 0.5:
+            continue
+        p = SchemeParams(DiffusivityModel.constant(1.0), dt=r / n ** 2,
+                         dx=1.0 / n, tau=0.01)
+        advance = schemes._plan(scheme, p, HOMOGENEOUS, n + 1)
+        for m in [1, 5, 17, 40, 63]:
+            theta = m * np.pi / n
+            v = np.sin(nodes * theta)
+            roots = spec.symbol(p if spec.relaxed else r,
+                                np.sin(theta / 2.0) ** 2, theta)
+            if len(roots) == 1:
+                (g,) = roots
+                error = np.max(np.abs(advance(None, v, 1)[0] - g * v))
+            else:
+                zero = np.zeros(n + 1)
+                alpha, beta = (advance(prev, curr, 1)[0] @ v / (v @ v)
+                               for prev, curr in ((zero, v), (v, zero)))
+                residual = max(
+                    np.max(np.abs(advance(zero, v, 1)[0] - alpha * v)),
+                    np.max(np.abs(advance(v, zero, 1)[0] - beta * v)))
+                root = np.sqrt(complex(alpha * alpha + 4.0 * beta))
+                plan_roots = ((alpha + root) / 2.0, (alpha - root) / 2.0)
+                error = max(residual, min(
+                    max(abs(a - b) for a, b in zip(plan_roots, pair))
+                    for pair in (roots, roots[::-1])))
+            scale = max(1.0, *(abs(g) for g in roots))
+            assert error <= 1e-12 * scale, (r, m, error)
+
+
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_every_plan_takes_params_bcs_and_node_count(scheme):
     signature = inspect.signature(SPECS[scheme].plan)
@@ -154,3 +195,15 @@ def test_all_lists_exactly_the_names_the_package_imports():
     assert len(set(heatlab.__all__)) == len(heatlab.__all__)
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert set(heatlab.__all__) - {"__version__"} == set(imported_names(tree))
+
+
+def test_every_cli_option_is_documented_in_the_readme():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    parser = cli._build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {(name, option) for name, sub in commands.choices.items()
+               for action in sub._actions for option in action.option_strings
+               if option.startswith("--")}
+    assert {(name, option) for name, option in options
+            if option not in readme} == set()

@@ -77,6 +77,8 @@ def test_pivot_cancellation_raises():
                                upper=np.array([1.0]), rhs=np.array([1.0, 2.0]))
     with pytest.raises(SingularSystemError):
         thomas_solve(system)
+    with pytest.raises(SingularSystemError, match="^zero pivot in row 1$"):
+        thomas_solve_instrumented(system)
 
 
 def test_pivoting_solves_zero_leading_diagonal():
