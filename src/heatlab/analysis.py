@@ -159,7 +159,9 @@ def information_speed(record: RunRecord,
     0 < j < N, with |u_j| > ``SUPPORT_THRESHOLD`` (0 when there are none).
     The two end nodes are left out: their closures write them from boundary
     data or from the nodes next to them, so a flux or Robin end, or nonzero
-    Dirichlet data, lights an end before any front reaches it.  Without
+    Dirichlet data, lights an end before any front reaches it.  Nonzero
+    boundary data also lights the interior nodes next to its end, which the
+    radius then counts, so it tracks a front only under zero data.  Without
     ``source`` the initial snapshot must be a one-node indicator and that
     node is the source; a given ``source`` must be a node of the grid,
     0 <= source < N + 1.  Explicit three-point stencils grow the radius by

@@ -299,13 +299,20 @@ def _load_custom_profile(path: str, grid: Grid1D) -> Field:
     return Field(values=data[:, 1].copy(), time_index=0)
 
 
+def _forced(bcs) -> bool:
+    """Whether either end carries nonzero boundary data, which lights nodes
+    next to its end before any front reaches them (the specs hold constants)."""
+    return any(bc.forcing(0.0) != 0.0 for bc in bcs)
+
+
 def cmd_run(config: ExperimentConfig, out: TextIO) -> int:
-    """Run one experiment and emit one CSV row per snapshot."""
+    """Run one experiment and emit one CSV row per snapshot; the support
+    radius is left empty when an end carries nonzero data."""
     _, params, bcs, initial = config.build()
     record = run_simulation(initial, params, bcs, config.scheme,
                             config.num_steps, config.snapshot_every)
-    radii = information_speed(record,
-                              source=int(np.argmax(np.abs(initial.values))))
+    radii = ([""] * len(record.snapshots) if _forced(bcs) else information_speed(
+        record, source=int(np.argmax(np.abs(initial.values)))))
     out.write("step,time,max_norm,support_radius,diverged\n")
     for snap, norm, radius in zip(record.snapshots, record.max_norms, radii):
         diverged_here = record.diverged and snap.time_index == record.diverged_step
@@ -457,13 +464,12 @@ def cmd_infospeed(config: ExperimentConfig, out: TextIO) -> int:
     snapshots after the first (0 when there are none).  A zero Dirichlet
     end or the support threshold can only hold the support back, never push
     it ahead, so the largest rate is the one read before either clipped it.
-    Nonzero boundary data is a config error: it lights nodes next to an end
-    before the source's front reaches them.
+    Nonzero boundary data is a config error.
     """
     if _parse_initial(config.initial)[0] != "dirac":
         raise ConfigError("infospeed needs the dirac initial profile")
     _, params, bcs, initial = config.build()
-    if any(bc.forcing(0.0) != 0.0 for bc in bcs):  # the specs hold constants
+    if _forced(bcs):
         raise ConfigError("infospeed needs zero boundary data at both ends")
     record = run_simulation(initial, params, bcs, config.scheme,
                             config.num_steps, config.snapshot_every)
@@ -528,8 +534,8 @@ def _build_parser() -> _Parser:
 
     p_bound = sub.add_parser("bound", help="relaxation error bound")
     p_bound.add_argument("--tau", type=finite_float, required=True)
-    p_bound.add_argument("--big-m", type=finite_float, default=0.0,
-                         help="sup |u_tt| bound M (ignored with --config)")
+    p_bound.add_argument("--big-m", type=finite_float,
+                         help="sup |u_tt| bound M (or a config supplies it)")
     p_bound.add_argument("--horizon", type=finite_float, required=True)
     add_config_args(p_bound)
 
@@ -564,7 +570,11 @@ def main(argv=None) -> int:
             check = None
             if args.config is not None or args.overrides:
                 check = ExperimentConfig.from_file(args.config, args.overrides)
-            return cmd_bound(args.tau, args.big_m, args.horizon, check, out)
+            if (check is None) == (args.big_m is None):
+                raise ConfigError("bound takes --big-m or a config "
+                                  "(--config/--set), exactly one of them")
+            return cmd_bound(args.tau, args.big_m or 0.0, args.horizon, check,
+                             out)
         # infospeed: argparse admits no other sub-command
         config = ExperimentConfig.from_file(args.config, args.overrides)
         return cmd_infospeed(config, out)

@@ -5,7 +5,9 @@ A spec's plan, ``plan(params, bcs, n_nodes)``, runs once per run after one
 gate has checked the spec's constant-k and tau > 0 needs, and computes
 everything that does not change from step to step: the scheme coefficients,
 the boundary closures, the Saulyev sweep band and, for implicit and
-Crank-Nicolson, the folded tridiagonal matrix, LU-factored once.  All plans
+Crank-Nicolson, the folded tridiagonal matrix, LU-factored once by
+``tridiag.factored``; the other folded solves run ``tridiag.direct``, so
+``schemes`` calls no LAPACK routine itself.  All plans
 take their closures from one ``_ends_of`` factory (``grid.closure`` per
 end), which also holds the one node-count rule: a flux or Robin end needs
 N >= 3.  A plan returns ``advance(prev, curr, time_index)``, which maps bare
@@ -33,10 +35,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import BCKind, BoundaryCondition, Closure, Field, Side, closure
-# No stepper calls these two; bench/spans.py wraps them as attributes of
+from .tridiag import SingularSystemError, direct, factored
+# No stepper calls these three; bench/spans.py wraps them as attributes of
 # this module.
 from .grid import boundary_closure_coefficients, close_boundary  # noqa: F401
-from .tridiag import SingularSystemError, TridiagonalSystem, thomas_solve
+from .tridiag import thomas_solve  # noqa: F401
 
 DIVERGENCE_THRESHOLD = 1e12
 FIXED_POINT_TOL = 1e-12
@@ -336,49 +339,6 @@ def _fold(rho: np.ndarray, diag: np.ndarray, ends: tuple) -> tuple:
     return lower, diag, upper
 
 
-# Each factory below returns ``solve(rhs)``, which solves in place: ``rhs``
-# must be a C-contiguous float64 array (a view is fine), and the returned
-# solution is ``rhs`` itself.
-
-def _factored(bands: tuple):
-    """``solve(rhs)`` against ``bands`` LU-factored once by ``dgttrf``, for a
-    matrix that serves many right-hand sides; each call is one ``dgttrs``
-    with ``overwrite_b``.  A zero pivot raises here, not at the solve.
-    ``dgttrf`` and ``dgtsv`` pivot alike, so the solutions agree bit for bit.
-    Below order 3, which ``dgttrf`` rejects, each call runs ``_direct`` on
-    fresh copies of the bands, so a zero pivot raises at the solve.
-    """
-    if len(bands[1]) < 3:
-        return lambda rhs: _direct(tuple(band.copy() for band in bands))(rhs)
-    from scipy.linalg.lapack import dgttrf, dgttrs
-    *lu, info = dgttrf(*bands)
-    if info > 0:
-        raise SingularSystemError(f"zero pivot in row {info - 1}")
-    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
-
-
-def _direct(bands: tuple):
-    """``solve(rhs)`` for a matrix used once: ``dgtsv`` overwrites the
-    bands, which must be fresh arrays, and ``rhs``, and skips the factor
-    arrays a later solve would need.  Order 1, whose empty off-diagonal
-    bands the ``dgtsv`` wrapper rejects, copies ``thomas_solve``'s result
-    into ``rhs``."""
-    if len(bands[1]) == 1:
-        def solve(rhs):
-            rhs[:] = thomas_solve(TridiagonalSystem(*bands, rhs))
-            return rhs
-        return solve
-    from scipy.linalg.lapack import dgtsv
-
-    def solve(rhs):
-        *_, x, info = dgtsv(*bands, rhs, overwrite_dl=1, overwrite_d=1,
-                            overwrite_du=1, overwrite_b=1)
-        if info > 0:
-            raise SingularSystemError(f"zero pivot in row {info - 1}")
-        return x
-    return solve
-
-
 def _solve_folded(solve, rho, out: np.ndarray, ends: tuple,
                   terms: tuple) -> np.ndarray:
     """Solve one folded layer in place in ``out`` and close it.
@@ -409,7 +369,7 @@ def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_into) -> Advanc
     forcing terms, with the two end-row weights kept as Python floats."""
     n_nodes = len(rho) + 2
     ends = _ends_of(params, bcs, n_nodes)(None)
-    solve = _factored(_fold(rho, 1.0 + 2.0 * rho, ends))
+    solve = factored(_fold(rho, 1.0 + 2.0 * rho, ends))
     edge = (rho.item(0), rho.item(-1))
     dt = params.dt
 
@@ -517,7 +477,7 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
             out = np.empty(n_nodes)
             out[1:-1] = rhs
-            return _solve_folded(_direct(bands), rho_new, out, ends, terms)
+            return _solve_folded(direct(bands), rho_new, out, ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
@@ -543,9 +503,9 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
             bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, ends)
             out = np.empty(n_nodes)
             np.add(u[1:-1], rho_a * d2, out=out[1:-1])
-            return (_solve_folded(_direct(bands), rho_new, out, ends, terms),)
+            return (_solve_folded(direct(bands), rho_new, out, ends, terms),)
         # the bands hold across the iterates, so they are factored once
-        solve = _factored(_fold(rho_new, 1.0 + 2.0 * rho_new, ends))
+        solve = factored(_fold(rho_new, 1.0 + 2.0 * rho_new, ends))
 
         def iterate(k):
             out = np.empty(n_nodes)

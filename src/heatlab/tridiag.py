@@ -1,17 +1,20 @@
-"""Tridiagonal solvers.
+"""Tridiagonal solvers: every solve in heatlab runs here.
 
-``thomas_solve`` is LAPACK ``dgtsv``: Gaussian elimination with partial
-pivoting, O(m) for a system of order m (Anderson et al., *LAPACK Users'
-Guide*, SIAM 1999).  The steppers call it only for order 1, which the
-``dgtsv`` wrapper rejects; larger systems go to LAPACK from ``schemes``
-directly, LU-factored once (``dgttrf``/``dgttrs``, from order 3) when the
-matrix serves many steps or iterates and ``dgtsv`` in place otherwise.  Both
-pivot like ``thomas_solve`` and give the same bits.  Pivoting matters
-because the steppers do not always assemble diagonally dominant systems:
-affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the diagonal, which can
-push the dominance margin below zero at large r.  scipy is imported on the
-first solve (or on the first Saulyev step, whose sweeps are BLAS band
-solves), so importing heatlab and commands that do neither do not pay for it.
+Three solves run LAPACK's Gaussian elimination with partial pivoting, O(m)
+for a system of order m (Anderson et al., *LAPACK Users' Guide*, SIAM 1999),
+and give the same bits.  ``factored(bands)`` LU-factors a matrix that serves
+many right-hand sides once (``dgttrf``) and solves each with one ``dgttrs``;
+``direct(bands)`` solves a matrix used once with ``dgtsv``, in place;
+``thomas_solve(system)`` runs ``direct`` on float64 copies of a
+``TridiagonalSystem``.  The first two return ``solve(rhs)``, which
+overwrites ``rhs`` (C-contiguous float64, a view is fine) with the solution
+and returns it.  A zero pivot raises ``SingularSystemError`` naming its row.
+Pivoting matters because the steppers do not always assemble diagonally
+dominant systems: affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the
+diagonal, which can push the dominance margin below zero at large r.  scipy
+is imported on the first solve above order 1 (or on the first Saulyev step,
+whose sweeps are BLAS band solves), so importing heatlab and commands that
+do neither do not pay for it.
 
 ``thomas_solve_instrumented`` is the unpivoted pure-Python Thomas sweep,
 kept as the reference the tests compare against.  It raises on any pivot
@@ -55,24 +58,55 @@ class TridiagonalSystem:
                 f"lower {len(self.lower)}, upper {len(self.upper)}")
 
 
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system by LU with partial pivoting (``dgtsv``).
-
-    Raises SingularSystemError only when a pivot of the factorisation is
-    exactly zero; small pivots are not an error.  The system's arrays are
-    not modified.
-    """
-    if len(system.diag) == 1:
-        # the LAPACK wrapper rejects the empty off-diagonal bands of m = 1
-        piv = float(system.diag[0])
-        if piv == 0.0:
-            raise SingularSystemError("zero pivot in row 0")
-        return np.array([system.rhs[0] / piv], dtype=float)
-    from scipy.linalg.lapack import dgtsv
-    *_, x, info = dgtsv(system.lower, system.diag, system.upper, system.rhs)
+def _check(info: int) -> None:
+    """Raise on LAPACK's ``info > 0``: pivot number ``info`` is exactly zero."""
     if info > 0:
         raise SingularSystemError(f"zero pivot in row {info - 1}")
-    return x
+
+
+def factored(bands: tuple):
+    """``solve(rhs)`` by one ``dgttrs`` against ``bands`` factored here, so a
+    zero pivot raises here.  Below order 3, which ``dgttrf`` rejects, each
+    call runs ``direct`` on fresh copies of the bands and raises there."""
+    if len(bands[1]) < 3:
+        return lambda rhs: direct(tuple(band.copy() for band in bands))(rhs)
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    *lu, info = dgttrf(*bands)
+    _check(info)
+    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
+
+
+def direct(bands: tuple):
+    """``solve(rhs)`` by ``dgtsv``, which overwrites the bands (they must be
+    fresh arrays) and skips the factors a later solve would need.  Order 1,
+    whose empty off-diagonal bands the ``dgtsv`` wrapper rejects, divides."""
+    diag = bands[1]
+    if len(diag) == 1:
+        def solve(rhs):
+            _check(int(diag[0] == 0.0))
+            rhs /= diag[0]
+            return rhs
+        return solve
+    from scipy.linalg.lapack import dgtsv
+
+    def solve(rhs):
+        *_, x, info = dgtsv(*bands, rhs, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1, overwrite_b=1)
+        _check(info)
+        return x
+    return solve
+
+
+def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
+    """Solve the tridiagonal system by LU with partial pivoting: ``direct``
+    on float64 copies of its arrays, which are not modified.
+
+    Raises SingularSystemError only when a pivot of the factorisation is
+    exactly zero; small pivots are not an error.
+    """
+    lower, diag, upper, rhs = (np.array(a, dtype=float) for a in (
+        system.lower, system.diag, system.upper, system.rhs))
+    return direct((lower, diag, upper))(rhs)
 
 
 def thomas_solve_instrumented(system: TridiagonalSystem) -> tuple[np.ndarray, int]:

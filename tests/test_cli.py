@@ -186,6 +186,20 @@ def test_run_support_radius_column_tracks_spread():
     assert [row[3] for row in rows] == ["0", "1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("ends", [
+    {"bc_left": "dirichlet:1"},
+    {"bc_left": "flux:0.5", "bc_right": "robin:1,1,0.2"},
+], ids=["dirichlet", "flux-robin"])
+def test_run_leaves_the_support_radius_empty_under_boundary_data(ends, capsys):
+    # a forced end lights node 1 at step 2, which read as a radius of 24
+    code, out, _ = run_main(["run", *overrides(
+        scheme="explicit", nu="1", length_l="1", num_cells_N="50", r="0.5",
+        initial="dirac", num_steps="5", **ends)], capsys)
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6 and all(row[3] == "" for row in rows)
+
+
 # ----------------------------------------------------------------- stability
 
 def test_stability_table_matches_claims():
@@ -316,6 +330,20 @@ def test_bound_with_check_config_holds():
     measured, bound = float(rows[0][4]), float(rows[0][3])
     assert rows[0][5] == "true"
     assert measured <= bound
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--big-m", "5", "--set", "scheme=hyperbolic", "--set", "nu=1",
+     "--set", "length_l=3.141592653589793", "--set", "num_cells_N=64",
+     "--set", "dt=0.001", "--set", "initial=sine:1", "--set", "num_steps=1"],
+], ids=["neither", "both"])
+def test_main_bound_takes_big_m_or_a_config(extra, capsys):
+    # without either the bound is a vacuous 0; with both --big-m was dropped
+    code, out, err = run_main(
+        ["bound", "--tau", "0.01", "--horizon", "1", *extra], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "--big-m or a config" in err
 
 
 def test_bound_rejects_negative_inputs():

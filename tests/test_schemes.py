@@ -12,7 +12,7 @@ from heatlab import (BoundaryCondition, DiffusivityError, DiffusivityModel,
                      step_crank_nicolson, step_dufort_frankel, step_explicit,
                      step_hyperbolic, step_implicit, step_leapfrog,
                      step_saulyev_pair)
-from heatlab import schemes
+from heatlab import schemes, tridiag
 from heatlab.grid import (BCKind, Side, boundary_closure_coefficients,
                           close_boundary)
 from heatlab.tridiag import TridiagonalSystem, thomas_solve
@@ -184,8 +184,23 @@ def _solution_or_error(solve):
         return str(exc)
 
 
-@pytest.mark.parametrize("factory", [schemes._factored, schemes._direct],
-                         ids=["factored", "direct"])
+def _dgtsv_reference(lower, diag, upper, rhs):
+    """Bytes of the solution from one plain ``dgtsv`` call, or the message
+    of its zero pivot; order 1, which the wrapper rejects, divides."""
+    if len(diag) == 1:
+        return (rhs / diag).tobytes() if diag[0] != 0.0 else "zero pivot in row 0"
+    from scipy.linalg.lapack import dgtsv
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    return x.tobytes() if info == 0 else f"zero pivot in row {info - 1}"
+
+
+def _thomas_factory(bands):
+    return lambda rhs: thomas_solve(TridiagonalSystem(*bands, rhs))
+
+
+@pytest.mark.parametrize("factory", [tridiag.factored, tridiag.direct,
+                                     _thomas_factory],
+                         ids=["factored", "direct", "thomas_solve"])
 def test_solve_paths_match_thomas_solve_bit_for_bit(factory):
     rng = np.random.default_rng(15)
     kinds = ("dominant", "pivoting", "singular")
@@ -193,8 +208,7 @@ def test_solve_paths_match_thomas_solve_bit_for_bit(factory):
     for i in range(1200):
         m = i // 3 % 12 + 1 if i < 144 else int(rng.integers(3, 601))
         lower, diag, upper, rhs = _random_system(rng, m, kinds[i % 3])
-        expected = _solution_or_error(lambda: thomas_solve(TridiagonalSystem(
-            lower=lower, diag=diag, upper=upper, rhs=rhs)))
+        expected = _dgtsv_reference(lower, diag, upper, rhs)
         got = _solution_or_error(lambda: factory(
             (lower.copy(), diag.copy(), upper.copy()))(rhs.copy()))
         assert got == expected, (i, m, kinds[i % 3])
@@ -213,7 +227,7 @@ def test_lapack_solve_routines_per_run(scheme, model, factorisations, factored,
                                        monkeypatch):
     # a matrix that serves several solves is factored once (per run for
     # constant k, per step for general-k ccn); one used once goes to dgtsv.
-    # Above order 2 no solve builds a TridiagonalSystem.
+    # No solve builds a TridiagonalSystem.
     from scipy.linalg import lapack
     counts = dict.fromkeys(("dgttrf", "dgttrs", "dgtsv"), 0)
     for name in counts:
@@ -224,7 +238,7 @@ def test_lapack_solve_routines_per_run(scheme, model, factorisations, factored,
 
     def no_system(**bands):
         raise AssertionError("TridiagonalSystem built")
-    monkeypatch.setattr(schemes, "TridiagonalSystem", no_system)
+    monkeypatch.setattr(tridiag, "TridiagonalSystem", no_system)
     grid = build_uniform_grid(1.0, 16)
     p = SchemeParams(model, dt=0.01, dx=grid.dx)
     run_simulation(field(np.sin(np.pi * grid.nodes)), p, HOMOGENEOUS, scheme, 5)
@@ -1106,20 +1120,19 @@ def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 40])
-@pytest.mark.parametrize("factory", [schemes._factored, schemes._direct],
+@pytest.mark.parametrize("factory", [tridiag.factored, tridiag.direct],
                          ids=["factored", "direct"])
 def test_solves_write_into_the_view_they_are_given(factory, m):
     # the folded plans solve in the interior of the layer they return
     lower, diag, upper, rhs = _random_system(np.random.default_rng(m), m,
                                              "dominant")
-    expected = thomas_solve(TridiagonalSystem(lower=lower, diag=diag,
-                                              upper=upper, rhs=rhs))
+    expected = _dgtsv_reference(lower, diag, upper, rhs)
     layer = np.full(m + 2, 7.0)
     layer[1:-1] = rhs
     view = layer[1:-1]
     x = factory((lower.copy(), diag.copy(), upper.copy()))(view)
     assert x is view
-    assert layer[1:-1].tobytes() == expected.tobytes()
+    assert layer[1:-1].tobytes() == expected
     assert layer[0] == layer[-1] == 7.0
 
 

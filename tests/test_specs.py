@@ -148,6 +148,42 @@ def test_every_symbol_agrees_with_its_own_plan(scheme):
             assert error <= 1e-12 * scale, (r, m, error)
 
 
+def smooth(x, t):
+    return np.sin(2.0 * x + 0.3) * np.exp(-t) + 0.1 * np.cos(5.0 * x - t)
+
+
+@pytest.mark.parametrize("scheme", [
+    Scheme.EXPLICIT, Scheme.IMPLICIT, Scheme.CRANK_NICOLSON, Scheme.LEAPFROG,
+    Scheme.DUFORT_FRANKEL, Scheme.HYPERBOLIC], ids=lambda s: s.value)
+def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
+    # one advance of exact layers misses the exact next layer by f times the
+    # spec's residual (after the band operator for implicit and CN); the
+    # identity is algebraic, so any smooth u serves.  Saulyev, cn_nonlinear
+    # and ccn are not covered.
+    n, tau = 32, 0.01
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    bcs = tuple(BoundaryCondition.dirichlet(lambda t, end=end: smooth(end, t))
+                for end in (0.0, 1.0))
+    for r in [0.1, 0.4, 2.0]:
+        dt = r / n ** 2
+        p = SchemeParams(DiffusivityModel.constant(1.0), dt=dt, dx=1.0 / n,
+                         tau=tau)
+        t = 7 * dt
+        advance = schemes._plan(scheme, p, bcs, n + 1)
+        defect = smooth(nodes, t + dt) - advance(
+            smooth(nodes, t - dt), smooth(nodes, t), 7)[0]
+        rho = {Scheme.IMPLICIT: r, Scheme.CRANK_NICOLSON: r / 2.0}.get(scheme, 0.0)
+        defect = (1.0 + 2.0 * rho) * defect[1:-1] - rho * (defect[:-2] + defect[2:])
+        f = {Scheme.LEAPFROG: 2.0 * dt,
+             Scheme.DUFORT_FRANKEL: 2.0 * dt / (1.0 + 2.0 * r),
+             Scheme.HYPERBOLIC: 1.0 / (tau / dt ** 2 + 1.0 / (2.0 * dt)),
+             }.get(scheme, dt)
+        residual = [truncation_residual(scheme, smooth, p, x, t)
+                    for x in nodes[1:-1]]
+        np.testing.assert_allclose(defect, f * np.array(residual), rtol=1e-8,
+                                   atol=0.0, err_msg=f"r = {r}")
+
+
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_every_plan_takes_params_bcs_and_node_count(scheme):
     signature = inspect.signature(SPECS[scheme].plan)
@@ -172,9 +208,9 @@ def imported_names(tree):
     return names
 
 
-# bench/spans.py wraps these two as attributes of heatlab.schemes
+# bench/spans.py wraps these three as attributes of heatlab.schemes
 BENCH_SEAMS = {("schemes.py", "boundary_closure_coefficients"),
-               ("schemes.py", "close_boundary")}
+               ("schemes.py", "close_boundary"), ("schemes.py", "thomas_solve")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -188,6 +224,15 @@ def test_no_module_imports_a_name_it_never_uses():
         unused |= {(path.name, name) for name in imported_names(tree)
                    if name not in used}
     assert unused == BENCH_SEAMS
+
+
+def test_only_tridiag_imports_lapack():
+    # every ImportFrom, at module level or inside a function
+    importers = {path.name for path in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "scipy.linalg.lapack"}
+    assert importers == {"tridiag.py"}
 
 
 def test_all_lists_exactly_the_names_the_package_imports():
