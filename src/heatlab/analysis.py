@@ -151,9 +151,8 @@ def observed_order(errors: Sequence[tuple[float, float]]) -> float:
     return float(slope)
 
 
-def information_speed(record: RunRecord,
-                      source: Optional[int] = None) -> list[int]:
-    """Support radius of each snapshot around a source node.
+def information_speed(record: RunRecord, source: int) -> list[int]:
+    """Support radius of each snapshot around the node ``source``.
 
     The radius of a snapshot is max |j - source| over the interior nodes,
     0 < j < N, with |u_j| > ``SUPPORT_THRESHOLD`` (0 when there are none).
@@ -161,23 +160,15 @@ def information_speed(record: RunRecord,
     data or from the nodes next to them, so a flux or Robin end, or nonzero
     Dirichlet data, lights an end before any front reaches it.  Nonzero
     boundary data also lights the interior nodes next to its end, which the
-    radius then counts, so it tracks a front only under zero data.  Without
-    ``source`` the initial snapshot must be a one-node indicator and that
-    node is the source; a given ``source`` must be a node of the grid,
-    0 <= source < N + 1.  Explicit three-point stencils grow the radius by
-    exactly one cell per step; fully implicit solves light up the whole
-    interior in a single step.
+    radius then counts, so it tracks a front only under zero data.
+    ``source`` must be a node of the grid, 0 <= source < N + 1; the CLI
+    passes the node where |initial| is largest.  Explicit three-point
+    stencils grow the radius by exactly one cell per step; fully implicit
+    solves light up the whole interior in a single step.
     """
     if not record.snapshots:
         raise ValueError("record has no snapshots")
-    if source is None:
-        first = np.abs(record.snapshots[0].values) > SUPPORT_THRESHOLD
-        sources = np.flatnonzero(first)
-        if len(sources) != 1:
-            raise ValueError("initial field is not a one-node indicator "
-                             f"({len(sources)} nodes above threshold)")
-        source = int(sources[0])
-    elif not 0 <= source < len(record.snapshots[0].values):
+    if not 0 <= source < len(record.snapshots[0].values):
         raise ValueError(f"source {source} is not a node of the grid "
                          f"(0..{len(record.snapshots[0].values) - 1})")
     radii = []

@@ -101,11 +101,13 @@ def _parse_bc(spec: str) -> BoundaryCondition:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: scheme, mesh, time step, BCs and initial profile.
+    """One parsed experiment: scheme, mesh, time step, BCs and initial profile.
 
-    Exactly one of ``dt`` and ``r`` is given; ``tau`` is either a number or
-    one of the named rules ``nu_dx`` (tau = nu dx) and ``dx_over_cs``
-    (tau = dx / cs, needs ``cs``), resolved against the mesh before a run.
+    The ends are ``BoundaryCondition``s and ``initial`` is the ``(kind, arg)``
+    pair of ``_parse_initial``.  Exactly one of ``dt`` and ``r`` is given;
+    ``tau`` is either a number or one of the named rules ``nu_dx`` (tau =
+    nu dx) and ``dx_over_cs`` (tau = dx / cs, needs ``cs``), which
+    ``scheme_params`` resolves against the mesh width.
     """
 
     scheme: Scheme
@@ -116,9 +118,9 @@ class ExperimentConfig:
     r: Optional[float]
     tau: Union[float, str]
     cs: Optional[float]
-    bc_left: str
-    bc_right: str
-    initial: str
+    bc_left: BoundaryCondition
+    bc_right: BoundaryCondition
+    initial: tuple
     num_steps: int
     snapshot_every: int
     seed: int
@@ -174,12 +176,9 @@ class ExperimentConfig:
         if snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
         seed = _parse_int(mapping, "seed", 0)
-        initial = str(mapping["initial"]).strip()
-        _parse_initial(initial)
-        bc_left = str(mapping.get("bc_left", "dirichlet:0"))
-        bc_right = str(mapping.get("bc_right", "dirichlet:0"))
-        _parse_bc(bc_left)
-        _parse_bc(bc_right)
+        initial = _parse_initial(str(mapping["initial"]).strip())
+        bc_left = _parse_bc(mapping.get("bc_left", "dirichlet:0"))
+        bc_right = _parse_bc(mapping.get("bc_right", "dirichlet:0"))
         return ExperimentConfig(scheme=scheme, nu=nu, length_l=length_l,
                                 num_cells_N=num_cells, dt=dt, r=r, tau=tau,
                                 cs=cs, bc_left=bc_left, bc_right=bc_right,
@@ -216,28 +215,25 @@ class ExperimentConfig:
             mapping[key.strip()] = value.strip()
         return ExperimentConfig.from_mapping(mapping)
 
-    def resolve_dt(self, dx: float) -> float:
-        if self.dt is not None:
-            return self.dt
-        return self.r * dx ** 2 / self.nu
-
-    def resolve_tau(self, dx: float) -> float:
-        if self.tau == "nu_dx":
-            return self.nu * dx
-        if self.tau == "dx_over_cs":
-            return dx / self.cs
-        return float(self.tau)
+    def scheme_params(self, dx: float) -> SchemeParams:
+        """dt and tau resolved at mesh width ``dx``; the ``nu_dx`` rule leaves
+        tau to ``SchemeParams``, whose default is nu dx."""
+        dt = self.r * dx ** 2 / self.nu if self.dt is None else self.dt
+        tau = self.tau
+        if tau == "nu_dx":
+            tau = None
+        elif tau == "dx_over_cs":
+            tau = dx / self.cs
+        return SchemeParams(diffusivity=DiffusivityModel.constant(self.nu),
+                            dt=dt, dx=dx, tau=tau)
 
     def build(self) -> tuple[Grid1D, SchemeParams, tuple, Field]:
         grid = build_uniform_grid(self.length_l, self.num_cells_N)
-        dt = self.resolve_dt(grid.dx)
-        params = SchemeParams(diffusivity=DiffusivityModel.constant(self.nu),
-                              dt=dt, dx=grid.dx, tau=self.resolve_tau(grid.dx))
-        bcs = (_parse_bc(self.bc_left), _parse_bc(self.bc_right))
-        return grid, params, bcs, self.build_initial(grid)
+        bcs = (self.bc_left, self.bc_right)
+        return grid, self.scheme_params(grid.dx), bcs, self.build_initial(grid)
 
     def build_initial(self, grid: Grid1D) -> Field:
-        kind, arg = _parse_initial(self.initial)
+        kind, arg = self.initial
         if kind == "dirac":
             node = grid.num_cells_N // 2 if arg is None else arg
             if not 0 <= node <= grid.num_cells_N:
@@ -251,7 +247,7 @@ class ExperimentConfig:
         return _load_custom_profile(arg, grid)
 
     def sine_mode(self) -> int:
-        kind, mode = _parse_initial(self.initial)
+        kind, mode = self.initial
         if kind != "sine":
             raise ConfigError("this command needs a sine:m initial profile")
         return mode
@@ -337,7 +333,7 @@ def cmd_converge(config: ExperimentConfig, refinements: int, dt_rule: str,
     mode = config.sine_mode()
     power = _DT_RULES[dt_rule]
     dx0 = config.length_l / config.num_cells_N
-    dt0 = config.resolve_dt(dx0)
+    dt0 = config.scheme_params(dx0).dt
     horizon = config.num_steps * dt0
     anchor = dt0 / dx0 ** power
 
@@ -466,14 +462,15 @@ def cmd_infospeed(config: ExperimentConfig, out: TextIO) -> int:
     it ahead, so the largest rate is the one read before either clipped it.
     Nonzero boundary data is a config error.
     """
-    if _parse_initial(config.initial)[0] != "dirac":
+    if config.initial[0] != "dirac":
         raise ConfigError("infospeed needs the dirac initial profile")
     _, params, bcs, initial = config.build()
     if _forced(bcs):
         raise ConfigError("infospeed needs zero boundary data at both ends")
     record = run_simulation(initial, params, bcs, config.scheme,
                             config.num_steps, config.snapshot_every)
-    radii = information_speed(record)
+    radii = information_speed(record,
+                              source=int(np.argmax(np.abs(initial.values))))
 
     out.write("step,support_radius\n")
     for snap, radius in zip(record.snapshots, radii):

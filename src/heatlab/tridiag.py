@@ -40,7 +40,8 @@ class SingularSystemError(ArithmeticError):
 class TridiagonalSystem:
     """System A x = rhs with A tridiagonal of order m.
 
-    lower/upper have length m - 1, diag and rhs length m.
+    lower/upper have length m - 1, diag and rhs length m.  A complex band or
+    right-hand side raises ValueError: the solvers work in float64.
     """
 
     lower: np.ndarray
@@ -56,6 +57,9 @@ class TridiagonalSystem:
             raise ValueError(
                 f"inconsistent band lengths: diag {m}, rhs {len(self.rhs)}, "
                 f"lower {len(self.lower)}, upper {len(self.upper)}")
+        if any(map(np.iscomplexobj, (self.lower, self.diag, self.upper, self.rhs))):
+            raise ValueError("tridiagonal system must be real, got a complex "
+                             "band or right-hand side")
 
 
 def _check(info: int) -> None:

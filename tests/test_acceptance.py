@@ -155,6 +155,10 @@ def test_c04_saulyev_unconditional_stability():
 LADDER_CELLS = (32, 64, 128, 256)
 
 
+# The Saulyev ladder rounds its step count up to an even number, so
+# dt = 0.1 / steps does not follow 0.4 dx^1.5: lam = nu dt / dx^2 is 1.04,
+# 1.73, 2.52 and 3.61 on the four rungs instead of 0.4 / sqrt(dx) = 1.28 to
+# 3.61.  README derives the c05 red value 0.838 from these lam.
 @functools.lru_cache(maxsize=None)
 def convergence_ladders():
     """All five refinement studies; cached so each clause reuses one run."""

@@ -13,6 +13,7 @@ from heatlab.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_SOLVER,
                          ConfigError, ExperimentConfig, cmd_bound,
                          cmd_converge, cmd_dispersion, cmd_infospeed, cmd_run,
                          cmd_stability)
+from heatlab.grid import BCKind
 from heatlab.reference import (SineSeriesSolution, evaluate_series,
                                hyperbolic_mode_solution)
 
@@ -58,12 +59,12 @@ def test_config_rejects_unknown_keys_and_schemes():
 
 
 def test_config_tau_rules():
-    cfg = ExperimentConfig.from_mapping(base_mapping(tau="nu_dx", nu="2"))
-    assert cfg.resolve_tau(0.25) == pytest.approx(0.5)
+    cfg = ExperimentConfig.from_mapping(base_mapping(tau="nu_dx", nu="2.2"))
+    assert cfg.scheme_params(0.3).tau == 2.2 * 0.3
     cfg = ExperimentConfig.from_mapping(base_mapping(tau="dx_over_cs", cs="4"))
-    assert cfg.resolve_tau(0.25) == pytest.approx(0.0625)
+    assert cfg.scheme_params(0.25).tau == pytest.approx(0.0625)
     cfg = ExperimentConfig.from_mapping(base_mapping(tau="0.125"))
-    assert cfg.resolve_tau(0.25) == 0.125
+    assert cfg.scheme_params(0.25).tau == 0.125
     with pytest.raises(ConfigError, match="cs"):
         ExperimentConfig.from_mapping(base_mapping(tau="dx_over_cs"))
     with pytest.raises(ConfigError):
@@ -72,13 +73,21 @@ def test_config_tau_rules():
 
 def test_config_r_to_dt_resolution():
     cfg = ExperimentConfig.from_mapping(base_mapping(nu="2", r="0.5"))
-    assert cfg.resolve_dt(0.1) == pytest.approx(0.5 * 0.01 / 2.0)
+    assert cfg.scheme_params(0.1).dt == pytest.approx(0.5 * 0.01 / 2.0)
+    mapping = base_mapping(dt="0.003")
+    del mapping["r"]
+    assert ExperimentConfig.from_mapping(mapping).scheme_params(0.1).dt == 0.003
 
 
 def test_config_bc_specs():
     cfg = ExperimentConfig.from_mapping(base_mapping(
         bc_left="flux:0.5", bc_right="robin:1,2,0.25"))
-    assert cfg.bc_left == "flux:0.5"
+    assert cfg.bc_left.kind is BCKind.FLUX
+    assert cfg.bc_left.forcing(0.0) == 0.5
+    assert (cfg.bc_right.kind, cfg.bc_right.coeff_a, cfg.bc_right.coeff_b,
+            cfg.bc_right.forcing(0.0)) == (BCKind.ROBIN, 1.0, 2.0, 0.25)
+    assert ExperimentConfig.from_mapping(base_mapping()).bc_right.kind \
+        is BCKind.DIRICHLET
     with pytest.raises(ConfigError):
         ExperimentConfig.from_mapping(base_mapping(bc_left="periodic:0"))
     with pytest.raises(ConfigError):
@@ -778,6 +787,31 @@ def test_main_reproduces_readme_golden_output(entry, tmp_path, capsys):
             else:
                 assert float(g) == pytest.approx(float(w), rel=entry["rtol"],
                                                  abs=0.0)
+
+
+README_CONFIG_COMMANDS = [e for e in GOLDEN_CLI["commands"] if "id" not in e
+                          and e["argv"][0] in ("run", "converge", "infospeed")]
+
+
+@pytest.mark.parametrize("entry", README_CONFIG_COMMANDS,
+                         ids=[f"{e['argv'][0]}-{e['argv'][1].lstrip('-')}"
+                              for e in README_CONFIG_COMMANDS])
+def test_readme_commands_parse_each_spec_once(entry, tmp_path, monkeypatch,
+                                              capsys):
+    # from_mapping parses both ends and the initial profile; every later
+    # use, converge's rebuild per rung included, reads the parsed values
+    calls = {"_parse_bc": 0, "_parse_initial": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    config = tmp_path / "experiment.cfg"
+    config.write_text(GOLDEN_CLI["config"])
+    argv = [str(config) if a == "{config}" else a for a in entry["argv"]]
+    code, _, _ = run_main(argv, capsys)
+    assert code == entry["exit_code"]
+    assert calls == {"_parse_bc": 2, "_parse_initial": 1}
 
 
 def test_readme_config_example_lists_every_config_key(tmp_path, capsys):

@@ -102,6 +102,17 @@ def test_inconsistent_lengths_rejected():
                           upper=np.zeros(0), rhs=np.ones(0))
 
 
+@pytest.mark.parametrize("solver", [thomas_solve, thomas_solve_instrumented])
+@pytest.mark.parametrize("complex_part", ["rhs", "diag", "lower"])
+def test_complex_system_rejected(solver, complex_part):
+    # a float64 copy would drop the imaginary part with only a ComplexWarning
+    bands = {"lower": np.ones(2), "diag": np.full(3, 4.0),
+             "upper": np.ones(2), "rhs": np.ones(3)}
+    bands[complex_part] = bands[complex_part] + 2j
+    with pytest.raises(ValueError, match="^tridiagonal system must be real"):
+        solver(TridiagonalSystem(**bands))
+
+
 def test_matches_dense_oracle_on_dominant_systems():
     rng = np.random.default_rng(2024)
     for _ in range(50):
