@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .grid import max_abs
 from .schemes import SPECS, RunRecord, Scheme, SchemeParams, SchemeSpec
 
 DEFAULT_THETA_SAMPLES = 721
@@ -107,7 +108,7 @@ def max_amplification(scheme: Scheme, r: Optional[float] = None,
     if theta_samples < 2:
         raise ValueError(f"need at least 2 theta samples, got {theta_samples}")
     thetas = np.linspace(0.0, math.pi, theta_samples)
-    return float(np.max(amplification(scheme, r, thetas, params).max_modulus))
+    return max_abs(amplification(scheme, r, thetas, params).max_modulus)
 
 
 def empirical_growth(record: RunRecord, window: int) -> float:

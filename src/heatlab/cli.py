@@ -22,7 +22,7 @@ from .analysis import (DEFAULT_THETA_SAMPLES, dispersion_branches,
                        hyperbolization_error_bound, information_speed,
                        max_amplification)
 from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
-    sample_initial
+    max_abs, sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
     hyperbolic_mode_solution
 from .schemes import SPECS, DiffusivityModel, Scheme, SchemeParams, \
@@ -217,13 +217,24 @@ class ExperimentConfig:
 
     def scheme_params(self, dx: float) -> SchemeParams:
         """dt and tau resolved at mesh width ``dx``; the ``nu_dx`` rule leaves
-        tau to ``SchemeParams``, whose default is nu dx."""
-        dt = self.r * dx ** 2 / self.nu if self.dt is None else self.dt
+        tau to ``SchemeParams``, whose default is nu dx.  A rule whose result
+        overflows (or, for dt, underflows to 0) is a ConfigError that names
+        the rule and its inputs."""
+        if self.dt is None:
+            dt = self.r * dx ** 2 / self.nu
+            if not 0.0 < dt < math.inf:
+                raise ConfigError(f"the r rule gives dt = r dx^2 / nu = {dt} "
+                                  f"(r = {self.r}, dx = {dx}, nu = {self.nu})")
+        else:
+            dt = self.dt
         tau = self.tau
         if tau == "nu_dx":
             tau = None
         elif tau == "dx_over_cs":
             tau = dx / self.cs
+            if not math.isfinite(tau):
+                raise ConfigError(f"tau rule dx_over_cs gives tau = dx / cs = "
+                                  f"{tau} (dx = {dx}, cs = {self.cs})")
         return SchemeParams(diffusivity=DiffusivityModel.constant(self.nu),
                             dt=dt, dx=dx, tau=tau)
 
@@ -289,7 +300,7 @@ def _load_custom_profile(path: str, grid: Grid1D) -> Field:
         raise ConfigError(f"custom profile has {data.shape[0]} samples, "
                           f"grid has {grid.num_cells_N + 1} nodes")
     tol = 1e-12 * max(1.0, grid.length_l)
-    if np.max(np.abs(data[:, 0] - grid.nodes)) > tol:
+    if max_abs(data[:, 0] - grid.nodes) > tol:
         raise ConfigError("custom profile x column does not match the grid "
                           "nodes (no interpolation is performed)")
     return Field(values=data[:, 1].copy(), time_index=0)
@@ -362,7 +373,7 @@ def cmd_converge(config: ExperimentConfig, refinements: int, dt_rule: str,
         else:
             sol = SineSeriesSolution.single_mode(config.length_l, config.nu, mode)
             exact = evaluate_series(sol, grid.nodes, t_final)
-        err = float(np.max(np.abs(final.values - exact)))
+        err = max_abs(final.values - exact)
         if prev_err is None or err <= 0.0 or prev_err <= 0.0:
             order = ""
         else:
@@ -443,7 +454,7 @@ def cmd_bound(tau: float, big_m: float, horizon: float,
             sol = SineSeriesSolution.single_mode(length, nu, mode)
             par = evaluate_series(sol, xs, ts)
             hyp = hyperbolic_mode_solution(nu, tau, length, mode, ts, xs)
-            measured = float(np.max(np.abs(hyp - par)))
+            measured = max_abs(hyp - par)
     bound = hyperbolization_error_bound(tau, big_m, horizon)
     measured_text = "" if measured is None else _fmt(measured)
     within_text = "" if measured is None else _fmt_bool(measured <= bound)

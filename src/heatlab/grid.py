@@ -8,7 +8,10 @@ one-sided three-point derivative stencil at the endpoint.  ``closure`` is
 the one place that knows the endpoint formula and which nodes it reads;
 the scheme plans build their closures with it once per run (once per step
 where the endpoint diffusivity varies), and ``close_boundary`` and
-``boundary_closure_coefficients`` are its scalar forms.
+``boundary_closure_coefficients`` are its scalar forms.  ``max_abs`` is the
+one max norm: the per-layer divergence test, ``Field.max_norm``, the
+fixed-point change, the amplification sweep and the CLI's error norms all
+read it.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +65,19 @@ def build_uniform_grid(length_l: float, num_cells_N: int) -> Grid1D:
                   dx=dx, nodes=nodes)
 
 
+def max_abs(values: np.ndarray) -> float:
+    """max |values| as a Python number: the value of ``np.abs(values).max()``.
+
+    ``argmax`` returns the index of the first NaN when there is one, so a NaN
+    anywhere gives NaN, as the reduction does (BLAS ``idamax`` would skip
+    it), and -0.0 reads 0.0.  Unlike ``np.maximum.reduce`` it sets up no
+    reduction, which is most of the cost on a small layer.  An empty array
+    raises ValueError.
+    """
+    magnitude = np.abs(values)
+    return magnitude.item(magnitude.argmax())
+
+
 @dataclass(frozen=True)
 class Field:
     """One time layer of nodal values u_j, j = 0..N."""
@@ -71,19 +87,30 @@ class Field:
 
     @property
     def max_norm(self) -> float:
-        return float(np.abs(self.values).max())
+        return float(max_abs(self.values))  # a float for integer values too
 
 
 def sample_initial(u0: Callable[[float], float], grid: Grid1D) -> Field:
     """Sample an initial profile at the grid nodes, u_j = u0(x_j).
 
-    Rejects profiles that produce non-finite values anywhere on the grid.
+    ``u0`` receives each node as a Python float.  Rejects profiles that
+    produce non-finite values anywhere on the grid or raise ArithmeticError
+    (such as 1/x at x = 0), naming the first such node.
     """
-    values = np.array([float(u0(x)) for x in grid.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+    samples: list = []
+    cause = None
+    try:
+        for x in grid.nodes.tolist():
+            samples.append(float(u0(x)))
+    except ArithmeticError as exc:
+        cause = exc
+        samples.append(np.nan)  # stands for the node that raised
+    values = np.array(samples, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
         raise ValueError(f"initial profile is not finite at node {bad} "
-                         f"(x = {grid.nodes[bad]})")
+                         f"(x = {grid.nodes[bad]})") from cause
     return Field(values=values, time_index=0)
 
 

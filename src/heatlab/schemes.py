@@ -34,7 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import BCKind, BoundaryCondition, Closure, Field, Side, closure
+from .grid import (BCKind, BoundaryCondition, Closure, Field, Side, closure,
+                   max_abs)
 from .tridiag import SingularSystemError, direct, factored
 # No stepper calls these three; bench/spans.py wraps them as attributes of
 # this module.
@@ -151,8 +152,10 @@ class DiffusivityModel:
                 values = np.asarray(values, dtype=float)
             if values.shape != u.shape:  # broadcast_to costs a few us
                 values = np.broadcast_to(values, u.shape)
-        # NaN fails both comparisons; the mask is built only to name the index
-        if values.size and not (values.min() > 0.0 and values.max() < np.inf):
+        # argmin and argmax return the first NaN, which fails both
+        # comparisons; the mask is built only to name the index
+        if values.size and not (values.item(values.argmin()) > 0.0
+                                and values.item(values.argmax()) < np.inf):
             bad = int(np.argmin(np.isfinite(values) & (values > 0.0)))
             raise DiffusivityError(f"diffusivity k(u[{bad}] = {u[bad]}) = "
                                    f"{values[bad]} is not finite and positive")
@@ -395,7 +398,7 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
         if i:
             k = model.evaluate_array(v[1:-1])
         candidate = iterate(k)
-        delta = float(np.max(np.abs(candidate - v)))
+        delta = max_abs(candidate - v)
         v = candidate
         if delta <= FIXED_POINT_TOL:
             return v
@@ -824,8 +827,10 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     layer raises ValueError), and the initial snapshot holds them.  With
     ``num_steps == 0`` no plan is built.  The run halts and
     flags divergence as soon as a layer has a non-finite value or max-norm
-    above 1e12.  Errors raised while the plan is built, before the first
-    step, propagate unchanged: a ValueError for misuse (a scheme that needs
+    above 1e12.  Every layer's max-norm is ``grid.max_abs``, which
+    propagates NaN and never squares the layer, so a huge finite layer
+    diverges without an overflow warning.  Errors raised while the plan is
+    built, before the first step, propagate unchanged: a ValueError for misuse (a scheme that needs
     constant k or tau > 0, a flux/Robin end on fewer than 4 nodes or, with
     constant k, a degenerate closure), and SingularSystemError for a
     degenerate Saulyev start or a zero pivot in the implicit or
@@ -867,8 +872,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
             prev, curr = curr, layer
             time_index += 1
             consistent = i == last
-            # the reduction ndarray.max calls, without its Python wrapper
-            norm = float(np.maximum.reduce(np.abs(layer)))
+            norm = max_abs(layer)
             if not norm <= DIVERGENCE_THRESHOLD:
                 record.diverged = True
                 record.diverged_step = time_index

@@ -602,9 +602,26 @@ HYPERBOLIC_RUN = dict(scheme="hyperbolic", nu=1, length_l=1, num_cells_N=16,
      "bad boundary spec 'dirichlet:inf'"),
     (["run"] + overrides(**{**HYPERBOLIC_RUN, "bc_left": "flux:nan"}),
      "bad boundary spec 'flux:nan'"),
+    # finite inputs whose tau or dt rule overflows or underflows at the mesh
+    (["run"] + overrides(**{**HYPERBOLIC_RUN, "num_cells_N": 32,
+                            "tau": "dx_over_cs", "cs": "1e-310"}),
+     "tau rule dx_over_cs gives tau = dx / cs = inf "
+     "(dx = 0.03125, cs = 1e-310)"),
+    (["converge", "--refinements", "2", "--dt-rule", "dx"] + overrides(
+        scheme="explicit", nu="1e-300", length_l=1, num_cells_N=32,
+        r="1e300", initial="sine:1", num_steps=3),
+     "the r rule gives dt = r dx^2 / nu = inf "
+     "(r = 1e+300, dx = 0.03125, nu = 1e-300)"),
+    (["run"] + overrides(scheme="explicit", nu="1e300", length_l=1,
+                         num_cells_N=32, r="1e-300", initial="sine:1",
+                         num_steps=3),
+     "the r rule gives dt = r dx^2 / nu = 0.0 "
+     "(r = 1e-300, dx = 0.03125, nu = 1e+300)"),
 ], ids=["run-tau-nan", "run-tau-inf", "run-dt-inf", "run-nu-inf",
         "bound-horizon-inf", "dispersion-nu-nan", "stability-r-inf",
-        "run-robin-nan", "run-dirichlet-inf", "run-flux-nan"])
+        "run-robin-nan", "run-dirichlet-inf", "run-flux-nan",
+        "run-dx-over-cs-overflows", "converge-r-rule-overflows",
+        "run-r-rule-underflows"])
 def test_main_rejects_non_finite_numbers(argv, message, capsys):
     code, out, err = run_main(argv, capsys)
     assert (code, out) == (EXIT_CONFIG, "")

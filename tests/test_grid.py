@@ -1,11 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heatlab import (BoundaryCondition, Field, Side,
                      boundary_closure_coefficients, build_uniform_grid,
                      close_boundary, sample_initial)
+from heatlab.grid import max_abs
 
 
 def test_build_uniform_grid_examples():
@@ -53,6 +58,70 @@ def test_sample_initial_rejects_non_finite():
     g = build_uniform_grid(1.0, 4)
     with pytest.raises(ValueError, match="not finite"):
         sample_initial(lambda x: math.inf if x == 0.0 else 1.0, g)
+
+
+def test_sample_initial_names_the_node_where_the_profile_raises():
+    # the profile gets Python floats, so 1/x raises at x = 0 instead of
+    # warning and returning inf
+    g = build_uniform_grid(1.0, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "initial profile is not finite at node 0 (x = 0.0)")) as err:
+        sample_initial(lambda x: 1.0 / x, g)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    with pytest.raises(ValueError, match=re.escape(
+            "not finite at node 3 (x = 0.75)")) as err:
+        sample_initial(lambda x: math.exp(1e3 * x) if x > 0.5 else 0.0, g)
+    assert isinstance(err.value.__cause__, OverflowError)
+    # a non-finite value before the node that raises is named first
+    with pytest.raises(ValueError, match="not finite at node 1 "):
+        sample_initial(lambda x: math.inf if x == 0.25 else 1.0 / (x - 0.5), g)
+
+
+def test_sample_initial_passes_python_floats_bit_equal_to_the_nodes():
+    g = build_uniform_grid(1.3, 7)
+    seen = []
+    f = sample_initial(lambda x: seen.append(x) or math.sin(3.0 * x), g)
+    assert all(type(x) is float for x in seen)
+    np.testing.assert_array_equal(seen, g.nodes)
+    # the same doubles as sampling at the numpy scalars of the nodes
+    np.testing.assert_array_equal(
+        f.values, [math.sin(3.0 * x) for x in g.nodes])
+
+
+def _hex(value) -> str:
+    # float.hex tells -0.0 from 0.0 and prints every NaN as 'nan'
+    return float.hex(float(value))
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 70)))
+def test_max_abs_equals_the_reduction(values):
+    assert _hex(max_abs(values)) == _hex(np.abs(values).max())
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0],
+                         ids=["nan", "inf", "-inf", "-zero"])
+def test_max_abs_finds_a_special_value_at_every_position(special):
+    # numpy's argmax runs vector lanes and a scalar tail, so the special
+    # value visits every position of short arrays and of two long ones;
+    # a NaN or an infinity dominates wherever it sits, so the reduction's
+    # value is the same at every position
+    rng = np.random.default_rng(20)
+    for size in (*range(1, 71), 1025, 16385):
+        values = np.zeros(size) if special == 0.0 else rng.standard_normal(size)
+        kept, values[0] = values[0], special
+        expected = _hex(np.abs(values).max())
+        values[0] = kept
+        for j in range(size):
+            kept, values[j] = values[j], special
+            assert _hex(max_abs(values)) == expected, (size, j)
+            values[j] = kept
+    assert type(max_abs(values)) is float
+
+
+def test_field_max_norm_is_a_float_for_integer_values():
+    norm = Field(values=np.array([1, -3, 2]), time_index=0).max_norm
+    assert type(norm) is float and norm == 3.0
 
 
 def test_dirichlet_closure_ignores_interior():

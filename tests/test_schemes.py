@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,20 @@ def test_diffusivity_guard_names_the_first_bad_value(bad):
             f"diffusivity k(u[2] = {bad}) = {bad} is not finite and positive")):
         model.evaluate_array(u)
     np.testing.assert_array_equal(model.evaluate_array(np.abs(u[:2])), u[:2])
+
+
+def test_diffusivity_guard_names_a_nan_at_every_position():
+    # the guard reads min and max through argmin and argmax, which return
+    # the first NaN in every lane of numpy's vector loops and in its tail
+    model = DiffusivityModel.affine(1.0, 1.0)
+    for size in range(1, 71):
+        u = np.linspace(0.0, 1.0, size)
+        for j in range(size):
+            kept, u[j] = u[j], math.nan
+            with pytest.raises(DiffusivityError,
+                               match=re.escape(f"k(u[{j}] = nan) = nan ")):
+                model.evaluate_array(u)
+            u[j] = kept
 
 
 # ------------------------------------------------------------------ explicit
@@ -591,6 +606,21 @@ def test_cn_nonlinear_reports_iteration_failure(stepper):
     assert err.value.residual > 0.0
 
 
+def test_nan_iterate_raises_fixed_point_error():
+    # a NaN change passes neither the tolerance nor the threshold test
+    model = DiffusivityModel.affine(1.0, 0.5)
+    v = np.zeros(5)
+    iterates = []
+
+    def iterate(k):
+        iterates.append(k)
+        return np.array([0.0, 0.1, math.nan, 0.1, 0.0])
+    with pytest.raises(FixedPointError, match=r"after 1 iterations "
+                       r"\(last change nan\)") as err:
+        schemes._fixed_point(iterate, v, model.evaluate_array(v[1:-1]), model)
+    assert math.isnan(err.value.residual) and len(iterates) == 1
+
+
 def test_diverging_fixed_point_stops_before_k_overflows():
     # the ccn iterate's change passes DIVERGENCE_THRESHOLD at the tenth
     # iterate, so the run names the iteration, not an overflow inside k
@@ -791,6 +821,21 @@ def test_run_simulation_divergence_test_at_the_edges(value, diverged_step):
     assert record.diverged_step == diverged_step
     kept = [0, 2, 3] if diverged_step else [0, 2, 4, 6]
     assert [s.time_index for s in record.snapshots] == kept
+    if diverged_step:  # the diverged layer keeps its norm, NaN included
+        assert float.hex(record.max_norms[-1]) == float.hex(abs(value))
+
+
+def test_huge_finite_start_diverges_at_step_one_without_a_warning():
+    # a norm taken as sqrt(u @ u) would overflow to inf here and warn
+    grid = build_uniform_grid(1.0, 64)
+    p = constant_params(1.0, dt=0.25 * grid.dx ** 2, dx=grid.dx)
+    u = np.full(65, 1e200)
+    u[[0, -1]] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run_simulation(field(u), p, HOMOGENEOUS, Scheme.EXPLICIT, 5)
+    assert record.diverged and record.diverged_step == 1
+    assert record.max_norms == [1e200, 1e200]
 
 
 def test_run_simulation_divergence_flagging():
