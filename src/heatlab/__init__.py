@@ -1,7 +1,8 @@
 """Finite-difference laboratory for the 1-D heat equation.
 
-Seven time-stepping schemes behind one stepper contract, a pivoting
-tridiagonal solver (LAPACK ``gtsv``, with a pure-Python Thomas reference),
+Seven time-stepping schemes behind one stepper contract, pivoting
+tridiagonal solves (LAPACK ``dgttrf``/``dgttrs`` for a matrix that repeats,
+``dgtsv`` for one used once, with a pure-Python Thomas reference),
 closed-form reference solutions, and the stability /
 dispersion / convergence / error-bound tooling needed to measure what each
 scheme actually does.
@@ -18,7 +19,7 @@ from .grid import (BCKind, BoundaryCondition, Field, Grid1D, Side,
 from .reference import (SineSeriesSolution, evaluate_series,
                         fundamental_solution, hyperbolic_mode_solution)
 from .schemes import (DIVERGENCE_THRESHOLD, DiffusivityError,
-                      DiffusivityKind, DiffusivityModel, FixedPointError,
+                      DiffusivityModel, FixedPointError,
                       RunRecord, Scheme, SchemeParams, SolverError, StepState,
                       bootstrap_hyperbolic, run_simulation,
                       step_ccn, step_cn_nonlinear, step_crank_nicolson,
@@ -31,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplificationResult", "BCKind", "BoundaryCondition", "DIVERGENCE_THRESHOLD",
-    "DiffusivityError", "DiffusivityKind", "DiffusivityModel",
+    "DiffusivityError", "DiffusivityModel",
     "DispersionSample", "Field", "FixedPointError",
     "Grid1D", "RunRecord", "Scheme", "SchemeParams", "Side",
     "SineSeriesSolution", "SingularSystemError", "SolverError", "StepState",

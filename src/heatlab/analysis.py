@@ -231,7 +231,8 @@ def truncation_residual(scheme: Scheme,
     u, dx = smooth_solution, params.dx
 
     def k_at(xx: float, tt: float) -> float:
-        return params.diffusivity.evaluate(u(xx, tt))
+        node = np.array([u(xx, tt)], dtype=float)
+        return params.diffusivity.evaluate_array(node).item()
 
     def d2(tt: float) -> float:
         return u(x - dx, tt) - 2.0 * u(x, tt) + u(x + dx, tt)

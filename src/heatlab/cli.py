@@ -21,8 +21,8 @@ import numpy as np
 from .analysis import (DEFAULT_THETA_SAMPLES, dispersion_branches,
                        hyperbolization_error_bound, information_speed,
                        max_amplification)
-from .grid import BoundaryCondition, Field, Grid1D, build_uniform_grid, \
-    max_abs, sample_initial
+from .grid import BCKind, BoundaryCondition, Field, Grid1D, \
+    build_uniform_grid, max_abs, sample_initial
 from .reference import SineSeriesSolution, evaluate_series, \
     hyperbolic_mode_solution
 from .schemes import SPECS, DiffusivityModel, Scheme, SchemeParams, \
@@ -333,7 +333,15 @@ _DT_RULES = {"dx2": 2.0, "dx_3_2": 1.5, "dx": 1.0}
 
 def cmd_converge(config: ExperimentConfig, refinements: int, dt_rule: str,
                  out: TextIO) -> int:
-    """Refinement study against the closed-form oracle at the final time."""
+    """Refinement study against the closed-form oracle at the final time.
+
+    The oracle is a sine mode, which solves only homogeneous Dirichlet
+    ends; any other end is a config error naming it."""
+    for name, bc in (("bc_left", config.bc_left), ("bc_right", config.bc_right)):
+        if bc.kind is not BCKind.DIRICHLET or _forced((bc,)):
+            raise ConfigError(
+                f"converge needs dirichlet:0 at both ends (its sine-mode "
+                f"oracle), got {name} {bc.kind.value} with data {bc.forcing(0.0)}")
     if refinements < 2:
         raise ConfigError(f"need at least 2 refinements, got {refinements}")
     if dt_rule not in _DT_RULES:

@@ -176,6 +176,11 @@ class Closure(NamedTuple):
     put: Callable[[np.ndarray, float], None]
 
 
+def _not_a_number(side: Side, t: float, value) -> ValueError:
+    return ValueError(f"{side.value} boundary forcing at t = {t} gave "
+                      f"{value!r}, not a number")
+
+
 def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
     """The closure of ``bc`` at ``side`` for diffusivity nu at the endpoint.
 
@@ -183,13 +188,18 @@ def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
     = 1.  Flux and Robin come from solving a * u + b * nu * u_x = forcing(t)
     for the endpoint value, with u_x replaced by the one-sided three-point
     formula (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on
-    the right; a vanishing denominator raises ValueError.
+    the right; a vanishing denominator raises ValueError.  ``term`` raises
+    ValueError naming the side and t when the forcing's value is no number.
     """
     forcing = bc.forcing
     j, i1, i2 = (0, 1, 2) if side is Side.LEFT else (-1, -2, -3)
     if bc.kind is BCKind.DIRICHLET:
         def term(t):
-            return float(forcing(t))
+            value = forcing(t)
+            try:
+                return float(value)
+            except TypeError as exc:
+                raise _not_a_number(side, t, value) from exc
 
         def put(out, g):
             out[j] = g
@@ -208,7 +218,11 @@ def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
     a1, a2 = mirror * 4.0 * w / denom, -mirror * w / denom
 
     def term(t):
-        return float(forcing(t)) / denom
+        value = forcing(t)
+        try:
+            return float(value) / denom
+        except TypeError as exc:
+            raise _not_a_number(side, t, value) from exc
 
     def put(out, g):
         # Python floats: the same IEEE products as numpy scalars, cheaper

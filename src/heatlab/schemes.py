@@ -7,10 +7,10 @@ everything that does not change from step to step: the scheme coefficients,
 the boundary closures, the Saulyev sweep band and, for implicit and
 Crank-Nicolson, the folded tridiagonal matrix, LU-factored once by
 ``tridiag.factored``; the other folded solves run ``tridiag.direct``, so
-``schemes`` calls no LAPACK routine itself.  All plans
-take their closures from one ``_ends_of`` factory (``grid.closure`` per
-end), which also holds the one node-count rule: a flux or Robin end needs
-N >= 3.  A plan returns ``advance(prev, curr, time_index)``, which maps bare
+``schemes`` calls no LAPACK routine itself.  All plans take their closures
+from one ``_ends_of`` factory (``grid.closure`` per end), which also holds
+the one node-count rule: N >= 2, and N >= 3 with a flux or Robin end.  A
+plan returns ``advance(prev, curr, time_index)``, which maps bare
 float64 arrays (``prev`` is None on the first call) to the tuple of new
 layers: one, or two for the Saulyev sweep pair, of which only the last is
 consistency-grade.  Per step an advance evaluates the stencil, each
@@ -87,57 +87,53 @@ class Scheme(Enum):
             raise ValueError(f"unknown scheme {name!r}; valid: {valid}") from None
 
 
-class DiffusivityKind(Enum):
-    CONSTANT = "constant"
-    AFFINE = "affine"
-    GENERAL = "general"
-
-
 @dataclass(frozen=True)
 class DiffusivityModel:
-    """Diffusion coefficient: constant nu, affine a + b u, or a callable k(u).
+    """Diffusion coefficient: affine k(u) = a + b u, or a callable k(u).
 
-    General k is called once per evaluation, on a read-only float64 view of
-    the nodes that it must not write into, and returns a scalar or an array
-    that broadcasts to their shape.  Overflow, invalid operations and division
-    by zero in k raise FloatingPointError.  A value that is not finite and
-    positive raises DiffusivityError naming its index, u and k; so does a
-    TypeError from k (a k written for Python floats).
+    With b = 0 and no callable, k is the constant ``nu_value`` = a, which is
+    None when k varies.  General k is called once per evaluation, on a
+    read-only float64 view of the nodes that it must not write into, and
+    returns a scalar or an array that broadcasts to their shape.  Overflow,
+    invalid operations and division by zero in k raise FloatingPointError.
+    A value that is not finite and positive raises DiffusivityError naming
+    its index, u and k; so does a TypeError from k (a k written for Python
+    floats).
     """
 
-    kind: DiffusivityKind
-    nu_value: Optional[float] = None
     affine_a: float = 0.0
     affine_b: float = 0.0
     general_k: Optional[Callable[[np.ndarray], object]] = None
 
+    def __post_init__(self):
+        a, b, k = self.affine_a, self.affine_b, self.general_k
+        if k is not None and not callable(k):
+            raise ValueError(f"general diffusivity k must be callable, got {k!r}")
+        if k is None and b == 0.0 and not 0.0 < a < np.inf:
+            raise ValueError(f"constant diffusivity must be positive, got {a}")
+        if k is None and b != 0.0 and not np.isfinite([a, b]).all():
+            raise ValueError("affine diffusivity needs finite a and b, "
+                             f"got {a} and {b}")
+
+    @property
+    def nu_value(self) -> Optional[float]:
+        return (self.affine_a if self.affine_b == 0.0 and self.general_k is None
+                else None)
+
     @staticmethod
     def constant(nu: float) -> "DiffusivityModel":
-        if not 0.0 < nu < np.inf:
-            raise ValueError(f"constant diffusivity must be positive, got {nu}")
-        return DiffusivityModel(kind=DiffusivityKind.CONSTANT, nu_value=float(nu))
+        return DiffusivityModel(float(nu))
 
     @staticmethod
     def affine(a: float, b: float) -> "DiffusivityModel":
-        if not np.isfinite([a, b]).all():
-            raise ValueError("affine diffusivity needs finite a and b, "
-                             f"got {a} and {b}")
-        return DiffusivityModel(kind=DiffusivityKind.AFFINE,
-                                affine_a=float(a), affine_b=float(b))
+        return DiffusivityModel(float(a), float(b))
 
     @staticmethod
     def general(k: Callable[[np.ndarray], object]) -> "DiffusivityModel":
-        if not callable(k):
-            raise ValueError(f"general diffusivity k must be callable, got {k!r}")
-        return DiffusivityModel(kind=DiffusivityKind.GENERAL, general_k=k)
-
-    def evaluate(self, u: float) -> float:
-        return float(self.evaluate_array(np.array([u], dtype=float))[0])
+        return DiffusivityModel(general_k=k)
 
     def evaluate_array(self, u: np.ndarray) -> np.ndarray:
-        if self.kind is DiffusivityKind.CONSTANT:
-            values = np.full_like(u, self.nu_value)
-        elif self.kind is DiffusivityKind.AFFINE:
+        if self.general_k is None:
             values = self.affine_a + self.affine_b * u
         else:
             view = u.view()
@@ -182,16 +178,14 @@ class SchemeParams:
         if not 0.0 < self.dx < np.inf:
             raise ValueError(f"dx must be positive, got {self.dx}")
         if self.tau is None:
-            if self.diffusivity.kind is DiffusivityKind.CONSTANT:
-                object.__setattr__(self, "tau", self.diffusivity.nu_value * self.dx)
-            else:
-                object.__setattr__(self, "tau", 0.0)
+            nu = self.diffusivity.nu_value
+            object.__setattr__(self, "tau", 0.0 if nu is None else nu * self.dx)
         if not 0.0 <= self.tau < np.inf:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
     @property
     def nu(self) -> float:
-        if self.diffusivity.kind is not DiffusivityKind.CONSTANT:
+        if self.diffusivity.nu_value is None:
             raise ValueError("nu is defined only for constant diffusivity")
         return self.diffusivity.nu_value
 
@@ -263,10 +257,13 @@ def _forward_into(out: np.ndarray, u: np.ndarray, r) -> None:
 
 def _float_layer(values) -> np.ndarray:
     """``values`` as a float64 array, not copied when they already are one;
-    a complex layer raises ValueError."""
+    a complex or not 1-D layer raises ValueError."""
     if np.iscomplexobj(values):
         raise ValueError("layer values must be real, got a complex array")
-    return np.asarray(values, dtype=float)
+    layer = np.asarray(values, dtype=float)
+    if layer.ndim != 1:
+        raise ValueError(f"a layer must be 1-D, got shape {layer.shape}")
+    return layer
 
 
 # ------------------------------------------------------------ closures
@@ -274,20 +271,25 @@ def _float_layer(values) -> np.ndarray:
 def _ends_of(params: SchemeParams, bcs, n_nodes: int):
     """``ends_of(u)``: the (left, right) closures of the layer after ``u``.
 
-    Every plan builds it, so the one node-count rule lives here: a flux or
-    Robin end needs N >= 3, as its closure reads two interior new-layer
-    nodes (at N = 2 one is the other endpoint, not yet written), a folded
-    end needs two interior unknowns and a Saulyev start reaches three nodes
-    in.  Closures are built now, except a flux or Robin closure under
-    varying k: it reads k at its endpoint of ``u`` and is rebuilt per call.
+    Every plan builds it before it sizes an array by ``n_nodes``, so the one
+    node-count rule lives here: every layer needs N >= 2 (an interior node for the
+    three-point stencil), and a flux or Robin end needs N >= 3, as its
+    closure reads two interior new-layer nodes (at N = 2 one is the other
+    endpoint, not yet written), a folded end needs two interior unknowns and
+    a Saulyev start reaches three nodes in.  Closures are built now, except
+    a flux or Robin closure under varying k: it reads k at its endpoint of
+    ``u`` and is rebuilt per call.
     """
+    if n_nodes < 3:
+        raise ValueError("a layer needs at least 3 nodes (N >= 2), "
+                         f"got shape ({n_nodes},)")
     if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
         raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
     model, dx = params.diffusivity, params.dx
     sides = {0: Side.LEFT, -1: Side.RIGHT}  # an end's index in bcs and in u
     varying = [i for i in sides if bcs[i].kind is not BCKind.DIRICHLET
-               and model.kind is not DiffusivityKind.CONSTANT]
-    # nu_value is None for non-constant k, which a Dirichlet closure ignores
+               and model.nu_value is None]
+    # nu_value is None for varying k, which a Dirichlet closure ignores
     ends = [None if i in varying else closure(bcs[i], side, model.nu_value, dx)
             for i, side in sides.items()]
     if not varying:
@@ -365,15 +367,16 @@ def _terms(ends: tuple, t: float) -> tuple:
     return ends[0].term(t), ends[1].term(t)
 
 
-def _folded_plan(params: SchemeParams, bcs, rho: np.ndarray, rhs_into) -> Advance:
-    """Advance of a constant-k implicit scheme: ``rhs_into(u, out)`` writes
-    the right-hand side into a fresh layer's interior, which is solved in
-    place against bands folded and factored once; each step adds only the
-    forcing terms, with the two end-row weights kept as Python floats."""
-    n_nodes = len(rho) + 2
+def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
+                 rhs_into) -> Advance:
+    """Advance of a constant-k implicit scheme with row weight ``rho``:
+    ``rhs_into(u, out)`` writes the right-hand side into a fresh layer's
+    interior, which is solved in place against bands folded and factored
+    once; each step adds only the forcing terms, weighted by ``rho``."""
     ends = _ends_of(params, bcs, n_nodes)(None)
-    solve = factored(_fold(rho, 1.0 + 2.0 * rho, ends))
-    edge = (rho.item(0), rho.item(-1))
+    rows = np.full(n_nodes - 2, rho)
+    solve = factored(_fold(rows, 1.0 + 2.0 * rows, ends))
+    edge = (float(rho),) * 2
     dt = params.dt
 
     def advance(prev, u, time_index):
@@ -413,7 +416,7 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
 
 def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
-    if model.kind is DiffusivityKind.CONSTANT:
+    if model.nu_value is not None:
         r = params.diffusion_number_r
         return _closed_plan(params, bcs, n_nodes,
                             lambda prev, u, out: _forward_into(out, u, r))
@@ -426,13 +429,13 @@ def _copy_interior(u: np.ndarray, out: np.ndarray) -> None:
 
 
 def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    return _folded_plan(params, bcs, np.full(n_nodes - 2, params.diffusion_number_r),
+    return _folded_plan(params, bcs, n_nodes, params.diffusion_number_r,
                         _copy_interior)
 
 
 def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
-    return _folded_plan(params, bcs, np.full(n_nodes - 2, rho),
+    return _folded_plan(params, bcs, n_nodes, rho,
                         lambda u, out: _forward_into(out, u, rho))
 
 
@@ -489,12 +492,9 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
     ends_of = _ends_of(params, bcs, n_nodes)
-    linear = model.kind is not DiffusivityKind.GENERAL
-    if linear:  # k = a + b u, with b = 0 for constant k
-        a_k = (model.nu_value if model.kind is DiffusivityKind.CONSTANT
-               else model.affine_a)
-        rho_a = 0.5 * (a_k * dt / dx ** 2)
-        rho_b = 0.5 * (model.affine_b * dt / dx ** 2)
+    linear = model.general_k is None  # k = a + b u
+    rho_a = 0.5 * (model.affine_a * dt / dx ** 2)
+    rho_b = 0.5 * (model.affine_b * dt / dx ** 2)
 
     def advance(prev, u, time_index):
         k_old = model.evaluate_array(u[1:-1])
@@ -692,7 +692,7 @@ SPECS = {
 def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
     """``scheme``'s plan, built after the checks its spec asks for."""
     spec = SPECS[scheme]
-    if spec.constant_k and params.diffusivity.kind is not DiffusivityKind.CONSTANT:
+    if spec.constant_k and params.diffusivity.nu_value is None:
         raise ValueError(f"{scheme.value} scheme requires constant diffusivity")
     if spec.relaxed and params.tau <= 0.0:
         raise ValueError(f"{scheme.value} scheme needs tau > 0 "
@@ -823,23 +823,24 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     only for the snapshots kept.  Called without a previous layer, the
     multi-layer schemes start themselves: leap-frog and Dufort-Frankel with
     the explicit step, the hyperbolic scheme with the zero-velocity Taylor
-    start.  The initial values are converted to float64 once (a complex
-    layer raises ValueError), and the initial snapshot holds them.  With
-    ``num_steps == 0`` no plan is built.  The run halts and
-    flags divergence as soon as a layer has a non-finite value or max-norm
-    above 1e12.  Every layer's max-norm is ``grid.max_abs``, which
-    propagates NaN and never squares the layer, so a huge finite layer
-    diverges without an overflow warning.  Errors raised while the plan is
-    built, before the first step, propagate unchanged: a ValueError for misuse (a scheme that needs
-    constant k or tau > 0, a flux/Robin end on fewer than 4 nodes or, with
-    constant k, a degenerate closure), and SingularSystemError for a
-    degenerate Saulyev start or a zero pivot in the implicit or
-    Crank-Nicolson matrix, which the plan factors (at order 3 or more; a
-    smaller one is solved per step).  Failures while advancing (an
-    ArithmeticError such as a zero pivot or a FloatingPointError from an
-    overflow in k, a FixedPointError, or a ValueError such as a k that is
-    not finite and positive or does not broadcast) are re-raised as
-    SolverError with the failing step attached.
+    start.  The initial values are converted to float64 once (a complex or
+    not 1-D layer raises ValueError), and the initial snapshot holds them.
+    With ``num_steps == 0`` no plan is built.  The run halts and flags
+    divergence as soon as a layer has a non-finite value or max-norm above
+    1e12.  Every layer's max-norm is ``grid.max_abs``, which propagates NaN
+    and never squares the layer, so a huge finite layer diverges without an
+    overflow warning.  Errors raised while the plan is built, before the
+    first step, propagate unchanged: a ValueError for misuse (a scheme that
+    needs constant k or tau > 0, a layer of fewer than 3 nodes, a flux/Robin
+    end on fewer than 4 nodes or, with constant k, a degenerate closure),
+    and SingularSystemError for a degenerate Saulyev start or a zero pivot
+    in the implicit or Crank-Nicolson matrix, which the plan factors (at
+    order 3 or more; a smaller one is solved per step).  Failures while
+    advancing (an ArithmeticError such as a zero pivot or a
+    FloatingPointError from an overflow in k, a FixedPointError, or a
+    ValueError such as a k that is not finite and positive or does not
+    broadcast, or a boundary forcing whose value is no number) are
+    re-raised as SolverError with the failing step attached.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")

@@ -256,6 +256,29 @@ def test_c07_dispersion_gap_halves_with_tau(kappa):
                   ok, f"gap ratio {ratio:.4f}, target 2.0 +- 15%")
 
 
+# ------------------------------------------------- the two red values, pinned
+
+def test_red_values_stay_where_the_readme_derives_them():
+    # c05 saulyev and c07 kappa = 4 stay red on purpose; this test fails if a
+    # change moves either value.  The c07 ratio is the exact slow-branch gap
+    # (1 - sqrt(1 - 4x)) / (2x) - 1 at x = tau nu kappa^2 = 0.16 over 0.08.
+    orders, _ = convergence_ladders()
+    assert abs(orders["saulyev"] - 0.83778) <= 5e-4
+
+    nu, kappa = 1.0, 4.0
+
+    def gap(tau):
+        sample = hl.dispersion_branches(nu, tau, kappa)
+        return abs(sample.omega_plus + 1j * nu * kappa ** 2) / (nu * kappa ** 2)
+
+    def closed_form(x):
+        return (1.0 - math.sqrt(1.0 - 4.0 * x)) / (2.0 * x) - 1.0
+
+    ratio = gap(1e-2) / gap(5e-3)
+    assert abs(ratio - 2.600971) <= 1e-6
+    assert abs(ratio - closed_form(0.16) / closed_form(0.08)) <= 1e-12
+
+
 # ---------------------------------------------------------------- criterion 8
 
 def test_c08_hyperbolization_error_bound():

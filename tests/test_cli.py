@@ -317,6 +317,23 @@ def test_converge_requires_sine_profile_and_refinements():
         run_cmd(cmd_converge, cfg, 3, "dx3")
 
 
+@pytest.mark.parametrize("end,spec,message", [
+    ("bc_left", "flux:0", "got bc_left flux with data 0.0"),
+    ("bc_right", "robin:1,1,0", "got bc_right robin with data 0.0"),
+    ("bc_left", "dirichlet:1", "got bc_left dirichlet with data 1.0"),
+], ids=["flux", "robin", "dirichlet-1"])
+def test_converge_refuses_ends_its_oracle_does_not_solve(end, spec, message,
+                                                          capsys):
+    # the sine-mode oracle assumes dirichlet:0 at both ends
+    code, out, err = run_main(
+        ["converge", "--refinements", "3", "--dt-rule", "dx"]
+        + overrides(scheme="cn", nu=1, length_l=1, num_cells_N=8, dt=0.01,
+                    initial="sine:1", num_steps=3, **{end: spec}), capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == ("config error: converge needs dirichlet:0 at both ends "
+                   f"(its sine-mode oracle), {message}\n")
+
+
 # --------------------------------------------------------------------- bound
 
 def test_bound_zero_relaxation():

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from heatlab import (BoundaryCondition, Field, Side,
                      boundary_closure_coefficients, build_uniform_grid,
                      close_boundary, sample_initial)
-from heatlab.grid import max_abs
+from heatlab.grid import closure, max_abs
 
 
 def test_build_uniform_grid_examples():
@@ -180,6 +180,21 @@ def test_boundary_condition_rejects_non_finite_numbers(make):
 def test_boundary_condition_leaves_a_callable_forcing_unchecked():
     bc = BoundaryCondition.dirichlet(lambda t: math.inf)
     assert bc.forcing(0.0) == math.inf
+
+
+@pytest.mark.parametrize("make", [
+    BoundaryCondition.dirichlet, BoundaryCondition.flux,
+    lambda phi: BoundaryCondition.robin(1.0, 0.5, phi),
+], ids=["dirichlet", "flux", "robin"])
+@pytest.mark.parametrize("value", [None, np.ones(2)], ids=["none", "array"])
+def test_closure_term_names_a_forcing_that_is_no_number(make, value):
+    # a ValueError, which a run reports as a SolverError at its step
+    end = closure(make(lambda t: value), Side.RIGHT, 1.0, 0.1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"right boundary forcing at t = 0.5 gave {value!r}, not a number")
+            ) as err:
+        end.term(0.5)
+    assert isinstance(err.value.__cause__, TypeError)
 
 
 def test_robin_degenerate_combination_rejected():

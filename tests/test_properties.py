@@ -91,9 +91,16 @@ def mirrored(bc: BoundaryCondition) -> BoundaryCondition:
 
 # ---------------------------------------------------- discrete maximum principle
 
+# Coefficient positivity with Dirichlet ends: each new node is a convex
+# combination of old nodes and end values for explicit and Dufort-Frankel at
+# r <= 1/2, Crank-Nicolson and Saulyev at r <= 1, and implicit at every r.
 @pytest.mark.parametrize("scheme,r_max", [(Scheme.EXPLICIT, 0.5),
-                                          (Scheme.IMPLICIT, 50.0)],
-                         ids=["explicit", "implicit"])
+                                          (Scheme.IMPLICIT, 50.0),
+                                          (Scheme.CRANK_NICOLSON, 1.0),
+                                          (Scheme.DUFORT_FRANKEL, 0.5),
+                                          (Scheme.SAULYEV, 1.0)],
+                         ids=["explicit", "implicit", "cn", "dufort_frankel",
+                              "saulyev"])
 @PROPERTY
 @given(data=st.data(), cells=st.integers(2, 40), steps=st.integers(1, 8),
        ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
@@ -106,6 +113,24 @@ def test_discrete_maximum_principle(scheme, r_max, data, cells, steps, ends):
     for layer in snapshots(u, params_for(cells, r), bcs, scheme, steps):
         assert layer.min() >= lo - tol
         assert layer.max() <= hi + tol
+
+
+@pytest.mark.parametrize("scheme,r,undershoots", [
+    (Scheme.EXPLICIT, 0.51, True), (Scheme.DUFORT_FRANKEL, 0.51, True),
+    (Scheme.CRANK_NICOLSON, 3.0, True), (Scheme.CRANK_NICOLSON, 1.5, False),
+    (Scheme.SAULYEV, 3.0, False), (Scheme.IMPLICIT, 50.0, False),
+], ids=["explicit-0.51", "dufort_frankel-0.51", "cn-3", "cn-1.5", "saulyev-3",
+        "implicit-50"])
+def test_unit_spike_beyond_the_sufficient_bounds(scheme, r, undershoots):
+    # the bounds above are sufficient, not sharp: a unit spike undershoots
+    # zero for explicit and Dufort-Frankel at r = 0.51 and CN at r = 3, but
+    # not for CN at r = 1.5, Saulyev at r = 3 or implicit at r = 50
+    u = np.zeros(65)
+    u[32] = 1.0
+    zero = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
+    layers = snapshots(u, params_for(64, r), zero, scheme, 20)
+    assert max(layer.max() for layer in layers) == 1.0
+    assert bool(min(layer.min() for layer in layers) < 0.0) is undershoots
 
 
 # ------------------------------------------------------------ mirror symmetry

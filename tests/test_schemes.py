@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -92,10 +93,33 @@ def test_diffusivity_model_rejects_misuse_at_construction(build, message):
         build()
 
 
+def test_diffusivity_model_is_affine_or_a_callable():
+    # constant k is a + b u with b = 0: one representation, no kind switch
+    assert [f.name for f in dataclasses.fields(DiffusivityModel)] == [
+        "affine_a", "affine_b", "general_k"]
+    assert DiffusivityModel.affine(2.5, 0.0) == DiffusivityModel.constant(2.5)
+    assert DiffusivityModel.constant(2.5).nu_value == 2.5
+    assert DiffusivityModel.affine(2.5, 0.1).nu_value is None
+    assert DiffusivityModel.general(lambda u: 2.5).nu_value is None
+    with pytest.raises(AttributeError):
+        DiffusivityModel.constant(2.5).nu_value = 1.0
+    # the construction checks hold for every way of building a model
+    for build in (lambda: DiffusivityModel.affine(0.0, 0.0),
+                  lambda: DiffusivityModel(0.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                "constant diffusivity must be positive, got 0.0")):
+            build()
+    with pytest.raises(ValueError, match=re.escape(
+            "affine diffusivity needs finite a and b, got 1.0 and nan")):
+        DiffusivityModel(1.0, math.nan)
+    with pytest.raises(ValueError, match="must be callable"):
+        DiffusivityModel(general_k=2.0)
+
+
 def test_diffusivity_positivity_guard():
     model = DiffusivityModel.affine(0.0, 1.0)  # k(u) = u
     with pytest.raises(DiffusivityError):
-        model.evaluate(0.0)
+        model.evaluate_array(np.array([0.0]))
     with pytest.raises(DiffusivityError):
         model.evaluate_array(np.array([1.0, -2.0]))
 
@@ -939,7 +963,7 @@ def test_general_k_rejects_non_finite_values(bad):
 def test_general_k_scalar_result_broadcasts():
     model = DiffusivityModel.general(lambda u: 2.0)
     np.testing.assert_array_equal(model.evaluate_array(np.zeros(5)), np.full(5, 2.0))
-    assert model.evaluate(0.3) == 2.0
+    assert model.evaluate_array(np.array([0.3])).item() == 2.0
     grid = build_uniform_grid(1.0, 8)
     bcs = (BoundaryCondition.flux(0.3), BoundaryCondition.robin(1.0, 0.5, 0.2))
     initial = field(np.sin(np.pi * grid.nodes))
@@ -1116,6 +1140,83 @@ def test_flux_and_robin_ends_need_four_nodes(scheme, kind, bcs):
         run_simulation(state.curr, p, bcs, scheme, 2)
     record = run_simulation(field([0.2, 1.0, 0.5, 0.3]), p, bcs, scheme, 2)
     assert np.all(np.isfinite(record.final.values))
+
+
+# Every layer is 1-D with at least 3 nodes (N >= 2).  A malformed one is a
+# ValueError naming its shape where a run or a step starts, before any plan
+# reads it; a 0-step run builds no plan, so only the 1-D check reaches it.
+_BAD_LAYERS = {
+    "2-nodes": (np.zeros(2), r"a layer needs at least 3 nodes \(N >= 2\), "
+                             r"got shape \(2,\)"),
+    "1-node": (np.zeros(1), r"a layer needs at least 3 nodes \(N >= 2\), "
+                            r"got shape \(1,\)"),
+    "3x3": (np.zeros((3, 3)), r"a layer must be 1-D, got shape \(3, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_LAYERS)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_malformed_layer_is_rejected_where_a_run_or_step_starts(scheme, case):
+    values, message = _BAD_LAYERS[case]
+    p = constant_params(1.0, dt=0.1, dx=0.5)
+    stepper = _HAND_STEPPERS.get(scheme, step_saulyev_pair)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_simulation(field(values), p, HOMOGENEOUS, scheme, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stepper(StepState(None, field(values), p, HOMOGENEOUS))
+    if values.ndim == 1:
+        record = run_simulation(field(values), p, HOMOGENEOUS, scheme, 0)
+        assert [s.time_index for s in record.snapshots] == [0]
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_simulation(field(values), p, HOMOGENEOUS, scheme, 0)
+
+
+@pytest.mark.parametrize("forcing", [lambda t: None, lambda t: np.ones(2)],
+                         ids=["none", "array"])
+@pytest.mark.parametrize("kind", ["dirichlet", "flux"])
+@pytest.mark.parametrize("scheme", [Scheme.EXPLICIT, Scheme.IMPLICIT],
+                         ids=lambda s: s.value)
+def test_forcing_that_is_no_number_fails_at_its_step(scheme, kind, forcing):
+    grid = build_uniform_grid(1.0, 8)
+    dt = 0.25 * grid.dx ** 2  # t = 3 dt = 0.01171875 exactly
+    end = getattr(BoundaryCondition, kind)(
+        lambda t: 0.0 if t < 2.5 * dt else forcing(t))
+    p = constant_params(1.0, dt=dt, dx=grid.dx)
+    with pytest.raises(SolverError, match=re.escape(
+            "step 3: right boundary forcing at t = 0.01171875 gave "
+            f"{forcing(0.0)!r}, not a number")) as err:
+        run_simulation(field(np.sin(np.pi * grid.nodes)), p,
+                       (BoundaryCondition.dirichlet(0.0), end), scheme, 5)
+    assert err.value.step == 3
+    assert type(err.value.__cause__) is ValueError
+    assert isinstance(err.value.__cause__.__cause__, TypeError)
+
+
+_ZERO_SLOPE_BCS = {
+    "dirichlet": (BoundaryCondition.dirichlet(lambda t: 0.5 + t),
+                  BoundaryCondition.dirichlet(-0.2)),
+    "flux-robin": (BoundaryCondition.flux(lambda t: 0.3 * t),
+                   BoundaryCondition.robin(1.0, 0.5, lambda t: 0.2 - t)),
+}
+
+
+@pytest.mark.parametrize("bcs", _ZERO_SLOPE_BCS.values(),
+                         ids=_ZERO_SLOPE_BCS.keys())
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_affine_with_zero_slope_runs_as_the_constant_model(scheme, bcs):
+    # affine(1, 0) is constant(1): every scheme accepts it and runs it bit for
+    # bit as the constant model, with time-dependent ends
+    grid = build_uniform_grid(1.0, 16)
+    initial = field(1.0 + np.sin(np.pi * grid.nodes) + 0.3 * grid.nodes)
+    runs = [run_simulation(initial, SchemeParams(model, dt=0.4 * grid.dx ** 2,
+                                                 dx=grid.dx),
+                           bcs, scheme, 7)
+            for model in (DiffusivityModel.affine(1.0, 0.0),
+                          DiffusivityModel.constant(1.0))]
+    affine, constant = ([s.values.tobytes() for s in run.snapshots]
+                        for run in runs)
+    assert affine == constant and len(constant) == 8
 
 
 # ------------------------------------------------------ in-place layers
