@@ -94,22 +94,25 @@ def sample_initial(u0: Callable[[float], float], grid: Grid1D) -> Field:
     """Sample an initial profile at the grid nodes, u_j = u0(x_j).
 
     ``u0`` receives each node as a Python float.  Rejects profiles that
-    produce non-finite values anywhere on the grid or raise ArithmeticError
-    (such as 1/x at x = 0), naming the first such node.
+    produce non-finite values anywhere on the grid, raise ArithmeticError
+    (such as 1/x at x = 0) or give no number (None, a complex, an array),
+    naming the first such node.
     """
     samples: list = []
     cause = None
     try:
         for x in grid.nodes.tolist():
             samples.append(float(u0(x)))
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         cause = exc
         samples.append(np.nan)  # stands for the node that raised
     values = np.array(samples, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise ValueError(f"initial profile is not finite at node {bad} "
+        what = ("gave no number" if isinstance(cause, TypeError)
+                and bad == len(samples) - 1 else "is not finite")
+        raise ValueError(f"initial profile {what} at node {bad} "
                          f"(x = {grid.nodes[bad]})") from cause
     return Field(values=values, time_index=0)
 

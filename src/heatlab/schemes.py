@@ -1,26 +1,25 @@
 """Time-stepping schemes for u_t = nu u_xx (and k(u) u_xx) behind one contract.
 
 ``SPECS`` holds one ``SchemeSpec`` per scheme, so a new scheme is one entry.
-A spec's plan, ``plan(params, bcs, n_nodes)``, runs once per run after one
-gate has checked the spec's constant-k and tau > 0 needs, and computes
-everything that does not change from step to step: the scheme coefficients,
-the boundary closures, the Saulyev sweep band and, for implicit and
-Crank-Nicolson, the folded tridiagonal matrix, LU-factored once by
-``tridiag.factored``; the other folded solves run ``tridiag.direct``, so
+A spec's plan, ``plan(params, bcs, n_nodes)``, runs once per run and
+computes everything that does not change from step to step: the scheme
+coefficients, the boundary closures, the Saulyev sweep band and, for
+implicit and Crank-Nicolson, the folded tridiagonal matrix, LU-factored once
+by ``tridiag.factored``; the other folded solves run ``tridiag.direct``, so
 ``schemes`` calls no LAPACK routine itself.  All plans take their closures
-from one ``_ends_of`` factory (``grid.closure`` per end), which also holds
-the one node-count rule: N >= 2, and N >= 3 with a flux or Robin end.  A
-plan returns ``advance(prev, curr, time_index)``, which maps bare
-float64 arrays (``prev`` is None on the first call) to the tuple of new
-layers: one, or two for the Saulyev sweep pair, of which only the last is
-consistency-grade.  Per step an advance evaluates the stencil, each
-closure's forcing once and, where k varies, the diffusivity (and with it the
-flux/Robin closures); interiors are written first, endpoints are closed
-afterwards through the closures, and the layer time is always
-``time_index * dt``.  An advance allocates each new layer once, writes its
-interior (and, for the implicit schemes, the solve) into it in place and
-returns it; it never writes into ``prev`` or ``curr``.  Called without a
-previous layer, the multi-layer schemes start themselves.
+from one ``_ends_of`` factory (``grid.closure`` per end).  Before a plan is
+built, ``_float_layer`` checks the start layer and ``_plan`` the scheme, the
+parameters and the node count.  A plan returns ``advance(prev, curr,
+time_index)``, which maps bare float64 arrays (``prev`` is None on the first
+call) to the tuple of new layers: one, or two for the Saulyev sweep pair, of
+which only the last is consistency-grade.  Per step an advance evaluates the
+stencil, each closure's forcing once and, where k varies, the diffusivity
+(and with it the flux/Robin closures); interiors are written first,
+endpoints are closed afterwards through the closures, and the layer time is
+always ``time_index * dt``.  An advance allocates each new layer once,
+writes its interior (and, for the implicit schemes, the solve) into it in
+place and returns it; it never writes into ``prev`` or ``curr``.  Called
+without a previous layer, the multi-layer schemes start themselves.
 ``run_simulation`` drives every scheme through its plan and flags
 divergence; each public ``step_*`` function builds a plan and advances once.
 
@@ -92,13 +91,13 @@ class DiffusivityModel:
     """Diffusion coefficient: affine k(u) = a + b u, or a callable k(u).
 
     With b = 0 and no callable, k is the constant ``nu_value`` = a, which is
-    None when k varies.  General k is called once per evaluation, on a
-    read-only float64 view of the nodes that it must not write into, and
-    returns a scalar or an array that broadcasts to their shape.  Overflow,
-    invalid operations and division by zero in k raise FloatingPointError.
-    A value that is not finite and positive raises DiffusivityError naming
-    its index, u and k; so does a TypeError from k (a k written for Python
-    floats).
+    None when k varies.  General k, which takes a = b = 0, is called once per
+    evaluation, on a read-only float64 view of the nodes that it must not
+    write into, and returns a scalar or an array that broadcasts to their
+    shape.  Overflow, invalid operations and division by zero in k raise
+    FloatingPointError.  A value that is not finite and positive raises
+    DiffusivityError naming its index, u and k; so does a TypeError from k (a
+    k written for Python floats).
     """
 
     affine_a: float = 0.0
@@ -109,6 +108,9 @@ class DiffusivityModel:
         a, b, k = self.affine_a, self.affine_b, self.general_k
         if k is not None and not callable(k):
             raise ValueError(f"general diffusivity k must be callable, got {k!r}")
+        if k is not None and (a != 0.0 or b != 0.0):
+            raise ValueError("a callable diffusivity k takes no affine fields, "
+                             f"got a = {a} and b = {b}")
         if k is None and b == 0.0 and not 0.0 < a < np.inf:
             raise ValueError(f"constant diffusivity must be positive, got {a}")
         if k is None and b != 0.0 and not np.isfinite([a, b]).all():
@@ -255,36 +257,28 @@ def _forward_into(out: np.ndarray, u: np.ndarray, r) -> None:
     np.add(u[1:-1], d2, out=out[1:-1])
 
 
-def _float_layer(values) -> np.ndarray:
-    """``values`` as a float64 array, not copied when they already are one;
-    a complex or not 1-D layer raises ValueError."""
+def _float_layer(values) -> tuple:
+    """``values`` as a float64 array (not copied when already one) and its max
+    norm, 0.0 when empty; a complex, not 1-D or non-finite layer raises
+    ValueError, naming the first NaN or +-inf node.  ``_plan`` checks size."""
     if np.iscomplexobj(values):
         raise ValueError("layer values must be real, got a complex array")
     layer = np.asarray(values, dtype=float)
     if layer.ndim != 1:
         raise ValueError(f"a layer must be 1-D, got shape {layer.shape}")
-    return layer
+    norm = max_abs(layer) if layer.size else 0.0
+    if not norm < np.inf:  # NaN fails the comparison too
+        bad = int(np.argmin(np.isfinite(layer)))
+        raise ValueError(f"a layer must be finite, got {layer[bad]} at node {bad}")
+    return layer, norm
 
 
 # ------------------------------------------------------------ closures
 
-def _ends_of(params: SchemeParams, bcs, n_nodes: int):
-    """``ends_of(u)``: the (left, right) closures of the layer after ``u``.
-
-    Every plan builds it before it sizes an array by ``n_nodes``, so the one
-    node-count rule lives here: every layer needs N >= 2 (an interior node for the
-    three-point stencil), and a flux or Robin end needs N >= 3, as its
-    closure reads two interior new-layer nodes (at N = 2 one is the other
-    endpoint, not yet written), a folded end needs two interior unknowns and
-    a Saulyev start reaches three nodes in.  Closures are built now, except
-    a flux or Robin closure under varying k: it reads k at its endpoint of
-    ``u`` and is rebuilt per call.
-    """
-    if n_nodes < 3:
-        raise ValueError("a layer needs at least 3 nodes (N >= 2), "
-                         f"got shape ({n_nodes},)")
-    if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
-        raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
+def _ends_of(params: SchemeParams, bcs):
+    """``ends_of(u)``: the (left, right) closures of the layer after ``u``,
+    built now (``_plan`` has checked the nodes they read), except a flux or
+    Robin closure under varying k, which reads k at its end of ``u`` per call."""
     model, dx = params.diffusivity, params.dx
     sides = {0: Side.LEFT, -1: Side.RIGHT}  # an end's index in bcs and in u
     varying = [i for i in sides if bcs[i].kind is not BCKind.DIRICHLET
@@ -308,7 +302,7 @@ def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
     interior ``interior(prev, u, out)`` writes into ``out[1:-1]``, then both
     closures at the new layer's time."""
     dt = params.dt
-    ends_of = _ends_of(params, bcs, n_nodes)
+    ends_of = _ends_of(params, bcs)
 
     def advance(prev, u, time_index):
         out = np.empty(n_nodes)
@@ -373,7 +367,7 @@ def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
     ``rhs_into(u, out)`` writes the right-hand side into a fresh layer's
     interior, which is solved in place against bands folded and factored
     once; each step adds only the forcing terms, weighted by ``rho``."""
-    ends = _ends_of(params, bcs, n_nodes)(None)
+    ends = _ends_of(params, bcs)(None)
     rows = np.full(n_nodes - 2, rho)
     solve = factored(_fold(rows, 1.0 + 2.0 * rows, ends))
     edge = (float(rho),) * 2
@@ -470,7 +464,7 @@ def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
-    ends_of = _ends_of(params, bcs, n_nodes)
+    ends_of = _ends_of(params, bcs)
 
     def advance(prev, u, time_index):
         k_old = model.evaluate_array(u[1:-1])
@@ -491,7 +485,7 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
-    ends_of = _ends_of(params, bcs, n_nodes)
+    ends_of = _ends_of(params, bcs)
     linear = model.general_k is None  # k = a + b u
     rho_a = 0.5 * (model.affine_a * dt / dx ** 2)
     rho_b = 0.5 * (model.affine_b * dt / dx ** 2)
@@ -550,7 +544,7 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     c = lam / (1.0 + lam)
     dt = params.dt
     n = n_nodes - 1
-    left, right = _ends_of(params, bcs, n_nodes)(None)
+    left, right = _ends_of(params, bcs)(None)
     start_left = _saulyev_start(bcs[0], left, Side.LEFT, a, c, n)
     start_right = _saulyev_start(bcs[1], right, Side.RIGHT, a, c, n)
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
@@ -690,13 +684,22 @@ SPECS = {
 
 
 def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    """``scheme``'s plan, built after the checks its spec asks for."""
+    """``scheme``'s plan, built after the gate that follows ``_float_layer``:
+    the spec's constant k, tau > 0, N >= 2 (an interior node for the stencil)
+    and N >= 3 with a flux or Robin end (its closure reads two interior
+    new-layer nodes, a folded end needs two interior unknowns and a Saulyev
+    start reaches three nodes in), checked in this order."""
     spec = SPECS[scheme]
     if spec.constant_k and params.diffusivity.nu_value is None:
         raise ValueError(f"{scheme.value} scheme requires constant diffusivity")
     if spec.relaxed and params.tau <= 0.0:
         raise ValueError(f"{scheme.value} scheme needs tau > 0 "
                          "(with tau = 0 use the explicit scheme)")
+    if n_nodes < 3:
+        raise ValueError("a layer needs at least 3 nodes (N >= 2), "
+                         f"got shape ({n_nodes},)")
+    if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
+        raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
     return spec.plan(params, bcs, n_nodes)
 
 
@@ -706,9 +709,9 @@ def _advance_once(scheme: Scheme, state: StepState) -> tuple:
     """The layers one advance of ``scheme``'s plan makes from ``state``; with
     no previous layer a multi-layer scheme starts as in ``run_simulation``."""
     curr = state.curr
-    values = _float_layer(curr.values)
+    values = _float_layer(curr.values)[0]
+    prev = None if state.prev is None else _float_layer(state.prev.values)[0]
     advance = _plan(scheme, state.params, state.bcs, len(values))
-    prev = None if state.prev is None else _float_layer(state.prev.values)
     layers = advance(prev, values, curr.time_index)
     return tuple(Field(values=layer, time_index=curr.time_index + i + 1)
                  for i, layer in enumerate(layers))
@@ -813,45 +816,48 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
                    snapshot_every: int = 1) -> RunRecord:
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
-    The scheme's plan is built once per run: it validates the scheme against
-    the diffusivity and tau and sets up the coefficients, the boundary
-    closures and, where they never change, the LU factors of the implicit
-    systems.  Its advance then maps bare arrays (previous layer or None,
-    current layer, time index) to the tuple of new layers, of which only the
-    last is consistency-grade, so the Saulyev pair's odd layers (and a final
-    pair cut short at ``num_steps``) are flagged False.  A ``Field`` is built
-    only for the snapshots kept.  Called without a previous layer, the
-    multi-layer schemes start themselves: leap-frog and Dufort-Frankel with
-    the explicit step, the hyperbolic scheme with the zero-velocity Taylor
-    start.  The initial values are converted to float64 once (a complex or
-    not 1-D layer raises ValueError), and the initial snapshot holds them.
-    With ``num_steps == 0`` no plan is built.  The run halts and flags
+    ``num_steps`` (>= 0) and ``snapshot_every`` (>= 1) are integers, numpy's
+    included, or raise ValueError.  The start layer is checked and converted
+    to float64 once, by ``_float_layer`` (a complex, not 1-D or non-finite
+    layer raises ValueError, also when ``num_steps == 0``), and the initial
+    snapshot holds it with the norm taken there.  Unless ``num_steps == 0``,
+    the scheme's plan is then built once, by ``_plan``, whose gate raises
+    ValueError for misuse (a scheme that needs constant k or tau > 0, fewer
+    than 3 nodes, a flux/Robin end on fewer than 4).  The plan sets up the
+    coefficients, the boundary closures and, where they never change, the LU
+    factors of the implicit systems; its errors propagate unchanged: a
+    ValueError for a degenerate closure under constant k, and
+    SingularSystemError for a degenerate Saulyev start or a zero pivot in the
+    implicit or Crank-Nicolson matrix, which the plan factors (at order 3 or
+    more; a smaller one is solved per step).  Its advance maps bare arrays
+    (previous layer or None, current layer, time index) to the tuple of new
+    layers, of which only the last is consistency-grade, so the Saulyev
+    pair's odd layers (and a final pair cut short at ``num_steps``) are
+    flagged False.  A ``Field`` is built only for the snapshots kept.  Called
+    without a previous layer, the multi-layer schemes start themselves:
+    leap-frog and Dufort-Frankel with the explicit step, the hyperbolic
+    scheme with the zero-velocity Taylor start.  The run halts and flags
     divergence as soon as a layer has a non-finite value or max-norm above
     1e12.  Every layer's max-norm is ``grid.max_abs``, which propagates NaN
     and never squares the layer, so a huge finite layer diverges without an
-    overflow warning.  Errors raised while the plan is built, before the
-    first step, propagate unchanged: a ValueError for misuse (a scheme that
-    needs constant k or tau > 0, a layer of fewer than 3 nodes, a flux/Robin
-    end on fewer than 4 nodes or, with constant k, a degenerate closure),
-    and SingularSystemError for a degenerate Saulyev start or a zero pivot
-    in the implicit or Crank-Nicolson matrix, which the plan factors (at
-    order 3 or more; a smaller one is solved per step).  Failures while
-    advancing (an ArithmeticError such as a zero pivot or a
-    FloatingPointError from an overflow in k, a FixedPointError, or a
-    ValueError such as a k that is not finite and positive or does not
-    broadcast, or a boundary forcing whose value is no number) are
-    re-raised as SolverError with the failing step attached.
+    overflow warning.  Failures while advancing (an ArithmeticError such as
+    a zero pivot or a FloatingPointError from an overflow in k, a
+    FixedPointError, or a ValueError such as a k that is not finite and
+    positive or does not broadcast, or a boundary forcing whose value is no
+    number) are re-raised as SolverError with the failing step attached.
     """
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    if snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    whole = (int, np.integer)  # a float count would be rounded or sliced
+    if not isinstance(num_steps, whole) or num_steps < 0:
+        raise ValueError(f"num_steps must be >= 0 and an integer, got {num_steps}")
+    if not isinstance(snapshot_every, whole) or snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1 and an integer, "
+                         f"got {snapshot_every}")
 
-    values = _float_layer(initial.values)
+    values, norm = _float_layer(initial.values)
     if values is not initial.values:
         initial = Field(values=values, time_index=initial.time_index)
     record = RunRecord()
-    record.append(initial, consistent=True)
+    record.append(initial, True, norm)
     if num_steps == 0:
         return record
     start = time_index = initial.time_index

@@ -77,6 +77,20 @@ def test_sample_initial_names_the_node_where_the_profile_raises():
         sample_initial(lambda x: math.inf if x == 0.25 else 1.0 / (x - 0.5), g)
 
 
+@pytest.mark.parametrize("value", [None, 1j, np.ones(2)],
+                         ids=["none", "complex", "array"])
+def test_sample_initial_names_the_node_whose_value_is_no_number(value):
+    g = build_uniform_grid(1.0, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "initial profile gave no number at node 2 (x = 0.5)")) as err:
+        sample_initial(lambda x: {0.5: value}.get(x, 0.0), g)
+    assert isinstance(err.value.__cause__, TypeError)
+    # a non-finite value before that node is named first
+    with pytest.raises(ValueError, match=re.escape(
+            "initial profile is not finite at node 1 (x = 0.25)")):
+        sample_initial(lambda x: {0.25: math.inf, 0.5: value}.get(x, 0.0), g)
+
+
 def test_sample_initial_passes_python_floats_bit_equal_to_the_nodes():
     g = build_uniform_grid(1.3, 7)
     seen = []

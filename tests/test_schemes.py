@@ -114,6 +114,11 @@ def test_diffusivity_model_is_affine_or_a_callable():
         DiffusivityModel(1.0, math.nan)
     with pytest.raises(ValueError, match="must be callable"):
         DiffusivityModel(general_k=2.0)
+    # a callable carries no affine fields, which it would silently drop
+    with pytest.raises(ValueError, match=re.escape(
+            "a callable diffusivity k takes no affine fields, "
+            "got a = 5.0 and b = 1.0")):
+        DiffusivityModel(5.0, 1.0, general_k=lambda u: u)
 
 
 def test_diffusivity_positivity_guard():
@@ -1170,6 +1175,72 @@ def test_malformed_layer_is_rejected_where_a_run_or_step_starts(scheme, case):
     else:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_simulation(field(values), p, HOMOGENEOUS, scheme, 0)
+
+
+# A start layer holding NaN or +-inf is one ValueError naming its first such
+# node, for every scheme, run and stepper alike, raised before any plan is
+# built and without a numpy warning; a 0-step run checks it too.
+_TWO_LAYER = (Scheme.LEAPFROG, Scheme.DUFORT_FRANKEL, Scheme.HYPERBOLIC)
+
+
+@pytest.mark.parametrize("node", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_non_finite_start_layer_is_one_value_error(scheme, bad, node,
+                                                   monkeypatch):
+    p = constant_params(1.0, dt=0.01, dx=0.125)
+    good = np.sin(np.pi * np.arange(9) / 8)
+    u = good.copy()
+    u[node] = bad
+    message = f"^a layer must be finite, got {bad} at node {node}$"
+    stepper = _HAND_STEPPERS.get(scheme, step_saulyev_pair)
+    monkeypatch.setattr(schemes, "_plan", lambda *args: pytest.fail("planned"))
+    starts = [lambda: run_simulation(field(u), p, HOMOGENEOUS, scheme, 1),
+              lambda: run_simulation(field(u), p, HOMOGENEOUS, scheme, 0),
+              lambda: stepper(StepState(None, field(u), p, HOMOGENEOUS))]
+    if scheme in _TWO_LAYER:
+        starts.append(lambda: stepper(
+            StepState(field(u), field(good, 1), p, HOMOGENEOUS)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in starts:
+            with pytest.raises(ValueError, match=message):
+                start()
+
+
+def test_a_run_takes_its_start_norm_once(monkeypatch):
+    # the first snapshot reuses the norm of the finiteness check
+    calls, max_abs = [], schemes.max_abs
+
+    def counted(values):
+        calls.append(len(values))
+        return max_abs(values)
+    monkeypatch.setattr(schemes, "max_abs", counted)
+    monkeypatch.setattr("heatlab.grid.max_abs", counted)  # Field.max_norm
+    p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)
+    initial = field(np.sin(np.pi * np.arange(9) / 8))
+    run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, 0)
+    assert calls == [9]
+    run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, 3)
+    assert calls == [9] * 5  # the start, then one per new layer
+
+
+@pytest.mark.parametrize("scheme, num_steps, every, message", [
+    (Scheme.EXPLICIT, 2.5, 1, "num_steps must be >= 0 and an integer, got 2.5"),
+    (Scheme.SAULYEV, 3.0, 1, "num_steps must be >= 0 and an integer, got 3.0"),
+    (Scheme.EXPLICIT, 4, 1.5,
+     "snapshot_every must be >= 1 and an integer, got 1.5"),
+], ids=["steps-2.5", "saulyev-steps-3.0", "every-1.5"])
+def test_step_counts_must_be_integers(scheme, num_steps, every, message):
+    # a float count was rounded up, sliced into a TypeError or skipped layers
+    p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)
+    initial = field(np.sin(np.pi * np.arange(9) / 8))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_simulation(initial, p, HOMOGENEOUS, scheme, num_steps, every)
+    record = run_simulation(initial, p, HOMOGENEOUS, scheme, np.int64(4),
+                            np.int32(2))
+    assert [s.time_index for s in record.snapshots] == [0, 2, 4]
 
 
 @pytest.mark.parametrize("forcing", [lambda t: None, lambda t: np.ones(2)],

@@ -9,7 +9,10 @@ import argparse
 import ast
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +243,17 @@ def test_all_lists_exactly_the_names_the_package_imports():
     assert len(set(heatlab.__all__)) == len(heatlab.__all__)
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert set(heatlab.__all__) - {"__version__"} == set(imported_names(tree))
+
+
+def test_readme_quick_start_runs_cleanly():
+    # the README's one Python example, run as documented, warnings as errors
+    readme = (SRC.parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    result = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
 
 
 def test_every_cli_option_is_documented_in_the_readme():
