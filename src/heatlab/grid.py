@@ -93,24 +93,26 @@ class Field:
 def sample_initial(u0: Callable[[float], float], grid: Grid1D) -> Field:
     """Sample an initial profile at the grid nodes, u_j = u0(x_j).
 
-    ``u0`` receives each node as a Python float.  Rejects profiles that
-    produce non-finite values anywhere on the grid, raise ArithmeticError
-    (such as 1/x at x = 0) or give no number (None, a complex, an array),
-    naming the first such node.
+    ``u0`` receives each node as a Python float and its value is passed
+    through ``float()``, so a numeric string such as ``"1.5"`` is parsed.
+    Rejects profiles that produce non-finite values anywhere on the grid,
+    raise ArithmeticError (such as 1/x at x = 0) or give no number (None, a
+    complex, an array, a string ``float()`` cannot parse, or a ValueError of
+    their own such as ``math.sqrt(-1)``), naming the first such node.
     """
     samples: list = []
     cause = None
     try:
         for x in grid.nodes.tolist():
             samples.append(float(u0(x)))
-    except (ArithmeticError, TypeError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         cause = exc
         samples.append(np.nan)  # stands for the node that raised
     values = np.array(samples, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
-        what = ("gave no number" if isinstance(cause, TypeError)
+        what = ("gave no number" if isinstance(cause, (TypeError, ValueError))
                 and bad == len(samples) - 1 else "is not finite")
         raise ValueError(f"initial profile {what} at node {bad} "
                          f"(x = {grid.nodes[bad]})") from cause

@@ -25,6 +25,13 @@ divergence; each public ``step_*`` function builds a plan and advances once.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
+
+A constant coefficient that an advance multiplies, adds or divides a layer
+by is a 0-d float64 array, bound once by the plan: numpy converts a Python
+float operand again on every call, which makes a ufunc on an N = 64 layer
+about 1.5 times as slow as the array-array path a 0-d array takes to the
+same double.  Closures, the folded solves' edge terms and the Saulyev starts
+work on Python floats, as they touch single nodes.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -242,8 +249,10 @@ Advance = Callable[[Optional[np.ndarray], np.ndarray, int], tuple]
 
 
 def _second_difference(u: np.ndarray) -> np.ndarray:
-    """``u[:-2] - 2 u[1:-1] + u[2:]`` in one fresh array."""
-    d2 = 2.0 * u[1:-1]
+    """``u[:-2] - 2 u[1:-1] + u[2:]`` in one fresh array; ``mid + mid`` is the
+    double ``2.0 * mid`` is, signed zeros and overflow included."""
+    mid = u[1:-1]
+    d2 = mid + mid
     np.subtract(u[:-2], d2, out=d2)
     d2 += u[2:]
     return d2
@@ -251,7 +260,7 @@ def _second_difference(u: np.ndarray) -> np.ndarray:
 
 def _forward_into(out: np.ndarray, u: np.ndarray, r) -> None:
     """Write the forward-in-time, centred-in-space interior of ``u`` into
-    ``out[1:-1]``; r is a scalar or an array."""
+    ``out[1:-1]``; r is a 0-d array or one weight per interior node."""
     d2 = _second_difference(u)
     d2 *= r
     np.add(u[1:-1], d2, out=out[1:-1])
@@ -411,7 +420,7 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
 def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     model, dt, dx = params.diffusivity, params.dt, params.dx
     if model.nu_value is not None:
-        r = params.diffusion_number_r
+        r = np.array(params.diffusion_number_r)
         return _closed_plan(params, bcs, n_nodes,
                             lambda prev, u, out: _forward_into(out, u, r))
     return _closed_plan(params, bcs, n_nodes, lambda prev, u, out: _forward_into(
@@ -429,19 +438,21 @@ def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
+    weight = np.array(rho)
     return _folded_plan(params, bcs, n_nodes, rho,
-                        lambda u, out: _forward_into(out, u, rho))
+                        lambda u, out: _forward_into(out, u, weight))
 
 
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     r = params.diffusion_number_r
+    r, two_r = np.array(r), np.array(2.0 * r)
 
     def interior(prev, u, out):
         if prev is None:  # the explicit start
             _forward_into(out, u, r)
         else:
             d2 = _second_difference(u)
-            d2 *= 2.0 * r
+            d2 *= two_r
             np.add(prev[1:-1], d2, out=out[1:-1])
     return _closed_plan(params, bcs, n_nodes, interior)
 
@@ -449,8 +460,7 @@ def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     r = params.diffusion_number_r
     lam = 2.0 * r
-    a = (1.0 - lam) / (1.0 + lam)
-    b = lam / (1.0 + lam)
+    r, a, b = map(np.array, (r, (1.0 - lam) / (1.0 + lam), lam / (1.0 + lam)))
 
     def interior(prev, u, out):
         if prev is None:  # the explicit start
@@ -531,8 +541,8 @@ def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
     j1, j2, j3 = (1, 2, 3) if side is Side.LEFT else (n - 1, n - 2, n - 3)
 
     def start(base, t):
-        s1 = a * base[j1] + c * base[j2]
-        s2 = a * base[j2] + c * base[j3] + c * s1
+        s1 = a * base.item(j1) + c * base.item(j2)
+        s2 = a * base.item(j2) + c * base.item(j3) + c * s1
         return (a1 * s1 + a2 * s2 + term(t)) / den
     return start
 
@@ -548,6 +558,7 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     start_left = _saulyev_start(bcs[0], left, Side.LEFT, a, c, n)
     start_right = _saulyev_start(bcs[1], right, Side.RIGHT, a, c, n)
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
+    a, c = np.array(a), np.array(c)  # the starts above keep Python floats
 
     def advance(prev, u, time_index):
         t1 = (time_index + 1) * dt
@@ -573,7 +584,7 @@ def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     b = tau / dt ** 2 - 1.0 / (2.0 * dt)
     c = 2.0 * tau / dt ** 2
     taylor = dt ** 2 / (2.0 * tau)
-    dx2 = dx ** 2
+    a, b, c, taylor, dx2, nu = map(np.array, (a, b, c, taylor, dx ** 2, nu))
 
     def interior(prev, u, out):
         mid = u[1:-1]
@@ -817,11 +828,12 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
     ``num_steps`` (>= 0) and ``snapshot_every`` (>= 1) are integers, numpy's
-    included, or raise ValueError.  The start layer is checked and converted
-    to float64 once, by ``_float_layer`` (a complex, not 1-D or non-finite
-    layer raises ValueError, also when ``num_steps == 0``), and the initial
-    snapshot holds it with the norm taken there.  Unless ``num_steps == 0``,
-    the scheme's plan is then built once, by ``_plan``, whose gate raises
+    included and ``bool`` excluded, or raise ValueError.  The start layer is
+    checked and converted to float64 once, by ``_float_layer`` (a complex,
+    not 1-D or non-finite layer raises ValueError, also when
+    ``num_steps == 0``), and the initial snapshot holds it with the norm
+    taken there.  Unless ``num_steps == 0``, the scheme's plan is then built
+    once, by ``_plan``, whose gate raises
     ValueError for misuse (a scheme that needs constant k or tau > 0, fewer
     than 3 nodes, a flux/Robin end on fewer than 4).  The plan sets up the
     coefficients, the boundary closures and, where they never change, the LU
@@ -846,10 +858,11 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     positive or does not broadcast, or a boundary forcing whose value is no
     number) are re-raised as SolverError with the failing step attached.
     """
-    whole = (int, np.integer)  # a float count would be rounded or sliced
-    if not isinstance(num_steps, whole) or num_steps < 0:
+    def whole(n):  # a float count would be rounded or sliced
+        return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not whole(num_steps) or num_steps < 0:
         raise ValueError(f"num_steps must be >= 0 and an integer, got {num_steps}")
-    if not isinstance(snapshot_every, whole) or snapshot_every < 1:
+    if not whole(snapshot_every) or snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1 and an integer, "
                          f"got {snapshot_every}")
 

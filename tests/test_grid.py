@@ -91,6 +91,21 @@ def test_sample_initial_names_the_node_whose_value_is_no_number(value):
         sample_initial(lambda x: {0.25: math.inf, 0.5: value}.get(x, 0.0), g)
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5.0"])
+def test_sample_initial_names_the_node_of_a_string_float_cannot_parse(value):
+    g = build_uniform_grid(1.0, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "initial profile gave no number at node 2 (x = 0.5)")) as err:
+        sample_initial(lambda x: {0.5: value}.get(x, 0.0), g)
+    assert isinstance(err.value.__cause__, ValueError)
+    # so is a profile's own ValueError, and a numeric string is still parsed
+    with pytest.raises(ValueError, match=re.escape(
+            "initial profile gave no number at node 1 (x = 0.25)")):
+        sample_initial(lambda x: math.sqrt(x - 0.5) if x == 0.25 else 0.0, g)
+    parsed = sample_initial(lambda x: {0.5: "1.5"}.get(x, 0.0), g)
+    np.testing.assert_array_equal(parsed.values, [0.0, 0.0, 1.5, 0.0, 0.0])
+
+
 def test_sample_initial_passes_python_floats_bit_equal_to_the_nodes():
     g = build_uniform_grid(1.3, 7)
     seen = []

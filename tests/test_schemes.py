@@ -1177,6 +1177,20 @@ def test_malformed_layer_is_rejected_where_a_run_or_step_starts(scheme, case):
             run_simulation(field(values), p, HOMOGENEOUS, scheme, 0)
 
 
+@pytest.mark.parametrize("num_steps, every, message", [
+    (True, 1, "num_steps must be >= 0 and an integer, got True"),
+    (False, 1, "num_steps must be >= 0 and an integer, got False"),
+    (4, True, "snapshot_every must be >= 1 and an integer, got True"),
+], ids=["steps-True", "steps-False", "every-True"])
+def test_bool_step_counts_are_refused(num_steps, every, message):
+    # a bool is an int to isinstance, so True ran one step
+    p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)
+    initial = field(np.sin(np.pi * np.arange(9) / 8))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, num_steps,
+                       every)
+
+
 # A start layer holding NaN or +-inf is one ValueError naming its first such
 # node, for every scheme, run and stepper alike, raised before any plan is
 # built and without a numpy warning; a 0-step run checks it too.
