@@ -54,7 +54,10 @@ def _fmt_bool(b: bool) -> str:
 
 def finite_float(raw) -> float:
     """``float(raw)`` if that is finite and raw is no bool, else ValueError."""
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the largest double
+        value = math.inf
     if isinstance(raw, bool) or not math.isfinite(value):
         raise ValueError(f"{raw!r} is not a finite number")
     return value

@@ -170,20 +170,16 @@ class Closure(NamedTuple):
 
     The endpoint value is ``a1 * u_adj + a2 * u_adj2 + term(t)``, where
     u_adj is the node next to the boundary and u_adj2 the one after it, both
-    on the new layer, and term(t) = forcing(t) / denom.  ``put(out, g)``
-    writes it into ``out`` with g = term(t), so a caller that also needs g
-    elsewhere (a folded implicit row) evaluates the forcing once.
+    on the new layer, and term(t) = forcing(t) / denom, with denom = 1 (and
+    so forcing(t) itself) for Dirichlet.  ``put(out, g)`` writes it into
+    ``out`` with g = term(t), so a caller that also needs g elsewhere (a
+    folded implicit row) evaluates the forcing once.
     """
 
     a1: float
     a2: float
     term: Callable[[float], float]
     put: Callable[[np.ndarray, float], None]
-
-
-def _not_a_number(side: Side, t: float, value) -> ValueError:
-    return ValueError(f"{side.value} boundary forcing at t = {t} gave "
-                      f"{value!r}, not a number")
 
 
 def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
@@ -193,45 +189,44 @@ def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
     = 1.  Flux and Robin come from solving a * u + b * nu * u_x = forcing(t)
     for the endpoint value, with u_x replaced by the one-sided three-point
     formula (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on
-    the right; a vanishing denominator raises ValueError.  ``term`` raises
-    ValueError naming the side and t when the forcing's value is no number.
+    the right; a vanishing denominator raises ValueError.  All kinds share
+    one ``term``, which raises ValueError naming the side and t when the
+    forcing's value is no number.
     """
     forcing = bc.forcing
     j, i1, i2 = (0, 1, 2) if side is Side.LEFT else (-1, -2, -3)
     if bc.kind is BCKind.DIRICHLET:
-        def term(t):
-            value = forcing(t)
-            try:
-                return float(value)
-            except TypeError as exc:
-                raise _not_a_number(side, t, value) from exc
-
-        def put(out, g):
-            out[j] = g
-        return Closure(0.0, 0.0, term, put)
-    if bc.kind is BCKind.FLUX:
-        a, b = 0.0, 1.0
+        a1 = a2 = 0.0
+        denom = 1.0
     else:
-        a, b = bc.coeff_a, bc.coeff_b
-    w = b * nu / (2.0 * dx)
-    mirror = -1.0 if side is Side.LEFT else 1.0  # the right end mirrors the left
-    denom = a + mirror * 3.0 * w
-    scale = abs(a) + abs(3.0 * w)
-    if abs(denom) <= 1e-12 * scale or denom == 0.0:
-        raise ValueError(f"degenerate {bc.kind.value} closure: "
-                         f"a = {a}, b*nu/(2 dx) = {w}")
-    a1, a2 = mirror * 4.0 * w / denom, -mirror * w / denom
+        if bc.kind is BCKind.FLUX:
+            a, b = 0.0, 1.0
+        else:
+            a, b = bc.coeff_a, bc.coeff_b
+        w = b * nu / (2.0 * dx)
+        mirror = -1.0 if side is Side.LEFT else 1.0  # the right end mirrors the left
+        denom = a + mirror * 3.0 * w
+        scale = abs(a) + abs(3.0 * w)
+        if abs(denom) <= 1e-12 * scale:
+            raise ValueError(f"degenerate {bc.kind.value} closure: "
+                             f"a = {a}, b*nu/(2 dx) = {w}")
+        a1, a2 = mirror * 4.0 * w / denom, -mirror * w / denom
 
     def term(t):
         value = forcing(t)
         try:
             return float(value) / denom
         except TypeError as exc:
-            raise _not_a_number(side, t, value) from exc
+            raise ValueError(f"{side.value} boundary forcing at t = {t} gave "
+                             f"{value!r}, not a number") from exc
 
-    def put(out, g):
-        # Python floats: the same IEEE products as numpy scalars, cheaper
-        out[j] = a1 * out.item(i1) + a2 * out.item(i2) + g
+    if bc.kind is BCKind.DIRICHLET:  # g as is: 0 * u_adj + g makes -0.0 +0.0
+        def put(out, g):
+            out[j] = g
+    else:
+        def put(out, g):
+            # Python floats: the same IEEE products as numpy scalars, cheaper
+            out[j] = a1 * out.item(i1) + a2 * out.item(i2) + g
     return Closure(a1, a2, term, put)
 
 

@@ -51,6 +51,7 @@ from .tridiag import thomas_solve  # noqa: F401
 DIVERGENCE_THRESHOLD = 1e12
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITERS = 50
+_INTERIOR = slice(1, -1)  # a layer's interior nodes, u[1:-1]
 
 
 class DiffusivityError(ValueError):
@@ -103,8 +104,8 @@ class DiffusivityModel:
     write into, and returns a scalar or an array that broadcasts to their
     shape.  Overflow, invalid operations and division by zero in k raise
     FloatingPointError.  A value that is not finite and positive raises
-    DiffusivityError naming its index, u and k; so does a TypeError from k (a
-    k written for Python floats).
+    DiffusivityError naming its index, u and k (a run names the node of its
+    layer); so does a TypeError from k (a k written for Python floats).
     """
 
     affine_a: float = 0.0
@@ -142,6 +143,13 @@ class DiffusivityModel:
         return DiffusivityModel(general_k=k)
 
     def evaluate_array(self, u: np.ndarray) -> np.ndarray:
+        return self._evaluate_nodes(u, None)
+
+    def _evaluate_nodes(self, layer: np.ndarray, nodes) -> np.ndarray:
+        """k on ``layer[nodes]`` (a slice or index list), or on all of
+        ``layer`` when ``nodes`` is None; a DiffusivityError names the bad
+        value's node in ``layer``."""
+        u = layer if nodes is None else layer[nodes]
         if self.general_k is None:
             values = self.affine_a + self.affine_b * u
         else:
@@ -162,7 +170,8 @@ class DiffusivityModel:
         if values.size and not (values.item(values.argmin()) > 0.0
                                 and values.item(values.argmax()) < np.inf):
             bad = int(np.argmin(np.isfinite(values) & (values > 0.0)))
-            raise DiffusivityError(f"diffusivity k(u[{bad}] = {u[bad]}) = "
+            node = bad if nodes is None else np.arange(len(layer))[nodes][bad]
+            raise DiffusivityError(f"diffusivity k(u[{node}] = {u[bad]}) = "
                                    f"{values[bad]} is not finite and positive")
         return values
 
@@ -300,7 +309,7 @@ def _ends_of(params: SchemeParams, bcs):
         return lambda u: fixed
 
     def ends_of(u):  # one evaluation of k for the varying ends together
-        for i, nu in zip(varying, model.evaluate_array(u[varying]).tolist()):
+        for i, nu in zip(varying, model._evaluate_nodes(u, varying).tolist()):
             ends[i] = closure(bcs[i], sides[i], nu, dx)
         return tuple(ends)
     return ends_of
@@ -402,7 +411,7 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     """
     for i in range(FIXED_POINT_MAX_ITERS):
         if i:
-            k = model.evaluate_array(v[1:-1])
+            k = model._evaluate_nodes(v, _INTERIOR)
         candidate = iterate(k)
         delta = max_abs(candidate - v)
         v = candidate
@@ -424,7 +433,7 @@ def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
         return _closed_plan(params, bcs, n_nodes,
                             lambda prev, u, out: _forward_into(out, u, r))
     return _closed_plan(params, bcs, n_nodes, lambda prev, u, out: _forward_into(
-        out, u, model.evaluate_array(u[1:-1]) * dt / dx ** 2))
+        out, u, model._evaluate_nodes(u, _INTERIOR) * dt / dx ** 2))
 
 
 def _copy_interior(u: np.ndarray, out: np.ndarray) -> None:
@@ -477,7 +486,7 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     ends_of = _ends_of(params, bcs)
 
     def advance(prev, u, time_index):
-        k_old = model.evaluate_array(u[1:-1])
+        k_old = model._evaluate_nodes(u, _INTERIOR)
         rhs = u[1:-1] + 0.5 * (k_old * dt / dx ** 2) * _second_difference(u)
         ends = ends_of(u)
         terms = _terms(ends, (time_index + 1) * dt)
@@ -501,7 +510,7 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     rho_b = 0.5 * (model.affine_b * dt / dx ** 2)
 
     def advance(prev, u, time_index):
-        k_old = model.evaluate_array(u[1:-1])
+        k_old = model._evaluate_nodes(u, _INTERIOR)
         rho_new = 0.5 * (k_old * dt / dx ** 2)
         d2 = _second_difference(u)
         ends = ends_of(u)
@@ -578,11 +587,17 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     return advance
 
 
-def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
+def _hyperbolic_coefficients(params: SchemeParams) -> tuple:
+    tau, dt = params.tau, params.dt
     a = tau / dt ** 2 + 1.0 / (2.0 * dt)
     b = tau / dt ** 2 - 1.0 / (2.0 * dt)
     c = 2.0 * tau / dt ** 2
+    return a, b, c
+
+
+def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
+    a, b, c = _hyperbolic_coefficients(params)
     taylor = dt ** 2 / (2.0 * tau)
     a, b, c, taylor, dx2, nu = map(np.array, (a, b, c, taylor, dx ** 2, nu))
 
@@ -611,10 +626,8 @@ def _quadratic_roots(a, b, c) -> tuple:
 
 
 def _hyperbolic_symbol(params: SchemeParams, s, theta) -> tuple:
-    tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
-    a = tau / dt ** 2 + 1.0 / (2.0 * dt)
-    b = tau / dt ** 2 - 1.0 / (2.0 * dt)
-    mid = 2.0 * tau / dt ** 2 - 4.0 * nu * s / dx ** 2
+    a, b, c = _hyperbolic_coefficients(params)
+    mid = c - 4.0 * params.nu * s / params.dx ** 2
     return _quadratic_roots(a, -mid, b)
 
 
@@ -696,10 +709,15 @@ SPECS = {
 
 def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
     """``scheme``'s plan, built after the gate that follows ``_float_layer``:
-    the spec's constant k, tau > 0, N >= 2 (an interior node for the stencil)
-    and N >= 3 with a flux or Robin end (its closure reads two interior
-    new-layer nodes, a folded end needs two interior unknowns and a Saulyev
-    start reaches three nodes in), checked in this order."""
+    ``bcs`` is a (left, right) pair of BoundaryConditions, the spec's constant
+    k, tau > 0, N >= 2 (an interior node for the stencil) and N >= 3 with a
+    flux or Robin end (its closure reads two interior new-layer nodes, a
+    folded end needs two interior unknowns and a Saulyev start reaches three
+    nodes in), checked in this order."""
+    if not (isinstance(bcs, (tuple, list)) and len(bcs) == 2
+            and all(isinstance(bc, BoundaryCondition) for bc in bcs)):
+        raise ValueError("bcs must be a (left, right) pair of "
+                         f"BoundaryConditions, got {bcs!r}")
     spec = SPECS[scheme]
     if spec.constant_k and params.diffusivity.nu_value is None:
         raise ValueError(f"{scheme.value} scheme requires constant diffusivity")
@@ -833,8 +851,8 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     not 1-D or non-finite layer raises ValueError, also when
     ``num_steps == 0``), and the initial snapshot holds it with the norm
     taken there.  Unless ``num_steps == 0``, the scheme's plan is then built
-    once, by ``_plan``, whose gate raises
-    ValueError for misuse (a scheme that needs constant k or tau > 0, fewer
+    once, by ``_plan``, whose gate raises ValueError for misuse (``bcs`` not
+    two BoundaryConditions, a scheme that needs constant k or tau > 0, fewer
     than 3 nodes, a flux/Robin end on fewer than 4).  The plan sets up the
     coefficients, the boundary closures and, where they never change, the LU
     factors of the implicit systems; its errors propagate unchanged: a
@@ -896,12 +914,12 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
             if not norm <= DIVERGENCE_THRESHOLD:
                 record.diverged = True
                 record.diverged_step = time_index
-                record.append(Field(values=layer, time_index=time_index),
-                              consistent, norm)
+            elif (time_index - start) % snapshot_every:
+                continue  # between snapshots
+            record.append(Field(values=layer, time_index=time_index),
+                          consistent, norm)
+            if record.diverged:
                 return record
-            if (time_index - start) % snapshot_every == 0:
-                record.append(Field(values=layer, time_index=time_index),
-                              consistent, norm)
 
     if record.snapshots[-1].time_index != time_index:
         record.append(Field(values=curr, time_index=time_index),

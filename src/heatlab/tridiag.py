@@ -1,4 +1,4 @@
-"""Tridiagonal solvers: every solve in heatlab runs here.
+"""Tridiagonal solvers: every tridiagonal solve in heatlab runs here.
 
 Three solves run LAPACK's Gaussian elimination with partial pivoting, O(m)
 for a system of order m (Anderson et al., *LAPACK Users' Guide*, SIAM 1999),
@@ -13,8 +13,8 @@ Pivoting matters because the steppers do not always assemble diagonally
 dominant systems: affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the
 diagonal, which can push the dominance margin below zero at large r.  scipy
 is imported on the first solve above order 1 (or on the first Saulyev step,
-whose sweeps are BLAS band solves), so importing heatlab and commands that
-do neither do not pay for it.
+whose bidiagonal sweeps ``schemes`` solves with BLAS ``dtbsv``), so
+importing heatlab and commands that do neither do not pay for it.
 
 ``thomas_solve_instrumented`` is the unpivoted pure-Python Thomas sweep,
 kept as the reference the tests compare against.  It raises on any pivot

@@ -653,6 +653,15 @@ def test_main_rejects_a_json_bool_for_a_number(tmp_path, capsys):
     assert err == "config error: nu must be a finite number, got True\n"
 
 
+def test_main_rejects_a_json_integer_beyond_the_doubles(tmp_path, capsys):
+    # float() of a 400-digit integer raises OverflowError, not ValueError
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**HYPERBOLIC_RUN, "nu": 10 ** 400}))
+    code, out, err = run_main(["run", "--config", str(path)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: nu must be a finite number, got {10 ** 400}\n"
+
+
 def run_argv(**changes):
     """``run`` argv for a small explicit run; a None value drops that key."""
     config = dict(scheme="explicit", nu=1, length_l=1, num_cells_N=4, r=0.25,

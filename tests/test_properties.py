@@ -218,9 +218,11 @@ def test_constant_field_stays_constant_under_zero_flux(scheme, cells, steps, r,
 
 # ------------------------------------------ array-valued k, node by node
 
-def per_node_evaluate_array(model: DiffusivityModel, u: np.ndarray) -> np.ndarray:
-    """General k mapped over the nodes as Python floats, one call per node:
-    the evaluation the array contract replaced, kept as its reference."""
+def per_node_evaluate_array(model: DiffusivityModel, layer: np.ndarray,
+                            nodes) -> np.ndarray:
+    """General k mapped over ``layer[nodes]`` as Python floats, one call per
+    node: the evaluation the array contract replaced, kept as its reference."""
+    u = layer if nodes is None else layer[nodes]
     values = np.fromiter(map(model.general_k, u.tolist()), dtype=float,
                          count=len(u))
     if not np.all(values > 0.0):
@@ -255,7 +257,7 @@ def test_array_k_matches_per_node_reference(scheme, data, cells, steps, r, c0,
     u = data.draw(profile(cells + 1))
     p = params_for(cells, r, DiffusivityModel.general(k))
     array = outcome(u, p, (left, right), scheme, steps)
-    with mock.patch.object(DiffusivityModel, "evaluate_array",
+    with mock.patch.object(DiffusivityModel, "_evaluate_nodes",
                            per_node_evaluate_array):
         reference = outcome(u, p, (left, right), scheme, steps)
     assert array == reference

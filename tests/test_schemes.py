@@ -1259,14 +1259,16 @@ def test_step_counts_must_be_integers(scheme, num_steps, every, message):
 
 @pytest.mark.parametrize("forcing", [lambda t: None, lambda t: np.ones(2)],
                          ids=["none", "array"])
-@pytest.mark.parametrize("kind", ["dirichlet", "flux"])
+@pytest.mark.parametrize("make", [
+    BoundaryCondition.dirichlet, BoundaryCondition.flux,
+    lambda phi: BoundaryCondition.robin(1.0, 0.5, phi),
+], ids=["dirichlet", "flux", "robin"])
 @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT, Scheme.IMPLICIT],
                          ids=lambda s: s.value)
-def test_forcing_that_is_no_number_fails_at_its_step(scheme, kind, forcing):
+def test_forcing_that_is_no_number_fails_at_its_step(scheme, make, forcing):
     grid = build_uniform_grid(1.0, 8)
     dt = 0.25 * grid.dx ** 2  # t = 3 dt = 0.01171875 exactly
-    end = getattr(BoundaryCondition, kind)(
-        lambda t: 0.0 if t < 2.5 * dt else forcing(t))
+    end = make(lambda t: 0.0 if t < 2.5 * dt else forcing(t))
     p = constant_params(1.0, dt=dt, dx=grid.dx)
     with pytest.raises(SolverError, match=re.escape(
             "step 3: right boundary forcing at t = 0.01171875 gave "
@@ -1276,6 +1278,74 @@ def test_forcing_that_is_no_number_fails_at_its_step(scheme, kind, forcing):
     assert err.value.step == 3
     assert type(err.value.__cause__) is ValueError
     assert isinstance(err.value.__cause__.__cause__, TypeError)
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, -1e308],
+                         ids=["minus-zero", "subnormal", "huge", "minus-huge"])
+@pytest.mark.parametrize("scheme", [Scheme.EXPLICIT, Scheme.IMPLICIT,
+                                    Scheme.SAULYEV], ids=lambda s: s.value)
+def test_dirichlet_end_writes_its_forcing_double(scheme, value):
+    # the endpoint holds the forcing's own double: no 0 * u_adj + g, which
+    # would turn -0.0 into +0.0, and no rounding of a subnormal or a huge g
+    grid = build_uniform_grid(1.0, 8)
+    p = constant_params(1.0, dt=0.25 * grid.dx ** 2, dx=grid.dx)
+    bcs = (BoundaryCondition.dirichlet(lambda t: value),
+           BoundaryCondition.dirichlet(lambda t: value))
+    record = run_simulation(field(np.zeros(9)), p, bcs, scheme, 4)
+    assert len(record.snapshots) >= 2
+    want = np.float64(value).tobytes()
+    for layer in record.snapshots[1:]:
+        assert layer.values[0].tobytes() == want
+        assert layer.values[-1].tobytes() == want
+
+
+_BCS_MISUSE = {
+    "one-flux": (BoundaryCondition.flux(1.0),),
+    "three": (BoundaryCondition.dirichlet(0.0), BoundaryCondition.flux(1.0),
+              BoundaryCondition.dirichlet(0.0)),
+    "empty": (),
+    "strings": ("dirichlet", "flux"),
+}
+
+
+@pytest.mark.parametrize("bcs", _BCS_MISUSE.values(), ids=_BCS_MISUSE.keys())
+def test_bcs_that_are_not_two_boundary_conditions_are_refused(bcs):
+    # a 1-tuple closed both ends, a 3-tuple dropped its middle entry, () and
+    # strings escaped as IndexError and AttributeError
+    grid = build_uniform_grid(1.0, 8)
+    p = constant_params(1.0, dt=0.25 * grid.dx ** 2, dx=grid.dx)
+    initial = field(np.sin(np.pi * grid.nodes))
+    message = re.escape("bcs must be a (left, right) pair of "
+                        f"BoundaryConditions, got {bcs!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_simulation(initial, p, bcs, Scheme.EXPLICIT, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        step_implicit(StepState(None, initial, p, bcs))
+
+
+_BAD_NODE_BCS = {
+    "interior": (HOMOGENEOUS, 3),
+    "flux-end": ((BoundaryCondition.dirichlet(0.0), BoundaryCondition.flux(0.0)),
+                 8),
+}
+
+
+@pytest.mark.parametrize("bcs,node", _BAD_NODE_BCS.values(),
+                         ids=_BAD_NODE_BCS.keys())
+@pytest.mark.parametrize("scheme", [Scheme.EXPLICIT, Scheme.CN_NONLINEAR,
+                                    Scheme.CROSS_CN], ids=lambda s: s.value)
+def test_diffusivity_error_names_the_node_of_the_layer(scheme, bcs, node):
+    # k = 1 + u is -1 at u = -2 only; the message names the node of the
+    # layer, not the index into u[1:-1] or u[[0, -1]]
+    grid = build_uniform_grid(1.0, 8)
+    p = SchemeParams(DiffusivityModel.affine(1.0, 1.0), dt=1e-3, dx=grid.dx)
+    u = np.full(9, 0.5)
+    u[node] = -2.0
+    with pytest.raises(SolverError, match=re.escape(
+            f"step 1: diffusivity k(u[{node}] = -2.0) = -1.0 is not finite "
+            "and positive")) as err:
+        run_simulation(field(u), p, bcs, scheme, 2)
+    assert isinstance(err.value.__cause__, DiffusivityError)
 
 
 _ZERO_SLOPE_BCS = {
