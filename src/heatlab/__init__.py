@@ -1,11 +1,10 @@
 """Finite-difference laboratory for the 1-D heat equation.
 
 Seven time-stepping schemes behind one stepper contract, pivoting
-tridiagonal solves (LAPACK ``dgttrf``/``dgttrs`` for a matrix that repeats,
-``dgtsv`` for one used once, with a pure-Python Thomas reference),
-closed-form reference solutions, and the stability /
-dispersion / convergence / error-bound tooling needed to measure what each
-scheme actually does.
+tridiagonal solves (LAPACK ``dgttrf``/``dgttrs`` for a matrix that lasts
+the run, ``dgtsv`` for every other), closed-form reference solutions, and
+the stability / dispersion / convergence / error-bound tooling needed to
+measure what each scheme actually does.
 """
 
 from .analysis import (AmplificationResult, DispersionSample,
@@ -25,8 +24,7 @@ from .schemes import (DIVERGENCE_THRESHOLD, DiffusivityError,
                       step_ccn, step_cn_nonlinear, step_crank_nicolson,
                       step_dufort_frankel, step_explicit, step_hyperbolic,
                       step_implicit, step_leapfrog, step_saulyev_pair)
-from .tridiag import (SingularSystemError, TridiagonalSystem, thomas_solve,
-                      thomas_solve_instrumented)
+from .tridiag import SingularSystemError, TridiagonalSystem, thomas_solve
 
 __version__ = "0.1.0"
 
@@ -45,6 +43,6 @@ __all__ = [
     "run_simulation", "sample_initial", "step_ccn", "step_cn_nonlinear",
     "step_crank_nicolson", "step_dufort_frankel", "step_explicit",
     "step_hyperbolic", "step_implicit", "step_leapfrog", "step_saulyev_pair",
-    "thomas_solve", "thomas_solve_instrumented", "truncation_residual",
+    "thomas_solve", "truncation_residual",
     "__version__",
 ]

@@ -197,7 +197,7 @@ class ExperimentConfig:
             if str(path).endswith(".json") or text.lstrip().startswith("{"):
                 try:
                     mapping = json.loads(text)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or too many digits
                     raise ConfigError(f"bad JSON config: {exc}") from None
                 if not isinstance(mapping, dict):
                     raise ConfigError("JSON config must be an object")

@@ -44,6 +44,12 @@ class Grid1D:
     nodes: np.ndarray
 
 
+def _whole(n) -> bool:
+    """A Python or numpy integer, not ``bool``: the rule for every count and
+    mode index, since a float one would be rounded or sliced."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def build_uniform_grid(length_l: float, num_cells_N: int) -> Grid1D:
     """Build a uniform grid with N cells on [0, length_l].
 
@@ -52,11 +58,13 @@ def build_uniform_grid(length_l: float, num_cells_N: int) -> Grid1D:
     length_l : float
         Domain length, must be positive.
     num_cells_N : int
-        Number of cells; at least 2 so every three-point stencil has an
-        interior node to act on.
+        Number of cells, a Python or numpy integer (not ``bool``); at least
+        2 so every three-point stencil has an interior node to act on.
     """
     if not np.isfinite(length_l) or length_l <= 0.0:
         raise ValueError(f"domain length must be positive, got {length_l}")
+    if not _whole(num_cells_N):
+        raise ValueError(f"number of cells must be an integer, got {num_cells_N}")
     if num_cells_N < 2:
         raise ValueError(f"need at least 2 cells, got {num_cells_N}")
     dx = length_l / num_cells_N
@@ -134,7 +142,8 @@ class BoundaryCondition:
 
     Dirichlet enforces u = forcing(t); flux enforces nu * u_x = forcing(t);
     Robin combines the two: coeff_a * u + coeff_b * nu * u_x = forcing(t).
-    Non-finite coefficients or constant forcing raise ValueError.
+    Non-finite coefficients or constant forcing raise ValueError, and so do
+    nonzero coefficients on a Dirichlet or flux condition, which ignores them.
     """
 
     kind: BCKind
@@ -148,6 +157,9 @@ class BoundaryCondition:
                              f"({self.coeff_a}, {self.coeff_b})")
         if self.kind is BCKind.ROBIN and self.coeff_a == 0.0 and self.coeff_b == 0.0:
             raise ValueError("Robin condition needs (coeff_a, coeff_b) != (0, 0)")
+        if self.kind is not BCKind.ROBIN and (self.coeff_a or self.coeff_b):
+            raise ValueError(f"a {self.kind.value} condition takes no coefficients, "
+                             f"got ({self.coeff_a}, {self.coeff_b})")
 
     @staticmethod
     def dirichlet(phi: Union[float, TimeFunction] = 0.0) -> "BoundaryCondition":

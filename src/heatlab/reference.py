@@ -13,6 +13,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .grid import _whole
+
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -40,7 +42,8 @@ class SineSeriesSolution:
     """u(x, t) = sum_m a_m sin(m pi x / l) exp(-nu (m pi / l)^2 t).
 
     Satisfies u_t = nu u_xx with homogeneous Dirichlet ends identically.
-    ``modes`` is a sequence of (m, amplitude) pairs with m >= 1.
+    ``modes`` is a sequence of (m, amplitude) pairs with m an integer >= 1
+    (a Python or numpy integer, not ``bool``), so both ends stay at zero.
     """
 
     length_l: float
@@ -53,8 +56,8 @@ class SineSeriesSolution:
         if not 0.0 < self.nu < math.inf:
             raise ValueError("diffusivity must be positive")
         for m, _ in self.modes:
-            if m < 1:
-                raise ValueError(f"mode index must be >= 1, got {m}")
+            if not _whole(m) or m < 1:
+                raise ValueError(f"mode index must be an integer >= 1, got {m}")
 
     @staticmethod
     def single_mode(length_l: float, nu: float, m: int) -> "SineSeriesSolution":
@@ -86,7 +89,10 @@ def hyperbolic_mode_solution(nu: float, tau: float, length_l: float,
     are s = (-1 +- sqrt(1 - 4 tau nu k^2)) / (2 tau); complex roots give the
     damped oscillatory regime and a double root degenerates to (1 - s t) e^{s t}.
     ``t`` and ``x`` broadcast against each other, as in ``evaluate_series``.
+    ``m`` is an integer >= 1, as a ``SineSeriesSolution`` mode index.
     """
+    if not _whole(m):
+        raise ValueError(f"mode index must be an integer, got {m}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"relaxation time must be positive, got {tau}")
     if not (0.0 < nu < math.inf and 0.0 < length_l < math.inf and m >= 1):

@@ -40,8 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import (BCKind, BoundaryCondition, Closure, Field, Side, closure,
-                   max_abs)
+from .grid import (BCKind, BoundaryCondition, Closure, Field, Side, _whole,
+                   closure, max_abs)
 from .tridiag import SingularSystemError, direct, factored
 # No stepper calls these three; bench/spans.py wraps them as attributes of
 # this module.
@@ -520,13 +520,12 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
             out = np.empty(n_nodes)
             np.add(u[1:-1], rho_a * d2, out=out[1:-1])
             return (_solve_folded(direct(bands), rho_new, out, ends, terms),)
-        # the bands hold across the iterates, so they are factored once
-        solve = factored(_fold(rho_new, 1.0 + 2.0 * rho_new, ends))
 
         def iterate(k):
+            bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
             out = np.empty(n_nodes)
             np.add(u[1:-1], (0.5 * (k * dt / dx ** 2)) * d2, out=out[1:-1])
-            return _solve_folded(solve, rho_new, out, ends, terms)
+            return _solve_folded(direct(bands), rho_new, out, ends, terms)
 
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
@@ -876,11 +875,9 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     positive or does not broadcast, or a boundary forcing whose value is no
     number) are re-raised as SolverError with the failing step attached.
     """
-    def whole(n):  # a float count would be rounded or sliced
-        return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if not whole(num_steps) or num_steps < 0:
+    if not _whole(num_steps) or num_steps < 0:
         raise ValueError(f"num_steps must be >= 0 and an integer, got {num_steps}")
-    if not whole(snapshot_every) or snapshot_every < 1:
+    if not _whole(snapshot_every) or snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1 and an integer, "
                          f"got {snapshot_every}")
 

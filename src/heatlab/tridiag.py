@@ -1,39 +1,32 @@
 """Tridiagonal solvers: every tridiagonal solve in heatlab runs here.
 
-Three solves run LAPACK's Gaussian elimination with partial pivoting, O(m)
-for a system of order m (Anderson et al., *LAPACK Users' Guide*, SIAM 1999),
-and give the same bits.  ``factored(bands)`` LU-factors a matrix that serves
-many right-hand sides once (``dgttrf``) and solves each with one ``dgttrs``;
-``direct(bands)`` solves a matrix used once with ``dgtsv``, in place;
-``thomas_solve(system)`` runs ``direct`` on float64 copies of a
-``TridiagonalSystem``.  The first two return ``solve(rhs)``, which
-overwrites ``rhs`` (C-contiguous float64, a view is fine) with the solution
-and returns it.  A zero pivot raises ``SingularSystemError`` naming its row.
-Pivoting matters because the steppers do not always assemble diagonally
-dominant systems: affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx`` to the
-diagonal, which can push the dominance margin below zero at large r.  scipy
-is imported on the first solve above order 1 (or on the first Saulyev step,
-whose bidiagonal sweeps ``schemes`` solves with BLAS ``dtbsv``), so
+One rule picks the solve.  A matrix that lasts the whole run (the folded
+implicit and Crank-Nicolson matrices) is factored once; every other matrix
+(one per ``ccn`` step under affine k, one per fixed-point iterate under
+general k) is solved by one ``dgtsv``.  Both run LAPACK's Gaussian
+elimination with partial pivoting, O(m) for a system of order m (Anderson
+et al., *LAPACK Users' Guide*, SIAM 1999), and give the same bits.
+``factored(bands)`` LU-factors the bands once (``dgttrf``) and solves each
+right-hand side with one ``dgttrs``; ``direct(bands)`` solves with
+``dgtsv``, in place; ``thomas_solve(system)`` runs ``direct`` on float64
+copies of a ``TridiagonalSystem``.  The first two return ``solve(rhs)``,
+which overwrites ``rhs`` (C-contiguous float64, a view is fine) with the
+solution and returns it.  A zero pivot raises ``SingularSystemError`` naming
+its row.  Pivoting matters because the steppers do not always assemble
+diagonally dominant systems: affine-k ``ccn`` adds ``-(b dt / 2dx^2) u_xx``
+to the diagonal, which can push the dominance margin below zero at large r.
+scipy is imported on the first solve above order 1 (or on the first Saulyev
+step, whose bidiagonal sweeps ``schemes`` solves with BLAS ``dtbsv``), so
 importing heatlab and commands that do neither do not pay for it.
-
-``thomas_solve_instrumented`` is the unpivoted pure-Python Thomas sweep,
-kept as the reference the tests compare against.  It raises on any pivot
-smaller than ``PIVOT_FLOOR`` in magnitude and counts its row operations,
-exactly 2 m.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_FLOOR = 1e-300
-
 
 class SingularSystemError(ArithmeticError):
-    """Raised when elimination hits a zero pivot.
-
-    For the unpivoted reference, any pivot below PIVOT_FLOOR counts as zero.
-    """
+    """Raised when elimination hits a zero pivot."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +62,10 @@ def _check(info: int) -> None:
 
 
 def factored(bands: tuple):
-    """``solve(rhs)`` by one ``dgttrs`` against ``bands`` factored here, so a
-    zero pivot raises here.  Below order 3, which ``dgttrf`` rejects, each
-    call runs ``direct`` on fresh copies of the bands and raises there."""
+    """``solve(rhs)`` by one ``dgttrs`` against ``bands`` factored here, for
+    a matrix that serves every step of a run, so a zero pivot raises when
+    the plan is built.  Below order 3, which ``dgttrf`` rejects, each call
+    runs ``direct`` on fresh copies of the bands and raises there."""
     if len(bands[1]) < 3:
         return lambda rhs: direct(tuple(band.copy() for band in bands))(rhs)
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -112,45 +106,3 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
         system.lower, system.diag, system.upper, system.rhs))
     return direct((lower, diag, upper))(rhs)
 
-
-def thomas_solve_instrumented(system: TridiagonalSystem) -> tuple[np.ndarray, int]:
-    """Unpivoted Thomas sweep that also reports its row operations.
-
-    Raises SingularSystemError on any pivot below PIVOT_FLOOR in magnitude,
-    so it needs a system that elimination without row swaps can handle,
-    such as a strictly diagonally dominant one.  Exactly one
-    forward-elimination operation and one back-substitution operation per
-    row, so the count is 2 m.
-    """
-    lower = np.asarray(system.lower, dtype=float).tolist()
-    diag = np.asarray(system.diag, dtype=float).tolist()
-    upper = np.asarray(system.upper, dtype=float).tolist()
-    rhs = np.asarray(system.rhs, dtype=float).tolist()
-    m = len(diag)
-    ops = 0
-
-    cp = [0.0] * m  # modified superdiagonal
-    dp = [0.0] * m  # modified right-hand side
-    piv = diag[0]
-    if abs(piv) < PIVOT_FLOOR:
-        raise SingularSystemError("zero pivot in row 0")
-    if m > 1:
-        cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    ops += 1
-    for i in range(1, m):
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if abs(piv) < PIVOT_FLOOR:
-            raise SingularSystemError(f"zero pivot in row {i}")
-        if i < m - 1:
-            cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
-        ops += 1
-
-    x = [0.0] * m
-    x[m - 1] = dp[m - 1]
-    ops += 1
-    for i in range(m - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-        ops += 1
-    return np.array(x, dtype=float), ops

@@ -686,6 +686,8 @@ def run_argv(**changes):
      "bad JSON config: "),
     ({"run.json": "[1]"}, ["run", "--config", "{tmp}/run.json"],
      "JSON config must be an object"),
+    ({"run.json": '{"nu": ' + "1" * 5000 + "}"},
+     ["run", "--config", "{tmp}/run.json"], "bad JSON config: "),
     ({"run.cfg": "scheme explicit\n"}, ["run", "--config", "{tmp}/run.cfg"],
      "{tmp}/run.cfg:1: expected key=value, got 'scheme explicit'"),
     ({}, run_argv() + ["--set", "num_steps"],
@@ -713,8 +715,8 @@ def run_argv(**changes):
     ({}, ["dispersion", "--nu", "0", "--tau", "0.01", "--kappa-max", "1",
           "--samples", "3"], "need nu > 0, tau > 0 and kappa_max > 0"),
 ], ids=["int", "nu", "length", "cells", "dt", "r", "steps", "snapshot_every",
-        "json-syntax", "json-array", "key-value-line", "set-without-value",
-        "dirac-node", "sine-mode", "custom-missing", "custom-bad-number",
+        "json-syntax", "json-array", "json-long-integer", "key-value-line",
+        "set-without-value", "dirac-node", "sine-mode", "custom-missing", "custom-bad-number",
         "custom-columns", "custom-samples", "custom-nan-u", "custom-nan-x",
         "converge-steps",
         "dispersion-nu"])

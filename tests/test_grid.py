@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heatlab import (BoundaryCondition, Field, Side,
+from heatlab import (BCKind, BoundaryCondition, Field, Side,
                      boundary_closure_coefficients, build_uniform_grid,
                      close_boundary, sample_initial)
 from heatlab.grid import closure, max_abs
@@ -23,7 +23,8 @@ def test_build_uniform_grid_examples():
 
 
 @pytest.mark.parametrize("length,cells", [(1.0, 1), (1.0, 0), (0.0, 4),
-                                          (-2.0, 4), (math.nan, 4)])
+                                          (-2.0, 4), (math.nan, 4), (1.0, 2.5),
+                                          (1.0, 4.0), (1.0, np.float64(3.0))])
 def test_build_uniform_grid_rejects_bad_input(length, cells):
     with pytest.raises(ValueError):
         build_uniform_grid(length, cells)
@@ -204,6 +205,17 @@ def test_robin_rejects_zero_coefficients():
 def test_boundary_condition_rejects_non_finite_numbers(make):
     with pytest.raises(ValueError, match="must be finite"):
         make()
+
+
+@pytest.mark.parametrize("kind,a,b", [
+    (BCKind.FLUX, 5.0, 0.0), (BCKind.FLUX, 0.0, 1.0),
+    (BCKind.DIRICHLET, 1.0, 0.0), (BCKind.DIRICHLET, 0.0, -2.0),
+], ids=["flux-a", "flux-b", "dirichlet-a", "dirichlet-b"])
+def test_boundary_condition_refuses_coefficients_its_kind_ignores(kind, a, b):
+    # closure reads coeff_a and coeff_b for Robin ends only
+    message = f"a {kind.value} condition takes no coefficients, got ({a}, {b})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BoundaryCondition(kind=kind, coeff_a=a, coeff_b=b)
 
 
 def test_boundary_condition_leaves_a_callable_forcing_unchecked():

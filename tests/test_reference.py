@@ -98,6 +98,28 @@ def test_oracles_reject_non_finite_parameters(call, message):
         call()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SineSeriesSolution(1.0, 1.0, ((1.5, 1.0),)),
+     "mode index must be an integer >= 1, got 1.5"),
+    (lambda: SineSeriesSolution(1.0, 1.0, ((1, 1.0), (2.0, 0.5))),
+     "mode index must be an integer >= 1, got 2.0"),
+    (lambda: SineSeriesSolution(1.0, 1.0, ((True, 1.0),)),
+     "mode index must be an integer >= 1, got True"),
+    (lambda: hyperbolic_mode_solution(1.0, 0.01, 1.0, 1.5, 0.0, 1.0),
+     "mode index must be an integer, got 1.5"),
+    (lambda: hyperbolic_mode_solution(1.0, 0.01, 1.0, np.float64(2.0), 0.0, 1.0),
+     "mode index must be an integer, got 2.0"),
+    (lambda: hyperbolic_mode_solution(1.0, 0.01, 1.0, True, 0.0, 1.0),
+     "mode index must be an integer, got True"),
+], ids=["series-half", "series-float", "series-bool", "mode-half",
+        "mode-float", "mode-bool"])
+def test_oracles_refuse_a_mode_that_is_not_an_integer(call, message):
+    # a mode that is not an integer breaks the homogeneous Dirichlet end:
+    # m = 1.5 gives u(l, 0) = sin(1.5 pi) = -1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_hyperbolic_mode_initial_data():
     for x in (0.4, 1.0, 2.0):
         assert hyperbolic_mode_solution(1.0, 0.05, math.pi, 1, 0.0, x) == \

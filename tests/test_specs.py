@@ -229,6 +229,38 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == BENCH_SEAMS
 
 
+def private_definitions(tree):
+    """Module-level functions, classes and constants, and methods, whose
+    name has one leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names += [name.id for name in ast.walk(node)
+                      if isinstance(name, ast.Name)
+                      and isinstance(name.ctx, ast.Store)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.name, name) for name in private_definitions(tree)}
+        for node in ast.walk(tree):  # loads only: a definition is no use
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert {(module, name) for module, name in defined
+            if name not in used} == set()
+
+
 def test_only_tridiag_imports_lapack():
     # every ImportFrom, at module level or inside a function
     importers = {path.name for path in SRC.glob("*.py")

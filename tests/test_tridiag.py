@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heatlab
-from heatlab import (SingularSystemError, TridiagonalSystem, thomas_solve,
-                     thomas_solve_instrumented)
+from heatlab import SingularSystemError, TridiagonalSystem, thomas_solve
+from thomas_reference import thomas_solve_instrumented
 
 
 def dense_matrix(system):
