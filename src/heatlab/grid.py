@@ -8,13 +8,15 @@ one-sided three-point derivative stencil at the endpoint.  ``closure`` is
 the one place that knows the endpoint formula and which nodes it reads;
 the scheme plans build their closures with it once per run (once per step
 where the endpoint diffusivity varies), and ``close_boundary`` and
-``boundary_closure_coefficients`` are its scalar forms.  ``max_abs`` is the
-one max norm: the per-layer divergence test, ``Field.max_norm``, the
+``boundary_closure_coefficients`` are its scalar forms.  A number given as
+boundary data is a ``_Constant`` forcing, whose g ``closure`` folds once
+into ``close``, so a step calls neither forcing nor ``term``.  ``max_abs``
+is the one max norm: the per-layer divergence test, ``Field.max_norm``, the
 fixed-point change, the amplification sweep and the CLI's error norms all
 read it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -127,13 +129,24 @@ def sample_initial(u0: Callable[[float], float], grid: Grid1D) -> Field:
     return Field(values=values, time_index=0)
 
 
+class _Constant(float):
+    """A number given as boundary data: a float and the forcing t -> value."""
+
+    def __call__(self, t):
+        return float(self)
+
+
 def _as_time_function(phi: Union[float, TimeFunction]) -> TimeFunction:
     if callable(phi):
         return phi
-    value = float(phi)
+    try:
+        value = float(phi)
+    except (TypeError, ValueError):
+        raise ValueError("boundary data must be a number or a callable, "
+                         f"got {phi!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"boundary value must be finite, got {value}")
-    return lambda t: value
+    return _Constant(value)
 
 
 @dataclass(frozen=True)
@@ -142,16 +155,22 @@ class BoundaryCondition:
 
     Dirichlet enforces u = forcing(t); flux enforces nu * u_x = forcing(t);
     Robin combines the two: coeff_a * u + coeff_b * nu * u_x = forcing(t).
-    Non-finite coefficients or constant forcing raise ValueError, and so do
-    nonzero coefficients on a Dirichlet or flux condition, which ignores them.
+    A number given as ``forcing`` (0.0 by default) is a constant forcing.
+    A ``kind`` that is no BCKind, forcing that is no callable or finite
+    number, non-finite coefficients and nonzero ones on a Dirichlet or flux
+    condition, which ignores them, raise ValueError.
     """
 
     kind: BCKind
     coeff_a: float = 0.0
     coeff_b: float = 0.0
-    forcing: TimeFunction = field(default=lambda t: 0.0)
+    forcing: TimeFunction = _Constant(0.0)
 
     def __post_init__(self):
+        if not isinstance(self.kind, BCKind):
+            raise ValueError("boundary kind must be a BCKind, "
+                             f"got {self.kind!r}")
+        object.__setattr__(self, "forcing", _as_time_function(self.forcing))
         if not (np.isfinite(self.coeff_a) and np.isfinite(self.coeff_b)):
             raise ValueError("boundary coefficients must be finite, got "
                              f"({self.coeff_a}, {self.coeff_b})")
@@ -163,18 +182,17 @@ class BoundaryCondition:
 
     @staticmethod
     def dirichlet(phi: Union[float, TimeFunction] = 0.0) -> "BoundaryCondition":
-        return BoundaryCondition(kind=BCKind.DIRICHLET, forcing=_as_time_function(phi))
+        return BoundaryCondition(kind=BCKind.DIRICHLET, forcing=phi)
 
     @staticmethod
     def flux(phi: Union[float, TimeFunction] = 0.0) -> "BoundaryCondition":
-        return BoundaryCondition(kind=BCKind.FLUX, forcing=_as_time_function(phi))
+        return BoundaryCondition(kind=BCKind.FLUX, forcing=phi)
 
     @staticmethod
     def robin(coeff_a: float, coeff_b: float,
               phi: Union[float, TimeFunction] = 0.0) -> "BoundaryCondition":
         return BoundaryCondition(kind=BCKind.ROBIN, coeff_a=float(coeff_a),
-                                 coeff_b=float(coeff_b),
-                                 forcing=_as_time_function(phi))
+                                 coeff_b=float(coeff_b), forcing=phi)
 
 
 class Closure(NamedTuple):
@@ -185,13 +203,15 @@ class Closure(NamedTuple):
     on the new layer, and term(t) = forcing(t) / denom, with denom = 1 (and
     so forcing(t) itself) for Dirichlet.  ``put(out, g)`` writes it into
     ``out`` with g = term(t), so a caller that also needs g elsewhere (a
-    folded implicit row) evaluates the forcing once.
+    folded implicit row) evaluates the forcing once; ``close(out, t)`` is
+    ``put(out, term(t))`` in one call.
     """
 
     a1: float
     a2: float
     term: Callable[[float], float]
     put: Callable[[np.ndarray, float], None]
+    close: Callable[[np.ndarray, float], None]
 
 
 def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
@@ -203,28 +223,30 @@ def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
     formula (-3 u_0 + 4 u_1 - u_2) / (2 dx) on the left and its mirror on
     the right; a vanishing denominator raises ValueError.  All kinds share
     one ``term``, which raises ValueError naming the side and t when the
-    forcing's value is no number.
+    forcing's value is no number.  A ``_Constant`` forcing is folded here:
+    ``term`` and ``close`` read its g and call no forcing.
     """
-    forcing = bc.forcing
-    j, i1, i2 = (0, 1, 2) if side is Side.LEFT else (-1, -2, -3)
-    if bc.kind is BCKind.DIRICHLET:
+    forcing, kind, left = bc.forcing, bc.kind, side is Side.LEFT
+    j, i1, i2 = (0, 1, 2) if left else (-1, -2, -3)
+    if kind is BCKind.DIRICHLET:
         a1 = a2 = 0.0
         denom = 1.0
     else:
-        if bc.kind is BCKind.FLUX:
-            a, b = 0.0, 1.0
-        else:
-            a, b = bc.coeff_a, bc.coeff_b
+        a, b = (0.0, 1.0) if kind is BCKind.FLUX else (bc.coeff_a, bc.coeff_b)
         w = b * nu / (2.0 * dx)
-        mirror = -1.0 if side is Side.LEFT else 1.0  # the right end mirrors the left
+        mirror = -1.0 if left else 1.0  # the right end mirrors the left
         denom = a + mirror * 3.0 * w
         scale = abs(a) + abs(3.0 * w)
         if abs(denom) <= 1e-12 * scale:
-            raise ValueError(f"degenerate {bc.kind.value} closure: "
+            raise ValueError(f"degenerate {kind.value} closure: "
                              f"a = {a}, b*nu/(2 dx) = {w}")
         a1, a2 = mirror * 4.0 * w / denom, -mirror * w / denom
 
+    folded = float(forcing) / denom if isinstance(forcing, _Constant) else None
+
     def term(t):
+        if folded is not None:
+            return folded
         value = forcing(t)
         try:
             return float(value) / denom
@@ -232,14 +254,21 @@ def closure(bc: BoundaryCondition, side: Side, nu: float, dx: float) -> Closure:
             raise ValueError(f"{side.value} boundary forcing at t = {t} gave "
                              f"{value!r}, not a number") from exc
 
-    if bc.kind is BCKind.DIRICHLET:  # g as is: 0 * u_adj + g makes -0.0 +0.0
+    if kind is BCKind.DIRICHLET:  # g as is: 0 * u_adj + g makes -0.0 +0.0
         def put(out, g):
             out[j] = g
+
+        def close(out, t):
+            out[j] = term(t) if folded is None else folded
     else:
         def put(out, g):
             # Python floats: the same IEEE products as numpy scalars, cheaper
             out[j] = a1 * out.item(i1) + a2 * out.item(i2) + g
-    return Closure(a1, a2, term, put)
+
+        def close(out, t):
+            out[j] = (a1 * out.item(i1) + a2 * out.item(i2)
+                      + (term(t) if folded is None else folded))
+    return Closure(a1, a2, term, put, close)
 
 
 def boundary_closure_coefficients(bc: BoundaryCondition, side: Side,

@@ -13,15 +13,21 @@ parameters and the node count.  A plan returns ``advance(prev, curr,
 time_index)``, which maps bare float64 arrays (``prev`` is None on the first
 call) to the tuple of new layers: one, or two for the Saulyev sweep pair, of
 which only the last is consistency-grade.  Per step an advance evaluates the
-stencil, each closure's forcing once and, where k varies, the diffusivity
-(and with it the flux/Robin closures); interiors are written first,
-endpoints are closed afterwards through the closures, and the layer time is
-always ``time_index * dt``.  An advance allocates each new layer once,
-writes its interior (and, for the implicit schemes, the solve) into it in
-place and returns it; it never writes into ``prev`` or ``curr``.  Called
-without a previous layer, the multi-layer schemes start themselves.
-``run_simulation`` drives every scheme through its plan and flags
-divergence; each public ``step_*`` function builds a plan and advances once.
+stencil, each closure's forcing (unless it is a constant, which the closure
+folds) once and, where k varies, the diffusivity (and with it the flux/Robin
+closures); interiors are written first, endpoints are closed afterwards
+through the closures, and the layer time is always ``time_index * dt``.
+Called without a previous layer, the multi-layer schemes start themselves.
+The layers an advance returns belong to its plan: the explicit-type plans
+and the Saulyev pair write them into a ring of ``layers + 2`` rows, made by
+the first advances with their stencil views bound and then reused, the
+others allocate each.  An advance writes only the layers it returns, and the
+last two it returned stay intact through the next, so it never writes a
+run's ``prev`` and ``curr`` (read through the bound views) or a caller's own
+arrays (sliced per call).  A caller that keeps a layer longer copies it, as
+``run_simulation`` does.  ``run_simulation`` drives every scheme through its
+plan and flags divergence; each public ``step_*`` function builds a plan and
+advances once.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -257,22 +263,31 @@ class RunRecord:
 Advance = Callable[[Optional[np.ndarray], np.ndarray, int], tuple]
 
 
-def _second_difference(u: np.ndarray) -> np.ndarray:
-    """``u[:-2] - 2 u[1:-1] + u[2:]`` in one fresh array; ``mid + mid`` is the
-    double ``2.0 * mid`` is, signed zeros and overflow included."""
-    mid = u[1:-1]
+def _views(u: np.ndarray) -> tuple:
+    """(u, lo, mid, hi) = (u, u[:-2], u[1:-1], u[2:]), the stencil's views."""
+    return u, u[:-2], u[1:-1], u[2:]
+
+
+def _second_difference(lo: np.ndarray, mid: np.ndarray,
+                       hi: np.ndarray) -> np.ndarray:
+    """``lo - 2 mid + hi`` in one fresh array; ``mid + mid`` is the double
+    ``2.0 * mid`` is, signed zeros and overflow included."""
     d2 = mid + mid
-    np.subtract(u[:-2], d2, out=d2)
-    d2 += u[2:]
+    np.subtract(lo, d2, out=d2)
+    d2 += hi
     return d2
 
 
-def _forward_into(out: np.ndarray, u: np.ndarray, r) -> None:
-    """Write the forward-in-time, centred-in-space interior of ``u`` into
-    ``out[1:-1]``; r is a 0-d array or one weight per interior node."""
-    d2 = _second_difference(u)
-    d2 *= r
-    np.add(u[1:-1], d2, out=out[1:-1])
+def _forward(r):
+    """``interior(prev_mid, views, out)``: writes the forward-in-time,
+    centred-in-space mid + r d2 of the current layer's ``_views`` into the
+    new interior ``out``; r is a 0-d array, ``prev_mid`` is not read."""
+    def interior(prev_mid, views, out):
+        _, lo, mid, hi = views
+        d2 = _second_difference(lo, mid, hi)
+        d2 *= r
+        np.add(mid, d2, out=out)
+    return interior
 
 
 def _float_layer(values) -> tuple:
@@ -316,20 +331,31 @@ def _ends_of(params: SchemeParams, bcs):
 
 
 def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
-    """Advance of an explicit scheme: a fresh float64 layer ``out``, whose
-    interior ``interior(prev, u, out)`` writes into ``out[1:-1]``, then both
-    closures at the new layer's time."""
+    """Advance of an explicit scheme: ``interior(prev_mid, views, out)`` (as
+    ``_forward``) writes the next row of a three-row ring, whose other rows
+    are the last two layers, then the closures (bound here under constant k)
+    close it at the new layer's time."""
     dt = params.dt
     ends_of = _ends_of(params, bcs)
+    fixed = params.diffusivity.nu_value is not None
+    if fixed:
+        left, right = ends_of(None)
+        close_left, close_right = left.close, right.close
+    before = last = free = (None,) * 4  # the first three advances make rows
 
     def advance(prev, u, time_index):
-        out = np.empty(n_nodes)
-        interior(prev, u, out)
-        left, right = ends_of(u)
+        nonlocal before, last, free, close_left, close_right
+        out = free if free[0] is not None else _views(np.empty(n_nodes))
+        prev_mid = (None if prev is None else before[2] if prev is before[0]
+                    else prev[1:-1])
+        interior(prev_mid, last if u is last[0] else _views(u), out[2])
+        if not fixed:
+            close_left, close_right = (end.close for end in ends_of(u))
         t = (time_index + 1) * dt
-        left.put(out, left.term(t))
-        right.put(out, right.term(t))
-        return (out,)
+        close_left(out[0], t)
+        close_right(out[0], t)
+        before, last, free = last, out, before
+        return (out[0],)
     return advance
 
 
@@ -382,9 +408,10 @@ def _terms(ends: tuple, t: float) -> tuple:
 def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
                  rhs_into) -> Advance:
     """Advance of a constant-k implicit scheme with row weight ``rho``:
-    ``rhs_into(u, out)`` writes the right-hand side into a fresh layer's
-    interior, which is solved in place against bands folded and factored
-    once; each step adds only the forcing terms, weighted by ``rho``."""
+    ``rhs_into(None, views, out)`` (as ``_forward``) writes the right-hand
+    side into a fresh layer's interior, which is solved in place against
+    bands folded and factored once; each step adds only the forcing terms,
+    weighted by ``rho``."""
     ends = _ends_of(params, bcs)(None)
     rows = np.full(n_nodes - 2, rho)
     solve = factored(_fold(rows, 1.0 + 2.0 * rows, ends))
@@ -393,7 +420,7 @@ def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
 
     def advance(prev, u, time_index):
         out = np.empty(n_nodes)
-        rhs_into(u, out)
+        rhs_into(None, _views(u), out[1:-1])
         return (_solve_folded(solve, edge, out, ends,
                               _terms(ends, (time_index + 1) * dt)),)
     return advance
@@ -427,17 +454,20 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
 # ------------------------------------------------------------------ plans
 
 def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    model, dt, dx = params.diffusivity, params.dt, params.dx
+    model = params.diffusivity
     if model.nu_value is not None:
-        r = np.array(params.diffusion_number_r)
         return _closed_plan(params, bcs, n_nodes,
-                            lambda prev, u, out: _forward_into(out, u, r))
-    return _closed_plan(params, bcs, n_nodes, lambda prev, u, out: _forward_into(
-        out, u, model._evaluate_nodes(u, _INTERIOR) * dt / dx ** 2))
+                            _forward(np.array(params.diffusion_number_r)))
+    dt, dx2 = np.array(params.dt), np.array(params.dx ** 2)
+
+    def interior(prev_mid, views, out):  # r = k(u) dt / dx^2 per node
+        r = model._evaluate_nodes(views[0], _INTERIOR) * dt / dx2
+        _forward(r)(prev_mid, views, out)
+    return _closed_plan(params, bcs, n_nodes, interior)
 
 
-def _copy_interior(u: np.ndarray, out: np.ndarray) -> None:
-    out[1:-1] = u[1:-1]
+def _copy_interior(prev_mid, views, out: np.ndarray) -> None:
+    out[...] = views[2]
 
 
 def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
@@ -447,37 +477,36 @@ def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
 def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
-    weight = np.array(rho)
-    return _folded_plan(params, bcs, n_nodes, rho,
-                        lambda u, out: _forward_into(out, u, weight))
+    return _folded_plan(params, bcs, n_nodes, rho, _forward(np.array(rho)))
 
 
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     r = params.diffusion_number_r
-    r, two_r = np.array(r), np.array(2.0 * r)
+    start, two_r = _forward(np.array(r)), np.array(2.0 * r)
 
-    def interior(prev, u, out):
-        if prev is None:  # the explicit start
-            _forward_into(out, u, r)
-        else:
-            d2 = _second_difference(u)
-            d2 *= two_r
-            np.add(prev[1:-1], d2, out=out[1:-1])
+    def interior(prev_mid, views, out):
+        if prev_mid is None:  # the explicit start
+            return start(prev_mid, views, out)
+        _, lo, mid, hi = views
+        d2 = _second_difference(lo, mid, hi)
+        d2 *= two_r
+        np.add(prev_mid, d2, out=out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
 def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     r = params.diffusion_number_r
     lam = 2.0 * r
-    r, a, b = map(np.array, (r, (1.0 - lam) / (1.0 + lam), lam / (1.0 + lam)))
+    start = _forward(np.array(r))
+    a, b = np.array((1.0 - lam) / (1.0 + lam)), np.array(lam / (1.0 + lam))
 
-    def interior(prev, u, out):
-        if prev is None:  # the explicit start
-            _forward_into(out, u, r)
-        else:
-            pair = np.add(u[2:], u[:-2])
-            pair *= b
-            np.add(a * prev[1:-1], pair, out=out[1:-1])
+    def interior(prev_mid, views, out):
+        if prev_mid is None:  # the explicit start
+            return start(prev_mid, views, out)
+        _, lo, _, hi = views
+        pair = np.add(hi, lo)
+        pair *= b
+        np.add(a * prev_mid, pair, out=out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -487,7 +516,8 @@ def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
 
     def advance(prev, u, time_index):
         k_old = model._evaluate_nodes(u, _INTERIOR)
-        rhs = u[1:-1] + 0.5 * (k_old * dt / dx ** 2) * _second_difference(u)
+        d2 = _second_difference(u[:-2], u[1:-1], u[2:])
+        rhs = u[1:-1] + 0.5 * (k_old * dt / dx ** 2) * d2
         ends = ends_of(u)
         terms = _terms(ends, (time_index + 1) * dt)
 
@@ -512,7 +542,7 @@ def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     def advance(prev, u, time_index):
         k_old = model._evaluate_nodes(u, _INTERIOR)
         rho_new = 0.5 * (k_old * dt / dx ** 2)
-        d2 = _second_difference(u)
+        d2 = _second_difference(u[:-2], u[1:-1], u[2:])
         ends = ends_of(u)
         terms = _terms(ends, (time_index + 1) * dt)
         if linear:
@@ -540,7 +570,7 @@ def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
     endpoint; substituting the sweep relation twice reduces the start to one
     scalar equation, whose denominator is checked once, here.
     """
-    a1, a2, term, _ = end
+    a1, a2, term = end[:3]
     if bc.kind is BCKind.DIRICHLET:
         return lambda base, t: term(t)
     den = 1.0 - a1 * c - a2 * c * c
@@ -567,21 +597,27 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     start_right = _saulyev_start(bcs[1], right, Side.RIGHT, a, c, n)
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
     a, c = np.array(a), np.array(c)  # the starts above keep Python floats
+    close_left, close_right = left.close, right.close
+    spare = kept = None  # the first two advances make the pairs of rows
 
     def advance(prev, u, time_index):
+        nonlocal spare, kept
         t1 = (time_index + 1) * dt
         t2 = (time_index + 2) * dt
-        out1 = np.empty(n + 1)
+        spare = spare or (_views(np.empty(n_nodes)), _views(np.empty(n_nodes)))
+        (out1, lo1, mid1, _), (out2, _, mid2, _) = spare
+        _, _, mid, hi = kept[1] if kept and u is kept[1][0] else _views(u)
         out1[0] = start_left(u, t1)
-        np.add(a * u[1:n], c * u[2:], out=out1[1:n])
-        dtbsv(1, band, out1[:n], lower=1, diag=1, overwrite_x=1)
-        right.put(out1, right.term(t1))
+        np.add(a * mid, c * hi, out=mid1)
+        # (incx, offx, lower, trans, diag, overwrite_x), offx 1 for out2[1:]
+        dtbsv(1, band, out1, 1, 0, 1, 0, 1, 1)
+        close_right(out1, t1)
 
-        out2 = np.empty(n + 1)
         out2[n] = start_right(out1, t2)
-        np.add(a * out1[1:n], c * out1[:n - 1], out=out2[1:n])
-        dtbsv(1, band, out2[1:], lower=0, diag=1, overwrite_x=1)
-        left.put(out2, left.term(t2))
+        np.add(a * mid1, c * lo1, out=mid2)
+        dtbsv(1, band, out2, 1, 1, 0, 0, 1, 1)
+        close_left(out2, t2)
+        spare, kept = kept, spare
         return out1, out2
     return advance
 
@@ -600,19 +636,19 @@ def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     taylor = dt ** 2 / (2.0 * tau)
     a, b, c, taylor, dx2, nu = map(np.array, (a, b, c, taylor, dx ** 2, nu))
 
-    def interior(prev, u, out):
-        mid = u[1:-1]
-        diffusion = _second_difference(u)
+    def interior(prev_mid, views, out):
+        _, lo, mid, hi = views
+        diffusion = _second_difference(lo, mid, hi)
         diffusion *= nu
         diffusion /= dx2
-        if prev is None:  # the zero-velocity Taylor start
+        if prev_mid is None:  # the zero-velocity Taylor start
             diffusion *= taylor
-            np.add(mid, diffusion, out=out[1:-1])
+            np.add(mid, diffusion, out=out)
         else:
             new = c * mid
-            new -= b * prev[1:-1]
+            new -= b * prev_mid
             new += diffusion
-            np.divide(new, a, out=out[1:-1])
+            np.divide(new, a, out=out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -844,42 +880,46 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
                    snapshot_every: int = 1) -> RunRecord:
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
-    ``num_steps`` (>= 0) and ``snapshot_every`` (>= 1) are integers, numpy's
-    included and ``bool`` excluded, or raise ValueError.  The start layer is
-    checked and converted to float64 once, by ``_float_layer`` (a complex,
-    not 1-D or non-finite layer raises ValueError, also when
-    ``num_steps == 0``), and the initial snapshot holds it with the norm
-    taken there.  Unless ``num_steps == 0``, the scheme's plan is then built
-    once, by ``_plan``, whose gate raises ValueError for misuse (``bcs`` not
-    two BoundaryConditions, a scheme that needs constant k or tau > 0, fewer
-    than 3 nodes, a flux/Robin end on fewer than 4).  The plan sets up the
-    coefficients, the boundary closures and, where they never change, the LU
-    factors of the implicit systems; its errors propagate unchanged: a
-    ValueError for a degenerate closure under constant k, and
+    ``num_steps`` (>= 0), ``snapshot_every`` (>= 1) and the start layer's
+    ``time_index`` are integers, numpy's included and ``bool`` excluded, or
+    raise ValueError.  The start layer is checked and converted to float64
+    once, by ``_float_layer`` (a complex, not 1-D or non-finite layer raises
+    ValueError, also when ``num_steps == 0``), and the initial snapshot holds
+    it with the norm taken there.  Unless ``num_steps == 0``, the scheme's
+    plan is then built once, by ``_plan``, whose gate raises ValueError for
+    misuse (``bcs`` not two BoundaryConditions, a scheme that needs constant k
+    or tau > 0, fewer than 3 nodes, a flux/Robin end on fewer than 4).  The
+    plan sets up the coefficients, the boundary closures and, where they never
+    change, the LU factors of the implicit systems; its errors propagate
+    unchanged: a ValueError for a degenerate closure under constant k, and
     SingularSystemError for a degenerate Saulyev start or a zero pivot in the
     implicit or Crank-Nicolson matrix, which the plan factors (at order 3 or
     more; a smaller one is solved per step).  Its advance maps bare arrays
     (previous layer or None, current layer, time index) to the tuple of new
-    layers, of which only the last is consistency-grade, so the Saulyev
-    pair's odd layers (and a final pair cut short at ``num_steps``) are
-    flagged False.  A ``Field`` is built only for the snapshots kept.  Called
+    layers, of which only the last is consistency-grade, so the Saulyev pair's
+    odd layers (and a final pair cut short at ``num_steps``) are flagged
+    False.  A ``Field`` is built only for the snapshots kept, on a copy of the
+    layer, since the plan writes later layers into its own rows.  Called
     without a previous layer, the multi-layer schemes start themselves:
-    leap-frog and Dufort-Frankel with the explicit step, the hyperbolic
-    scheme with the zero-velocity Taylor start.  The run halts and flags
-    divergence as soon as a layer has a non-finite value or max-norm above
-    1e12.  Every layer's max-norm is ``grid.max_abs``, which propagates NaN
-    and never squares the layer, so a huge finite layer diverges without an
-    overflow warning.  Failures while advancing (an ArithmeticError such as
-    a zero pivot or a FloatingPointError from an overflow in k, a
-    FixedPointError, or a ValueError such as a k that is not finite and
-    positive or does not broadcast, or a boundary forcing whose value is no
-    number) are re-raised as SolverError with the failing step attached.
+    leap-frog and Dufort-Frankel with the explicit step, the hyperbolic scheme
+    with the zero-velocity Taylor start.  The run halts and flags divergence
+    as soon as a layer has a non-finite value or max-norm above 1e12.  Every
+    layer's max-norm is ``grid.max_abs``, which propagates NaN and never
+    squares the layer, so a huge finite layer diverges without an overflow
+    warning.  Failures while advancing (an ArithmeticError such as a zero
+    pivot or a FloatingPointError from an overflow in k, a FixedPointError, or
+    a ValueError such as a k that is not finite and positive or does not
+    broadcast, or a boundary forcing whose value is no number) are re-raised
+    as SolverError with the failing step attached.
     """
     if not _whole(num_steps) or num_steps < 0:
         raise ValueError(f"num_steps must be >= 0 and an integer, got {num_steps}")
     if not _whole(snapshot_every) or snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1 and an integer, "
                          f"got {snapshot_every}")
+    if not _whole(initial.time_index):
+        raise ValueError("the start layer's time_index must be an integer, "
+                         f"got {initial.time_index!r}")
 
     values, norm = _float_layer(initial.values)
     if values is not initial.values:
@@ -913,12 +953,12 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
                 record.diverged_step = time_index
             elif (time_index - start) % snapshot_every:
                 continue  # between snapshots
-            record.append(Field(values=layer, time_index=time_index),
+            record.append(Field(values=layer.copy(), time_index=time_index),
                           consistent, norm)
             if record.diverged:
                 return record
 
     if record.snapshots[-1].time_index != time_index:
-        record.append(Field(values=curr, time_index=time_index),
+        record.append(Field(values=curr.copy(), time_index=time_index),
                       consistent, norm)
     return record

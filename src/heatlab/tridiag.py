@@ -71,7 +71,7 @@ def factored(bands: tuple):
     from scipy.linalg.lapack import dgttrf, dgttrs
     *lu, info = dgttrf(*bands)
     _check(info)
-    return lambda rhs: dgttrs(*lu, rhs, overwrite_b=1)[0]
+    return lambda rhs: dgttrs(*lu, rhs, "N", 1)[0]  # trans, overwrite_b
 
 
 def direct(bands: tuple):
@@ -88,8 +88,7 @@ def direct(bands: tuple):
     from scipy.linalg.lapack import dgtsv
 
     def solve(rhs):
-        *_, x, info = dgtsv(*bands, rhs, overwrite_dl=1, overwrite_d=1,
-                            overwrite_du=1, overwrite_b=1)
+        *_, x, info = dgtsv(*bands, rhs, 1, 1, 1, 1)  # overwrite all four
         _check(info)
         return x
     return solve

@@ -218,6 +218,65 @@ def test_boundary_condition_refuses_coefficients_its_kind_ignores(kind, a, b):
         BoundaryCondition(kind=kind, coeff_a=a, coeff_b=b)
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "FLUX", 0, None],
+                         ids=["str", "upper-str", "int", "none"])
+def test_boundary_condition_refuses_a_kind_that_is_no_bckind(kind):
+    # before, "dirichlet" built and the run died in closure on kind.value
+    message = f"boundary kind must be a BCKind, got {kind!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BoundaryCondition(kind=kind)
+
+
+@pytest.mark.parametrize("kind", list(BCKind), ids=lambda k: k.value)
+def test_a_number_given_as_forcing_becomes_the_constant_forcing(kind):
+    # the direct constructor takes the path of the static ones: a number is
+    # finite-checked and becomes the constant forcing closure folds
+    coeffs = (1.0, 0.5) if kind is BCKind.ROBIN else (0.0, 0.0)
+    for value in (2.5, 3, np.float64(-0.25)):
+        bc = BoundaryCondition(kind, *coeffs, forcing=value)
+        assert bc.forcing is not value and bc.forcing(7.0) == float(value)
+        assert bc == BoundaryCondition(kind, *coeffs, forcing=float(value))
+    with pytest.raises(ValueError, match="value must be finite, got inf"):
+        BoundaryCondition(kind, *coeffs, forcing=math.inf)
+    for bad in ("warm", None, [1.0]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"boundary data must be a number or a callable, got {bad!r}")):
+            BoundaryCondition(kind, *coeffs, forcing=bad)
+
+
+def test_the_default_forcing_is_the_constant_zero():
+    # the default is the constant forcing too, so closure folds it
+    bc = BoundaryCondition(BCKind.DIRICHLET)
+    assert bc.forcing(1.0) == 0.0
+    assert bc == BoundaryCondition.dirichlet() == BoundaryCondition.dirichlet(0)
+    out = np.full(4, 9.0)
+    closure(bc, Side.LEFT, 1.0, 0.25).close(out, 3.0)
+    assert out.tolist() == [0.0, 9.0, 9.0, 9.0]
+
+
+@pytest.mark.parametrize("make", [
+    BoundaryCondition.dirichlet, BoundaryCondition.flux,
+    lambda phi: BoundaryCondition.robin(1.0, -0.5, phi),
+], ids=["dirichlet", "flux", "robin"])
+@pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+def test_a_folded_constant_closes_as_its_callable_does(make, side):
+    # close(out, t) of a number writes the bits put(out, term(t)) writes
+    # for the same value passed as a callable, at any t
+    values = np.array([0.3, -1.7, 2.9, 5e-324, -0.0, 1.1])
+    for phi in (0.7, -0.0, 1e-300):
+        folded = closure(make(phi), side, 0.8, 0.1)
+        called = closure(make(lambda t, phi=phi: phi), side, 0.8, 0.1)
+        for t in (0.0, 0.25, 1e9):
+            got, want = values.copy(), values.copy()
+            folded.close(got, t)
+            called.put(want, called.term(t))
+            assert got.tobytes() == want.tobytes()
+            called.close(got, t)
+            assert got.tobytes() == want.tobytes()
+        assert (folded.a1, folded.a2, folded.term(2.0)) == (
+            called.a1, called.a2, called.term(2.0))
+
+
 def test_boundary_condition_leaves_a_callable_forcing_unchecked():
     bc = BoundaryCondition.dirichlet(lambda t: math.inf)
     assert bc.forcing(0.0) == math.inf

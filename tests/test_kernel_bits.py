@@ -4,7 +4,9 @@ The plans bind their constant coefficients as 0-d float64 arrays and double
 the middle node as ``mid + mid``.  Both take numpy's array-array path to the
 same IEEE double as a Python-float coefficient and ``2.0 * mid``, so one
 advance must equal, byte for byte, the reference below, which spells out
-each scheme's arithmetic with Python-float coefficients.  The reference
+each scheme's arithmetic with Python-float coefficients.  So must each of
+consecutive advances through one plan, which reads its own layers through
+the views it bound and folds constant boundary data once.  The reference
 shares only what works on single nodes or on matrices (``grid.closure``,
 ``schemes._fold``, ``tridiag.factored`` and ``dtbsv``); every operation it
 makes on a layer is its own.
@@ -77,7 +79,7 @@ def explicit_interior(scheme, p, prev, u):
 
 
 def saulyev_start(bc, end, side, a, c, base, t):
-    a1, a2, term, _ = end
+    a1, a2, term = end[:3]
     if bc.kind is BCKind.DIRICHLET:
         return term(t)
     n = len(base) - 1
@@ -186,3 +188,32 @@ def test_overflow_near_the_largest_double_gives_the_same_infinities(scheme):
     with np.errstate(over="ignore"):
         (layer,) = assert_same_bits(scheme, p, zero, prev, u, 0)
     assert np.isinf(layer).any() and not np.isnan(layer).any()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), cells=st.integers(3, 40), r=st.floats(0.01, 5.0),
+       nu=st.floats(0.1, 4.0), time_index=st.integers(0, 10),
+       ends=st.tuples(end_condition(-1), end_condition(1)))
+def test_consecutive_advances_equal_the_reference_applied_in_turn(
+        scheme, data, cells, r, nu, time_index, ends):
+    # one plan fed its own layers, as a run feeds them, reads them through
+    # its ring's bound views: three advances give the reference's bits, and
+    # the layers of each stay intact through the next
+    dx = 1.0 / cells
+    p = SchemeParams(DiffusivityModel.constant(nu), dt=r * dx ** 2 / nu, dx=dx)
+    u = data.draw(layers(cells + 1), label="u")
+    prev = (data.draw(st.one_of(st.none(), layers(cells + 1)), label="prev")
+            if scheme in TWO_LAYER else None)
+    advance = _plan(scheme, p, ends, len(u))
+    got_prev, got_u, want_prev, want_u = prev, u, prev, u
+    for _ in range(3):
+        got = advance(got_prev, got_u, time_index)
+        want = reference(scheme, p, ends, want_prev, want_u, time_index)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        if got_prev is not None:  # the previous advance's layers, unchanged
+            assert got_prev.tobytes() == want_prev.tobytes()
+        assert got_u.tobytes() == want_u.tobytes()
+        got_prev, got_u = (got_u, *got)[-2:]
+        want_prev, want_u = (want_u, *want)[-2:]
+        time_index += len(got)

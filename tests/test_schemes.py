@@ -1257,6 +1257,30 @@ def test_step_counts_must_be_integers(scheme, num_steps, every, message):
     assert [s.time_index for s in record.snapshots] == [0, 2, 4]
 
 
+@pytest.mark.parametrize("time_index", [1.5, 2.0, np.float64(3.0), True, None],
+                         ids=["1.5", "2.0", "float64", "True", "None"])
+@pytest.mark.parametrize("num_steps", [0, 2])
+def test_a_start_layer_off_the_time_grid_is_refused(time_index, num_steps):
+    # Field(u, 1.5) ran at time indices 1.5, 2.5, ... and read its boundary
+    # data at off-grid times; the integer rule is the one for step counts
+    p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)
+    values = np.sin(np.pi * np.arange(9) / 8)
+    times = []
+    bcs = (BoundaryCondition.dirichlet(lambda t: times.append(t) or 0.0),
+           BoundaryCondition.dirichlet(0.0))
+    message = ("the start layer's time_index must be an integer, "
+               f"got {time_index!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_simulation(Field(values, time_index), p, bcs, Scheme.EXPLICIT,
+                       num_steps)
+    assert times == []
+    record = run_simulation(Field(values, np.int64(3)), p, bcs,
+                            Scheme.EXPLICIT, num_steps)
+    assert [s.time_index for s in record.snapshots] == list(
+        range(3, 4 + num_steps))
+    assert times == [(3 + i) * p.dt for i in range(1, num_steps + 1)]
+
+
 @pytest.mark.parametrize("forcing", [lambda t: None, lambda t: np.ones(2)],
                          ids=["none", "array"])
 @pytest.mark.parametrize("make", [
@@ -1375,8 +1399,10 @@ def test_affine_with_zero_slope_runs_as_the_constant_model(scheme, bcs):
 
 
 # ------------------------------------------------------ in-place layers
-# An advance allocates each new layer once, writes into it and returns it:
-# it never writes into prev or u, and no two layers share memory.
+# An advance writes only into the layers it returns, which belong to its
+# plan (rows of a ring, or fresh arrays for the fixed-point plans): it never
+# writes into a caller's prev or u, no two layers share memory, and the last
+# two layers it returned stay intact through the next advance.
 
 _CONTRACT_BCS = {
     "dirichlet": (BoundaryCondition.dirichlet(0.2),
@@ -1418,6 +1444,82 @@ def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
             assert np.all(np.isfinite(layer))
             for other in [prev, u, *layers[:i]]:
                 assert not np.shares_memory(layer, other)
+
+
+@pytest.mark.parametrize("bcs", _CONTRACT_BCS.values(),
+                         ids=_CONTRACT_BCS.keys())
+@pytest.mark.parametrize("scheme,kind", _CONTRACT_CASES,
+                         ids=[f"{s.value}-{k}" for s, k in _CONTRACT_CASES])
+def test_advance_keeps_the_layers_a_run_reads_next(scheme, kind, bcs):
+    # fed its own layers as a run feeds them, a plan reuses its rows but
+    # never the prev and curr it reads, and gives the bits of fresh inputs
+    grid = build_uniform_grid(1.0, 16)
+    p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2, dx=grid.dx)
+    advance = schemes._plan(scheme, p, bcs, len(grid.nodes))
+    fresh = schemes._plan(scheme, p, bcs, len(grid.nodes))
+    prev, u = None, 1.0 + np.sin(np.pi * grid.nodes)
+    for time_index in range(0, 14, schemes.SPECS[scheme].layers):
+        kept = [x.copy() for x in (prev, u) if x is not None]
+        layers = advance(prev, u, time_index)
+        again = fresh(*(None if x is None else x.copy() for x in (prev, u)),
+                      time_index)
+        assert [x.tobytes() for x in (prev, u) if x is not None] == [
+            x.tobytes() for x in kept]
+        assert [x.tobytes() for x in layers] == [x.tobytes() for x in again]
+        for layer in layers:
+            assert not any(np.shares_memory(layer, x) for x in (prev, u)
+                           if x is not None)
+        prev, u = (u, *layers)[-2:]
+
+
+_END_KINDS = {
+    "dirichlet": lambda phi, side: BoundaryCondition.dirichlet(phi),
+    "flux": lambda phi, side: BoundaryCondition.flux(phi),
+    "robin": lambda phi, side: BoundaryCondition.robin(1.0, side * 0.5, phi),
+}
+_RING_CASES = [(s, "constant") for s in Scheme] + [(Scheme.EXPLICIT, "affine")]
+
+
+@pytest.mark.parametrize("end", _END_KINDS)
+@pytest.mark.parametrize("scheme,kind", _RING_CASES,
+                         ids=[f"{s.value}-{k}" for s, k in _RING_CASES])
+def test_kept_snapshots_own_their_memory(scheme, kind, end):
+    # run_simulation copies the layers it keeps out of the plan's ring: no
+    # two snapshots share memory, a rerun and a sparser run give the same
+    # bytes, and the first snapshot is the caller's start layer
+    grid = build_uniform_grid(1.0, 16)
+    p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2, dx=grid.dx)
+    bcs = (_END_KINDS[end](0.2, -1.0), _END_KINDS[end](lambda t: 0.1 - t, 1.0))
+    initial = field(1.0 + np.sin(np.pi * grid.nodes) + 0.3 * grid.nodes)
+    runs = [run_simulation(initial, p, bcs, scheme, 9, every)
+            for every in (1, 1, 3)]
+    snapshots = runs[0].snapshots
+    assert len(snapshots) == 10 and snapshots[0].values is initial.values
+    for i, snap in enumerate(snapshots):
+        for other in snapshots[:i]:
+            assert not np.shares_memory(snap.values, other.values)
+    first, rerun, sparse = ([(s.time_index, s.values.tobytes())
+                             for s in run.snapshots] for run in runs)
+    assert rerun == first
+    assert sparse == first[::3]
+
+
+@pytest.mark.parametrize("end", _END_KINDS)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_constant_data_runs_as_the_same_callable(scheme, end):
+    # closure folds a number once; a run gives the bits of the same value
+    # given as lambda t: c, which is called at every layer's time
+    grid = build_uniform_grid(1.0, 16)
+    p = SchemeParams(_CONTRACT_MODELS["constant"], dt=0.4 * grid.dx ** 2,
+                     dx=grid.dx)
+    initial = field(1.0 + np.sin(np.pi * grid.nodes) + 0.3 * grid.nodes)
+    data = (0.2, -0.0)
+    runs = [run_simulation(initial, p, tuple(
+        _END_KINDS[end](wrap(c), side) for c, side in zip(data, (-1.0, 1.0))),
+        scheme, 8) for wrap in (lambda c: c, lambda c: lambda t: c)]
+    folded, called = ([s.values.tobytes() for s in run.snapshots]
+                      for run in runs)
+    assert folded == called and len(folded) == 9
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 40])

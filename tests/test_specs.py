@@ -270,6 +270,47 @@ def test_only_tridiag_imports_lapack():
     assert importers == {"tridiag.py"}
 
 
+def wrapper_keyword_calls(tree):
+    """(line, wrapper, keywords) of each call that passes a keyword to a
+    name imported from scipy's BLAS or LAPACK wrappers, or to an attribute
+    of either module imported under a name."""
+    modules = ("scipy.linalg.blas", "scipy.linalg.lapack")
+    wrappers, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in modules:
+            wrappers |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.name in modules and alias.asname}
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.keywords):
+            continue
+        func = node.func
+        if ((isinstance(func, ast.Name) and func.id in wrappers)
+                or (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in aliases)):
+            calls.append((node.lineno, ast.unparse(func),
+                          [keyword.arg for keyword in node.keywords]))
+    return calls
+
+
+def test_blas_and_lapack_wrappers_take_positional_options():
+    # f2py parses keyword options slower than a small solve takes, so heatlab
+    # passes them by position; the check finds a planted keyword call
+    found = {path.name: wrapper_keyword_calls(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    planted = ast.parse("from scipy.linalg.blas import dtbsv as solve\n"
+                        "import scipy.linalg.lapack as lapack\n"
+                        "def f(a, x):\n"
+                        "    solve(1, a, x, lower=1)\n"
+                        "    lapack.dgtsv(a, a, a, x, overwrite_b=1)\n")
+    assert wrapper_keyword_calls(planted) == [
+        (4, "solve", ["lower"]), (5, "lapack.dgtsv", ["overwrite_b"])]
+
+
 def test_all_lists_exactly_the_names_the_package_imports():
     assert all(hasattr(heatlab, name) for name in heatlab.__all__)
     assert len(set(heatlab.__all__)) == len(heatlab.__all__)
