@@ -3,10 +3,10 @@
 ``SPECS`` holds one ``SchemeSpec`` per scheme, so a new scheme is one entry.
 A spec's plan, ``plan(params, bcs, n_nodes)``, runs once per run and
 computes everything that does not change from step to step: the scheme
-coefficients, the boundary closures, the Saulyev sweep band and, for
-implicit and Crank-Nicolson, the folded tridiagonal matrix, LU-factored once
-by ``tridiag.factored``; the other folded solves run ``tridiag.direct``, so
-``schemes`` calls no LAPACK routine itself.  All plans take their closures
+coefficients, the boundary closures, the Saulyev sweep band and each folded
+matrix that lasts the run (implicit, and trapezoidal under constant k),
+LU-factored once by ``tridiag.factored``; varying k runs ``tridiag.direct``,
+so ``schemes`` calls no LAPACK routine itself.  All plans take their closures
 from one ``_ends_of`` factory (``grid.closure`` per end).  Before a plan is
 built, ``_float_layer`` checks the start layer and ``_plan`` the scheme, the
 parameters and the node count.  A plan returns ``advance(prev, curr,
@@ -228,6 +228,10 @@ class StepState:
     bcs: tuple[BoundaryCondition, BoundaryCondition]
 
     def __post_init__(self):
+        for name, layer in (("prev", self.prev), ("curr", self.curr)):
+            if layer is not None and not _whole(layer.time_index):
+                raise ValueError(f"the {name} layer's time_index must be an "
+                                 f"integer, got {layer.time_index!r}")
         if self.prev is not None:
             if len(self.prev.values) != len(self.curr.values):
                 raise ValueError("prev and curr layers have different sizes")
@@ -475,11 +479,6 @@ def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
                         _copy_interior)
 
 
-def _plan_crank_nicolson(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    rho = 0.5 * (params.nu * params.dt / params.dx ** 2)
-    return _folded_plan(params, bcs, n_nodes, rho, _forward(np.array(rho)))
-
-
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     r = params.diffusion_number_r
     start, two_r = _forward(np.array(r)), np.array(2.0 * r)
@@ -510,55 +509,55 @@ def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
-def _plan_cn_nonlinear(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
+                    cross: bool) -> Advance:
+    """Advance of the trapezoidal rule for u_t = k(u) u_xx: each layer's
+    difference weighted by half its own k, or the other layer's if ``cross``.
+    Constant k is Crank-Nicolson, factored once; crossed affine k is one
+    solve a step; else ``_fixed_point`` iterates with k(v) as the new k."""
     model, dt, dx = params.diffusivity, params.dt, params.dx
+
+    def half(k):
+        return 0.5 * (k * dt / dx ** 2)
+
+    if model.nu_value is not None:
+        rho = half(model.nu_value)
+        return _folded_plan(params, bcs, n_nodes, rho, _forward(np.array(rho)))
     ends_of = _ends_of(params, bcs)
+    affine = cross and model.general_k is None  # k = a + b u
+    rho_a, rho_b = half(model.affine_a), half(model.affine_b)
 
     def advance(prev, u, time_index):
         k_old = model._evaluate_nodes(u, _INTERIOR)
+        rho_old = half(k_old)
         d2 = _second_difference(u[:-2], u[1:-1], u[2:])
-        rhs = u[1:-1] + 0.5 * (k_old * dt / dx ** 2) * d2
         ends = ends_of(u)
         terms = _terms(ends, (time_index + 1) * dt)
 
-        def iterate(k):
-            rho_new = 0.5 * (k * dt / dx ** 2)
-            bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
+        def solve(rho, diag, step):  # rhs u + step, rows weighted by rho
             out = np.empty(n_nodes)
-            out[1:-1] = rhs
-            return _solve_folded(direct(bands), rho_new, out, ends, terms)
+            np.add(u[1:-1], step, out=out[1:-1])
+            return _solve_folded(direct(_fold(rho, diag, ends)), rho, out,
+                                 ends, terms)
 
+        if affine:
+            return (solve(rho_old, 1.0 + 2.0 * rho_old - rho_b * d2,
+                          rho_a * d2),)
+        old_step = None if cross else rho_old * d2
+
+        def iterate(k):  # k = k(v), standing in for the new layer's k
+            rho, step = (rho_old, half(k) * d2) if cross else (half(k), old_step)
+            return solve(rho, 1.0 + 2.0 * rho, step)
         return (_fixed_point(iterate, u, k_old, model),)
     return advance
+
+
+def _plan_cn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    return _trapezoid_plan(params, bcs, n_nodes, cross=False)
 
 
 def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    model, dt, dx = params.diffusivity, params.dt, params.dx
-    ends_of = _ends_of(params, bcs)
-    linear = model.general_k is None  # k = a + b u
-    rho_a = 0.5 * (model.affine_a * dt / dx ** 2)
-    rho_b = 0.5 * (model.affine_b * dt / dx ** 2)
-
-    def advance(prev, u, time_index):
-        k_old = model._evaluate_nodes(u, _INTERIOR)
-        rho_new = 0.5 * (k_old * dt / dx ** 2)
-        d2 = _second_difference(u[:-2], u[1:-1], u[2:])
-        ends = ends_of(u)
-        terms = _terms(ends, (time_index + 1) * dt)
-        if linear:
-            bands = _fold(rho_new, 1.0 + 2.0 * rho_new - rho_b * d2, ends)
-            out = np.empty(n_nodes)
-            np.add(u[1:-1], rho_a * d2, out=out[1:-1])
-            return (_solve_folded(direct(bands), rho_new, out, ends, terms),)
-
-        def iterate(k):
-            bands = _fold(rho_new, 1.0 + 2.0 * rho_new, ends)
-            out = np.empty(n_nodes)
-            np.add(u[1:-1], (0.5 * (k * dt / dx ** 2)) * d2, out=out[1:-1])
-            return _solve_folded(direct(bands), rho_new, out, ends, terms)
-
-        return (_fixed_point(iterate, u, k_old, model),)
-    return advance
+    return _trapezoid_plan(params, bcs, n_nodes, cross=True)
 
 
 def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
@@ -693,14 +692,14 @@ SPECS = {
         residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
             - p.nu * d2(t + p.dt) / p.dx ** 2),
     Scheme.CRANK_NICOLSON: SchemeSpec(
-        plan=_plan_crank_nicolson,
+        plan=_plan_cn,
         symbol=lambda r, s, theta: ((1.0 - 2.0 * r * s) / (1.0 + 2.0 * r * s),),
         residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
             - p.nu * (d2(t) + d2(t + p.dt)) / (2.0 * p.dx ** 2)),
-    # the nonlinear trapezoidal variants have no symbol of their own; under
-    # constant k both reduce to Crank-Nicolson
+    # cn_nonlinear is cn's plan past a gate that lets k vary; neither it nor
+    # ccn has a symbol, and under constant k both run cn's factored plan
     Scheme.CN_NONLINEAR: SchemeSpec(
-        plan=_plan_cn_nonlinear, constant_k=False,
+        plan=_plan_cn, constant_k=False,
         residual=lambda u, d2, k, p, x, t: (u(x, t + p.dt) - u(x, t)) / p.dt
             - k(x, t) * d2(t) / (2.0 * p.dx ** 2)
             - k(x, t + p.dt) * d2(t + p.dt) / (2.0 * p.dx ** 2)),
@@ -822,9 +821,9 @@ def step_dufort_frankel(state: StepState) -> Field:
 def step_cn_nonlinear(state: StepState) -> Field:
     """Trapezoidal update for u_t = k(u) u_xx with k frozen per iterate.
 
-    Solves the implicit relation by fixed-point iteration: evaluate k at the
-    latest iterate, solve the resulting linear tridiagonal layer, repeat until
-    the max-norm change drops to 1e-12 or 50 iterations pass.
+    Varying k is a fixed point: evaluate k at the latest iterate, solve that
+    linear tridiagonal layer, repeat until the max-norm change drops to 1e-12
+    or 50 iterations pass.  Constant k is ``step_crank_nicolson``.
     """
     return _advance_once(Scheme.CN_NONLINEAR, state)[0]
 
@@ -834,8 +833,8 @@ def step_ccn(state: StepState) -> Field:
 
     The new-layer diffusivity multiplies the old-layer difference and vice
     versa, so with affine k the new layer enters linearly and a single
-    tridiagonal solve advances the step.  General k falls back to the same
-    fixed-point iteration as the plain nonlinear trapezoidal stepper.
+    tridiagonal solve advances the step.  General k iterates to a fixed point
+    as ``step_cn_nonlinear`` does; constant k is ``step_crank_nicolson``.
     """
     return _advance_once(Scheme.CROSS_CN, state)[0]
 
@@ -892,9 +891,9 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     plan sets up the coefficients, the boundary closures and, where they never
     change, the LU factors of the implicit systems; its errors propagate
     unchanged: a ValueError for a degenerate closure under constant k, and
-    SingularSystemError for a degenerate Saulyev start or a zero pivot in the
-    implicit or Crank-Nicolson matrix, which the plan factors (at order 3 or
-    more; a smaller one is solved per step).  Its advance maps bare arrays
+    SingularSystemError for a degenerate Saulyev start or a zero pivot in a
+    matrix lasting the run (implicit, or trapezoidal under constant k), which
+    the plan factors (order < 3: each step).  Its advance maps bare arrays
     (previous layer or None, current layer, time index) to the tuple of new
     layers, of which only the last is consistency-grade, so the Saulyev pair's
     odd layers (and a final pair cut short at ``num_steps``) are flagged

@@ -1,11 +1,11 @@
 """Tridiagonal solvers: every tridiagonal solve in heatlab runs here.
 
-One rule picks the solve.  A matrix that lasts the whole run (the folded
-implicit and Crank-Nicolson matrices) is factored once; every other matrix
-(one per ``ccn`` step under affine k, one per fixed-point iterate under
-general k) is solved by one ``dgtsv``.  Both run LAPACK's Gaussian
-elimination with partial pivoting, O(m) for a system of order m (Anderson
-et al., *LAPACK Users' Guide*, SIAM 1999), and give the same bits.
+One rule picks the solve.  Every matrix that lasts the whole run (implicit,
+and the trapezoidal one of cn, cn_nonlinear and ccn under constant k) is
+factored once; every other (one per ``ccn`` step under affine k, one per
+fixed-point iterate otherwise) is solved by one ``dgtsv``.  Both run LAPACK's
+Gaussian elimination with partial pivoting, O(m) for a system of order m
+(Anderson et al., *LAPACK Users' Guide*, SIAM 1999), and give the same bits.
 ``factored(bands)`` LU-factors the bands once (``dgttrf``) and solves each
 right-hand side with one ``dgttrs``; ``direct(bands)`` solves with
 ``dgtsv``, in place; ``thomas_solve(system)`` runs ``direct`` on float64

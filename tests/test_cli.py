@@ -563,11 +563,13 @@ def test_main_solver_failure_exit_code(capsys):
     assert "solver failure: degenerate Saulyev sweep start" in err
 
 
-@pytest.mark.parametrize("scheme,r", [("implicit", 0.5), ("cn", 1)])
+@pytest.mark.parametrize("scheme,r", [("implicit", 0.5), ("cn", 1),
+                                      ("cn_nonlinear", 1), ("ccn", 1)])
 def test_main_zero_pivot_is_a_solver_failure_before_the_first_step(
         scheme, r, capsys):
     # robin(2, 0.5) at dx = 0.25 and a diagonal weight of 1/2 zero the folded
-    # first row; the plan's factorisation finds it, so no step runs
+    # first row; the plan's factorisation finds it, so no step runs.  The CLI
+    # runs constant k, under which the nonlinear variants are CN
     code, out, err = run_main(
         ["run"] + overrides(scheme=scheme, nu=1, length_l=1, num_cells_N=4,
                             r=r, initial="sine:1", num_steps=3,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -77,6 +78,22 @@ def test_step_state_checks_layer_indices():
     with pytest.raises(ValueError):
         StepState(prev=field([0, 0], 0), curr=field([0, 0, 0], 1),
                   params=p, bcs=HOMOGENEOUS)
+
+
+@pytest.mark.parametrize("prev,curr,message", [
+    (None, 1.5, "the curr layer's time_index must be an integer, got 1.5"),
+    (None, True, "the curr layer's time_index must be an integer, got True"),
+    (0.0, 1, "the prev layer's time_index must be an integer, got 0.0"),
+], ids=["float", "bool", "float-prev"])
+def test_step_state_rejects_a_non_integer_time_index(prev, curr, message):
+    # as run_simulation does for its start layer: a float index would put the
+    # new layer, and the forcing it reads, at a fractional time
+    p = constant_params(1.0, 0.01, 0.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StepState(None if prev is None else field([0, 0, 0], prev),
+                  field([0, 1, 0], curr), p, HOMOGENEOUS)
+    assert step_explicit(StepState(None, field([0, 1, 0], np.int64(2)), p,
+                                   HOMOGENEOUS)).time_index == 3
 
 
 @pytest.mark.parametrize("build,message", [
@@ -294,11 +311,14 @@ def test_lapack_solve_routines_per_run(scheme, model, factorisations, factored,
 
 
 @pytest.mark.parametrize("scheme,r", [(Scheme.IMPLICIT, 0.5),
-                                      (Scheme.CRANK_NICOLSON, 1.0)],
-                         ids=["implicit", "cn"])
+                                      (Scheme.CRANK_NICOLSON, 1.0),
+                                      (Scheme.CN_NONLINEAR, 1.0),
+                                      (Scheme.CROSS_CN, 1.0)],
+                         ids=["implicit", "cn", "cn_nonlinear", "ccn"])
 def test_zero_pivot_found_when_the_plan_is_built(scheme, r):
     # robin(2, 0.5) at dx = 0.25 and a diagonal weight of 1/2 zero the folded
-    # first row; the plan factors the matrix, so no step runs
+    # first row; the plan factors the matrix, so no step runs (under constant
+    # k the nonlinear variants are Crank-Nicolson and fail as it does)
     grid = build_uniform_grid(1.0, 4)
     p = constant_params(1.0, dt=r * grid.dx ** 2, dx=grid.dx)
     bcs = (BoundaryCondition.robin(2.0, 0.5, 0.0), BoundaryCondition.dirichlet(0.0))
@@ -565,6 +585,113 @@ def test_ccn_reduces_to_crank_nicolson():
         p = SchemeParams(model, dt=dt, dx=grid.dx)
         out = step_ccn(StepState(None, f, p, HOMOGENEOUS))
         assert np.max(np.abs(out.values - linear.values)) <= 1e-14
+
+
+TRAPEZOIDS = (Scheme.CRANK_NICOLSON, Scheme.CN_NONLINEAR, Scheme.CROSS_CN)
+TRAPEZOID_ENDS = {
+    "D-D": (BoundaryCondition.dirichlet(0.0),
+            BoundaryCondition.dirichlet(lambda t: 0.5 * t)),
+    "F-R": (BoundaryCondition.flux(lambda t: -0.2 + t),
+            BoundaryCondition.robin(1.0, 0.5, 0.1)),
+    "R-F": (BoundaryCondition.robin(1.0, 0.5, 0.1),
+            BoundaryCondition.flux(-0.2)),
+    "R-D": (BoundaryCondition.robin(2.0, 0.5, lambda t: t),
+            BoundaryCondition.dirichlet(0.0)),
+}
+
+
+def _trapezoid_outcome(scheme, model, n, r, bcs, steps=12):
+    """Every snapshot's bytes and the divergence flag and step of a run, or
+    the type and message of what it raised."""
+    grid = build_uniform_grid(1.0, n)
+    p = SchemeParams(model, dt=r * grid.dx ** 2, dx=grid.dx)
+    u = field(np.sin(np.pi * grid.nodes) + 0.3 * grid.nodes)
+    try:
+        record = run_simulation(u, p, bcs, scheme, steps)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([snap.values.tobytes() for snap in record.snapshots],
+            record.diverged, record.diverged_step)
+
+
+@pytest.mark.parametrize("ends", TRAPEZOID_ENDS)
+def test_constant_k_trapezoids_are_one_scheme(ends):
+    # under constant k, cn_nonlinear and ccn are Crank-Nicolson: the same
+    # bytes, divergence and errors, from the plan's factored matrix (R-F at
+    # N = 8, r = 30 diverges at step 8; R-D at N = 4, r = 1 has a zero pivot).
+    # With the same k as a callable they keep the per-step solve and the
+    # fixed point, which reaches cn within c10's 1e-14
+    bcs = TRAPEZOID_ENDS[ends]
+    for n, r in itertools.product((2, 3, 4, 8, 9, 64, 1000), (0.1, 1.0, 30.0)):
+        a = 1.0 if n % 2 == 0 else 0.7
+        cn = _trapezoid_outcome(Scheme.CRANK_NICOLSON,
+                                DiffusivityModel.constant(a), n, r, bcs)
+        for scheme in TRAPEZOIDS[1:]:
+            assert _trapezoid_outcome(scheme, DiffusivityModel.constant(a),
+                                      n, r, bcs) == cn, (scheme, n, r)
+            if not isinstance(cn[0], list) or cn[1] or n > 64:
+                continue
+            layers = _trapezoid_outcome(scheme, DiffusivityModel.general(
+                lambda u: a), n, r, bcs)[0]
+            assert len(layers) == len(cn[0])
+            for got, want in zip(layers, cn[0]):
+                assert np.max(np.abs(np.frombuffer(got) - np.frombuffer(want))
+                              ) <= 1e-14, (scheme, n, r)
+
+
+def test_constant_k_blow_up_is_flagged_as_cn_flags_it():
+    # at r = 30 with these ends the layer passes 1e12 at step 8.  Under
+    # constant k no variant iterates, so the run is flagged diverged there;
+    # a fixed point would fail on its first change, of about 4e13, instead
+    bcs = TRAPEZOID_ENDS["R-F"]
+    outcomes = [_trapezoid_outcome(scheme, DiffusivityModel.constant(1.0), 8,
+                                   30.0, bcs, steps=20)
+                for scheme in TRAPEZOIDS]
+    assert outcomes[0][1:] == (True, 8)
+    assert outcomes[1] == outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("scheme,model,direct_per", [
+    (Scheme.IMPLICIT, DiffusivityModel.constant(1.0), None),
+    (Scheme.CRANK_NICOLSON, DiffusivityModel.constant(1.0), None),
+    (Scheme.CN_NONLINEAR, DiffusivityModel.constant(1.0), None),
+    (Scheme.CROSS_CN, DiffusivityModel.constant(1.0), None),
+    (Scheme.CROSS_CN, DiffusivityModel.affine(1.0, 0.1), "step"),
+    (Scheme.CROSS_CN, DiffusivityModel.general(lambda u: 1.0 + 0.1 * u),
+     "iterate"),
+    (Scheme.CN_NONLINEAR, DiffusivityModel.affine(1.0, 0.1), "iterate"),
+    (Scheme.CN_NONLINEAR, DiffusivityModel.general(lambda u: 1.0 + 0.1 * u),
+     "iterate"),
+], ids=["implicit", "cn", "cn_nonlinear-constant", "ccn-constant",
+        "ccn-affine", "ccn-general", "cn_nonlinear-affine",
+        "cn_nonlinear-general"])
+def test_solve_rule_by_count(scheme, model, direct_per, monkeypatch):
+    # tridiag's rule: a matrix that lasts the run is factored once and solved
+    # per step; every other is one direct solve, per step or per iterate
+    counts = {"factored": 0, "direct": 0, "iterate": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+    for name in ("factored", "direct"):
+        monkeypatch.setattr(schemes, name,
+                            counting(name, getattr(schemes, name)))
+    fixed_point = schemes._fixed_point
+    monkeypatch.setattr(schemes, "_fixed_point", lambda iterate, *rest:
+                        fixed_point(counting("iterate", iterate), *rest))
+    grid = build_uniform_grid(1.0, 16)
+    bcs = (BoundaryCondition.robin(1.0, 0.5, 0.1), BoundaryCondition.flux(0.2))
+    p = SchemeParams(model, dt=0.01, dx=grid.dx)
+    run_simulation(field(np.sin(np.pi * grid.nodes)), p, bcs, scheme, 5)
+    if direct_per is None:
+        assert counts == {"factored": 1, "direct": 0, "iterate": 0}
+    elif direct_per == "step":
+        assert counts == {"factored": 0, "direct": 5, "iterate": 0}
+    else:
+        assert counts["factored"] == 0 and counts["iterate"] >= 10
+        assert counts["direct"] == counts["iterate"]
 
 
 def test_cn_nonlinear_zero_field_fixed_point():

@@ -157,12 +157,14 @@ def smooth(x, t):
 
 @pytest.mark.parametrize("scheme", [
     Scheme.EXPLICIT, Scheme.IMPLICIT, Scheme.CRANK_NICOLSON, Scheme.LEAPFROG,
-    Scheme.DUFORT_FRANKEL, Scheme.HYPERBOLIC], ids=lambda s: s.value)
+    Scheme.DUFORT_FRANKEL, Scheme.HYPERBOLIC, Scheme.CN_NONLINEAR,
+    Scheme.CROSS_CN], ids=lambda s: s.value)
 def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
     # one advance of exact layers misses the exact next layer by f times the
-    # spec's residual (after the band operator for implicit and CN); the
-    # identity is algebraic, so any smooth u serves.  Saulyev, cn_nonlinear
-    # and ccn are not covered.
+    # spec's residual (after the band operator for implicit and the three
+    # trapezoids); the identity is algebraic, so any smooth u serves.
+    # cn_nonlinear and ccn are covered under constant k only, where their
+    # plan is CN's; Saulyev is not covered.
     n, tau = 32, 0.01
     nodes = np.linspace(0.0, 1.0, n + 1)
     bcs = tuple(BoundaryCondition.dirichlet(lambda t, end=end: smooth(end, t))
@@ -175,7 +177,9 @@ def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
         advance = schemes._plan(scheme, p, bcs, n + 1)
         defect = smooth(nodes, t + dt) - advance(
             smooth(nodes, t - dt), smooth(nodes, t), 7)[0]
-        rho = {Scheme.IMPLICIT: r, Scheme.CRANK_NICOLSON: r / 2.0}.get(scheme, 0.0)
+        rho = {Scheme.IMPLICIT: r, Scheme.CRANK_NICOLSON: r / 2.0,
+               Scheme.CN_NONLINEAR: r / 2.0, Scheme.CROSS_CN: r / 2.0,
+               }.get(scheme, 0.0)
         defect = (1.0 + 2.0 * rho) * defect[1:-1] - rho * (defect[:-2] + defect[2:])
         f = {Scheme.LEAPFROG: 2.0 * dt,
              Scheme.DUFORT_FRANKEL: 2.0 * dt / (1.0 + 2.0 * r),
