@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import max_abs
+from .grid import _whole, max_abs
 from .schemes import SPECS, RunRecord, Scheme, SchemeParams, SchemeSpec
 
 DEFAULT_THETA_SAMPLES = 721
@@ -105,7 +105,7 @@ def max_amplification(scheme: Scheme, r: Optional[float] = None,
 
     One ``amplification`` call evaluates the whole grid.
     """
-    if theta_samples < 2:
+    if not _whole(theta_samples) or theta_samples < 2:
         raise ValueError(f"need at least 2 theta samples, got {theta_samples}")
     thetas = np.linspace(0.0, math.pi, theta_samples)
     return max_abs(amplification(scheme, r, thetas, params).max_modulus)
@@ -117,8 +117,8 @@ def empirical_growth(record: RunRecord, window: int) -> float:
     ``window`` counts snapshot intervals; the rate is per time step, using
     the snapshots' time indices, so any snapshot cadence works.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if not _whole(window) or window < 1:
+        raise ValueError(f"window must be >= 1 and an integer, got {window}")
     if len(record.snapshots) < window + 1:
         raise ValueError(f"record has {len(record.snapshots)} snapshots, "
                          f"need at least {window + 1}")
@@ -162,14 +162,14 @@ def information_speed(record: RunRecord, source: int) -> list[int]:
     Dirichlet data, lights an end before any front reaches it.  Nonzero
     boundary data also lights the interior nodes next to its end, which the
     radius then counts, so it tracks a front only under zero data.
-    ``source`` must be a node of the grid, 0 <= source < N + 1; the CLI
-    passes the node where |initial| is largest.  Explicit three-point
+    ``source`` must be a node of the grid, an integer 0 <= source < N + 1;
+    the CLI passes the node where |initial| is largest.  Explicit three-point
     stencils grow the radius by exactly one cell per step; fully implicit
     solves light up the whole interior in a single step.
     """
     if not record.snapshots:
         raise ValueError("record has no snapshots")
-    if not 0 <= source < len(record.snapshots[0].values):
+    if not (_whole(source) and 0 <= source < len(record.snapshots[0].values)):
         raise ValueError(f"source {source} is not a node of the grid "
                          f"(0..{len(record.snapshots[0].values) - 1})")
     radii = []

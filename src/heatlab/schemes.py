@@ -11,23 +11,22 @@ from one ``_ends_of`` factory (``grid.closure`` per end).  Before a plan is
 built, ``_float_layer`` checks the start layer and ``_plan`` the scheme, the
 parameters and the node count.  A plan returns ``advance(prev, curr,
 time_index)``, which maps bare float64 arrays (``prev`` is None on the first
-call) to the tuple of new layers: one, or two for the Saulyev sweep pair, of
-which only the last is consistency-grade.  Per step an advance evaluates the
-stencil, each closure's forcing (unless it is a constant, which the closure
-folds) once and, where k varies, the diffusivity (and with it the flux/Robin
-closures); interiors are written first, endpoints are closed afterwards
-through the closures, and the layer time is always ``time_index * dt``.
-Called without a previous layer, the multi-layer schemes start themselves.
-The layers an advance returns belong to its plan: the explicit-type plans
-and the Saulyev pair write them into a ring of ``layers + 2`` rows, made by
-the first advances with their stencil views bound and then reused, the
-others allocate each.  An advance writes only the layers it returns, and the
-last two it returned stay intact through the next, so it never writes a
-run's ``prev`` and ``curr`` (read through the bound views) or a caller's own
-arrays (sliced per call).  A caller that keeps a layer longer copies it, as
-``run_simulation`` does.  ``run_simulation`` drives every scheme through its
-plan and flags divergence; each public ``step_*`` function builds a plan and
-advances once.
+call) to the new layer.  Per layer an advance evaluates the stencil (the
+Saulyev plan one sweep, alternating its direction), each closure's forcing
+(unless it is a constant, which the closure folds) once and, where k varies,
+the diffusivity (and with it the flux/Robin closures); interiors are written
+first, endpoints are closed afterwards through the closures, and the layer
+time is always ``time_index * dt``.  Called without a previous layer, the
+multi-layer schemes start themselves.  The layer an advance returns belongs
+to its plan: the explicit-type and Saulyev plans write it into a ring of
+three rows, made by the first advances with their stencil views bound and
+then reused, the others allocate each.  An advance writes only the layer it
+returns, and the last two it returned stay intact through the next, so it
+never writes a run's ``prev`` and ``curr`` (read through the bound views) or
+a caller's own arrays (sliced per call).  A caller that keeps a layer longer
+copies it, as ``run_simulation`` does.  ``run_simulation`` drives every
+scheme through its plan, one advance per layer, and flags divergence; each
+public ``step_*`` function builds a plan and advances it ``layers`` times.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -263,8 +262,8 @@ class RunRecord:
         return self.snapshots[-1]
 
 
-# A plan's advance maps (prev, curr, time_index) to the tuple of new layers.
-Advance = Callable[[Optional[np.ndarray], np.ndarray, int], tuple]
+# A plan's advance maps (prev, curr, time_index) to the new layer.
+Advance = Callable[[Optional[np.ndarray], np.ndarray, int], np.ndarray]
 
 
 def _views(u: np.ndarray) -> tuple:
@@ -359,7 +358,7 @@ def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
         close_left(out[0], t)
         close_right(out[0], t)
         before, last, free = last, out, before
-        return (out[0],)
+        return out[0]
     return advance
 
 
@@ -425,8 +424,8 @@ def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
     def advance(prev, u, time_index):
         out = np.empty(n_nodes)
         rhs_into(None, _views(u), out[1:-1])
-        return (_solve_folded(solve, edge, out, ends,
-                              _terms(ends, (time_index + 1) * dt)),)
+        return _solve_folded(solve, edge, out, ends,
+                             _terms(ends, (time_index + 1) * dt))
     return advance
 
 
@@ -438,7 +437,9 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     next one; ``k`` is ``model`` on the interior of the starting ``v``, so
     each iterate calls k once, on its interior, and the converged one not at
     all.  FixedPointError reports the last change after 50 iterations, or
-    once one passes DIVERGENCE_THRESHOLD, before k can overflow on v.
+    once one passes DIVERGENCE_THRESHOLD, before k can overflow on v, so under
+    varying k a blow-up is a solver failure (CLI exit 3) naming its iteration,
+    where constant k (``cn``'s factored plan) flags divergence (exit 2).
     """
     for i in range(FIXED_POINT_MAX_ITERS):
         if i:
@@ -541,14 +542,14 @@ def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
                                  ends, terms)
 
         if affine:
-            return (solve(rho_old, 1.0 + 2.0 * rho_old - rho_b * d2,
-                          rho_a * d2),)
+            return solve(rho_old, 1.0 + 2.0 * rho_old - rho_b * d2,
+                         rho_a * d2)
         old_step = None if cross else rho_old * d2
 
         def iterate(k):  # k = k(v), standing in for the new layer's k
             rho, step = (rho_old, half(k) * d2) if cross else (half(k), old_step)
             return solve(rho, 1.0 + 2.0 * rho, step)
-        return (_fixed_point(iterate, u, k_old, model),)
+        return _fixed_point(iterate, u, k_old, model)
     return advance
 
 
@@ -585,6 +586,8 @@ def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
 
 
 def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+    """One sweep per advance into a three-row ring (as ``_closed_plan``'s),
+    rightwards first and then by the parity of ``time_index - first``."""
     from scipy.linalg.blas import dtbsv
     lam = params.diffusion_number_r
     a = (1.0 - lam) / (1.0 + lam)
@@ -597,27 +600,31 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
     a, c = np.array(a), np.array(c)  # the starts above keep Python floats
     close_left, close_right = left.close, right.close
-    spare = kept = None  # the first two advances make the pairs of rows
+    first = None  # the time index of the plan's first advance
+    before = last = free = (None,) * 4  # the first three advances make rows
 
     def advance(prev, u, time_index):
-        nonlocal spare, kept
-        t1 = (time_index + 1) * dt
-        t2 = (time_index + 2) * dt
-        spare = spare or (_views(np.empty(n_nodes)), _views(np.empty(n_nodes)))
-        (out1, lo1, mid1, _), (out2, _, mid2, _) = spare
-        _, _, mid, hi = kept[1] if kept and u is kept[1][0] else _views(u)
-        out1[0] = start_left(u, t1)
-        np.add(a * mid, c * hi, out=mid1)
-        # (incx, offx, lower, trans, diag, overwrite_x), offx 1 for out2[1:]
-        dtbsv(1, band, out1, 1, 0, 1, 0, 1, 1)
-        close_right(out1, t1)
-
-        out2[n] = start_right(out1, t2)
-        np.add(a * mid1, c * lo1, out=mid2)
-        dtbsv(1, band, out2, 1, 1, 0, 0, 1, 1)
-        close_left(out2, t2)
-        spare, kept = kept, spare
-        return out1, out2
+        nonlocal first, before, last, free
+        if first is None:
+            first = time_index
+        row = free if free[0] is not None else _views(np.empty(n_nodes))
+        out, _, mid, _ = row
+        _, lo, u_mid, hi = last if u is last[0] else _views(u)
+        t = (time_index + 1) * dt
+        # dtbsv(incx, offx, lower, trans, diag, overwrite_x): the rightwards
+        # sweep solves out[:n] from the left start, the leftwards one out[1:]
+        if (time_index - first) % 2:
+            out[n] = start_right(u, t)
+            np.add(a * u_mid, c * lo, out=mid)
+            dtbsv(1, band, out, 1, 1, 0, 0, 1, 1)
+            close_left(out, t)
+        else:
+            out[0] = start_left(u, t)
+            np.add(a * u_mid, c * hi, out=mid)
+            dtbsv(1, band, out, 1, 0, 1, 0, 1, 1)
+            close_right(out, t)
+        before, last, free = last, row, before
+        return out
     return advance
 
 
@@ -667,11 +674,13 @@ def _hyperbolic_symbol(params: SchemeParams, s, theta) -> tuple:
 
 @dataclass(frozen=True, kw_only=True)
 class SchemeSpec:
-    """One scheme: its plan, the ``layers`` one advance makes, whether it needs
-    constant k, whether it is ``relaxed`` (solves tau u_tt + u_t = nu u_xx, so
-    needs tau > 0), its roots ``symbol(r or params, sin^2(theta/2), theta)``
-    or None, and its ``residual(u, d2, k, params, x, t)`` on a smooth u, with
-    d2(t) u's second difference at x and k(x, t) the diffusivity there."""
+    """One scheme: its plan, its ``layers`` (the layer count of one public
+    step and the period of its consistency-grade layers, every ``layers``-th
+    from the start), whether it needs constant k, whether it is ``relaxed``
+    (solves tau u_tt + u_t = nu u_xx, so needs tau > 0), its roots
+    ``symbol(r or params, sin^2(theta/2), theta)`` or None, and its
+    ``residual(u, d2, k, params, x, t)`` on a smooth u, with d2(t) u's second
+    difference at x and k(x, t) the diffusivity there."""
 
     plan: Callable[..., Advance]
     layers: int = 1
@@ -769,15 +778,18 @@ def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
 # ------------------------------------------------------- public steppers
 
 def _advance_once(scheme: Scheme, state: StepState) -> tuple:
-    """The layers one advance of ``scheme``'s plan makes from ``state``; with
-    no previous layer a multi-layer scheme starts as in ``run_simulation``."""
-    curr = state.curr
-    values = _float_layer(curr.values)[0]
+    """The layers of one public step of ``scheme`` from ``state``, one advance
+    of its plan per layer; with no previous layer a multi-layer scheme starts
+    as in ``run_simulation``."""
+    curr = _float_layer(state.curr.values)[0]
     prev = None if state.prev is None else _float_layer(state.prev.values)[0]
-    advance = _plan(scheme, state.params, state.bcs, len(values))
-    layers = advance(prev, values, curr.time_index)
-    return tuple(Field(values=layer, time_index=curr.time_index + i + 1)
-                 for i, layer in enumerate(layers))
+    advance = _plan(scheme, state.params, state.bcs, len(curr))
+    start = state.curr.time_index
+    fields = []
+    for time_index in range(start, start + SPECS[scheme].layers):
+        prev, curr = curr, advance(prev, curr, time_index)
+        fields.append(Field(values=curr, time_index=time_index + 1))
+    return tuple(fields)
 
 
 def step_explicit(state: StepState) -> Field:
@@ -894,20 +906,21 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     SingularSystemError for a degenerate Saulyev start or a zero pivot in a
     matrix lasting the run (implicit, or trapezoidal under constant k), which
     the plan factors (order < 3: each step).  Its advance maps bare arrays
-    (previous layer or None, current layer, time index) to the tuple of new
-    layers, of which only the last is consistency-grade, so the Saulyev pair's
-    odd layers (and a final pair cut short at ``num_steps``) are flagged
-    False.  A ``Field`` is built only for the snapshots kept, on a copy of the
-    layer, since the plan writes later layers into its own rows.  Called
-    without a previous layer, the multi-layer schemes start themselves:
-    leap-frog and Dufort-Frankel with the explicit step, the hyperbolic scheme
-    with the zero-velocity Taylor start.  The run halts and flags divergence
-    as soon as a layer has a non-finite value or max-norm above 1e12.  Every
-    layer's max-norm is ``grid.max_abs``, which propagates NaN and never
-    squares the layer, so a huge finite layer diverges without an overflow
-    warning.  Failures while advancing (an ArithmeticError such as a zero
-    pivot or a FloatingPointError from an overflow in k, a FixedPointError, or
-    a ValueError such as a k that is not finite and positive or does not
+    (previous layer or None, current layer, time index) to the new layer, and
+    the run advances once per layer.  A kept layer is consistency-grade when
+    its distance from the start is a multiple of the spec's ``layers``, so the
+    Saulyev scheme's odd layers are flagged False.  A ``Field`` is built only
+    for the snapshots kept, on a copy of the layer, since the plan writes
+    later layers into its own rows.  Called without a previous layer, the
+    multi-layer schemes start themselves: leap-frog and Dufort-Frankel with
+    the explicit step, the hyperbolic scheme with the zero-velocity Taylor
+    start.  The run halts and flags divergence as soon as a layer has a
+    non-finite value or max-norm above 1e12.  Every layer's max-norm is
+    ``grid.max_abs``, which propagates NaN and never squares the layer, so a
+    huge finite layer diverges without an overflow warning.  Failures while
+    advancing (an ArithmeticError such as a zero pivot or a
+    FloatingPointError from an overflow in k, a FixedPointError, or a
+    ValueError such as a k that is not finite and positive or does not
     broadcast, or a boundary forcing whose value is no number) are re-raised
     as SolverError with the failing step attached.
     """
@@ -927,37 +940,24 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     record.append(initial, True, norm)
     if num_steps == 0:
         return record
-    start = time_index = initial.time_index
-    end = start + num_steps
+    start, end = initial.time_index, initial.time_index + num_steps
     prev, curr = None, values
     advance = _plan(scheme, params, bcs, len(curr))
+    period = SPECS[scheme].layers
 
-    consistent = True
-    while time_index < end:
+    for step in range(start + 1, end + 1):
         try:
-            produced = advance(prev, curr, time_index)
+            prev, curr = curr, advance(prev, curr, step - 1)
         except (ArithmeticError, FixedPointError, ValueError) as exc:
-            raise SolverError(step=time_index + 1, cause=exc) from exc
-
-        last = len(produced) - 1
-        if last >= end - time_index:  # a pair cut short at num_steps
-            produced = produced[:end - time_index]
-        for i, layer in enumerate(produced):
-            prev, curr = curr, layer
-            time_index += 1
-            consistent = i == last
-            norm = max_abs(layer)
-            if not norm <= DIVERGENCE_THRESHOLD:
-                record.diverged = True
-                record.diverged_step = time_index
-            elif (time_index - start) % snapshot_every:
-                continue  # between snapshots
-            record.append(Field(values=layer.copy(), time_index=time_index),
-                          consistent, norm)
-            if record.diverged:
-                return record
-
-    if record.snapshots[-1].time_index != time_index:
-        record.append(Field(values=curr.copy(), time_index=time_index),
-                      consistent, norm)
+            raise SolverError(step=step, cause=exc) from exc
+        norm = max_abs(curr)
+        if not norm <= DIVERGENCE_THRESHOLD:
+            record.diverged = True
+            record.diverged_step = step
+        elif (step - start) % snapshot_every and step != end:
+            continue  # between snapshots, and not the last layer
+        record.append(Field(values=curr.copy(), time_index=step),
+                      (step - start) % period == 0, norm)
+        if record.diverged:
+            break
     return record

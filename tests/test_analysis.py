@@ -116,8 +116,9 @@ def test_explicit_max_amplification_above_cfl():
 
 
 def test_max_amplification_needs_two_samples():
-    with pytest.raises(ValueError):
-        max_amplification(Scheme.EXPLICIT, 0.5, theta_samples=1)
+    for samples in (1, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="^need at least 2 theta samples"):
+            max_amplification(Scheme.EXPLICIT, 0.5, theta_samples=samples)
 
 
 def test_hyperbolic_stability_boundary_symbol():
@@ -211,8 +212,9 @@ def test_empirical_growth_errors():
         empirical_growth(record, 5)
     with pytest.raises(ValueError):
         empirical_growth(record, 100)
-    with pytest.raises(ValueError):
-        empirical_growth(record, 0)
+    for window in (0, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="^window must be >= 1"):
+            empirical_growth(record, window)
     one = Field(values=np.ones(5), time_index=0)
     blown = RunRecord()
     blown.append(one)
@@ -337,7 +339,7 @@ def test_information_speed_leaves_the_end_nodes_out(bcs):
     assert information_speed(record, source=25) == [min(n, 24) for n in range(31)]
 
 
-@pytest.mark.parametrize("source", [100, 17, -1, -3])
+@pytest.mark.parametrize("source", [100, 17, -1, -3, 2.0, True])
 def test_information_speed_rejects_source_outside_grid(source):
     record = make_dirac_record(Scheme.EXPLICIT, 16, 0.5, 2)
     with pytest.raises(ValueError, match=rf"^source {source} is not a node "

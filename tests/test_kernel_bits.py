@@ -90,7 +90,8 @@ def saulyev_start(bc, end, side, a, c, base, t):
 
 
 def reference(scheme, p, bcs, prev, u, time_index):
-    """The layers one advance makes, with Python-float coefficients."""
+    """The layers of one step (a Saulyev pair, or one layer), with
+    Python-float coefficients."""
     left, right = (closure(bcs[0], Side.LEFT, p.nu, p.dx),
                    closure(bcs[1], Side.RIGHT, p.nu, p.dx))
     t = (time_index + 1) * p.dt
@@ -130,12 +131,13 @@ def reference(scheme, p, bcs, prev, u, time_index):
 
 
 def assert_same_bits(scheme, p, bcs, prev, u, time_index):
+    # one advance per layer of the reference's step: a Saulyev pair is two
     advance = _plan(scheme, p, bcs, len(u))
-    got = advance(prev, u, time_index)
-    want = reference(scheme, p, bcs, prev, u, time_index)
-    assert len(got) == len(want)
-    for layer, expected in zip(got, want):
-        assert layer.tobytes() == expected.tobytes()
+    got = []
+    for expected in reference(scheme, p, bcs, prev, u, time_index):
+        prev, u = u, advance(prev, u, time_index + len(got))
+        assert u.tobytes() == expected.tobytes()
+        got.append(u)
     return got
 
 
@@ -198,8 +200,9 @@ def test_overflow_near_the_largest_double_gives_the_same_infinities(scheme):
 def test_consecutive_advances_equal_the_reference_applied_in_turn(
         scheme, data, cells, r, nu, time_index, ends):
     # one plan fed its own layers, as a run feeds them, reads them through
-    # its ring's bound views: three advances give the reference's bits, and
-    # the layers of each stay intact through the next
+    # its ring's bound views: three steps (a Saulyev step is two advances)
+    # give the reference's bits, and the last two layers stay intact
+    # through each advance
     dx = 1.0 / cells
     p = SchemeParams(DiffusivityModel.constant(nu), dt=r * dx ** 2 / nu, dx=dx)
     u = data.draw(layers(cells + 1), label="u")
@@ -208,12 +211,11 @@ def test_consecutive_advances_equal_the_reference_applied_in_turn(
     advance = _plan(scheme, p, ends, len(u))
     got_prev, got_u, want_prev, want_u = prev, u, prev, u
     for _ in range(3):
-        got = advance(got_prev, got_u, time_index)
-        want = reference(scheme, p, ends, want_prev, want_u, time_index)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        if got_prev is not None:  # the previous advance's layers, unchanged
-            assert got_prev.tobytes() == want_prev.tobytes()
-        assert got_u.tobytes() == want_u.tobytes()
-        got_prev, got_u = (got_u, *got)[-2:]
-        want_prev, want_u = (want_u, *want)[-2:]
-        time_index += len(got)
+        for want in reference(scheme, p, ends, want_prev, want_u, time_index):
+            got = advance(got_prev, got_u, time_index)
+            assert got.tobytes() == want.tobytes()
+            if got_prev is not None:  # the last two layers, unchanged
+                assert got_prev.tobytes() == want_prev.tobytes()
+            assert got_u.tobytes() == want_u.tobytes()
+            got_prev, got_u, want_prev, want_u = got_u, got, want_u, want
+            time_index += 1

@@ -1032,6 +1032,24 @@ def test_run_simulation_saulyev_layer_flags():
     assert record.consistency_grade == [True, False, True, False, True, False]
 
 
+def test_saulyev_run_sweeps_only_the_layers_it_reaches():
+    # one sweep per layer: a 3-step run never makes layer 4, whose right
+    # forcing gives None, and a 4-step run names that layer's own step
+    grid = build_uniform_grid(1.0, 16)
+    dt = grid.dx ** 2
+    p = constant_params(1.0, dt=dt, dx=grid.dx)
+    bcs = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(
+        lambda t: None if t > 3.5 * dt else 0.0))
+    initial = field(np.sin(np.pi * grid.nodes))
+    record = run_simulation(initial, p, bcs, Scheme.SAULYEV, 3)
+    assert [s.time_index for s in record.snapshots] == [0, 1, 2, 3]
+    assert record.consistency_grade == [True, False, True, False]
+    with pytest.raises(SolverError, match=(
+            r"^step 4: right boundary forcing at t = 0\.015625 gave None, "
+            r"not a number$")):
+        run_simulation(initial, p, bcs, Scheme.SAULYEV, 4)
+
+
 def test_run_simulation_wraps_stepper_failures_with_step_index():
     # robin(6, 1) is degenerate at dx = 0.25 when the endpoint k is 1.  With
     # constant k the plan sees that before any step: misuse, a plain
@@ -1526,10 +1544,11 @@ def test_affine_with_zero_slope_runs_as_the_constant_model(scheme, bcs):
 
 
 # ------------------------------------------------------ in-place layers
-# An advance writes only into the layers it returns, which belong to its
-# plan (rows of a ring, or fresh arrays for the fixed-point plans): it never
-# writes into a caller's prev or u, no two layers share memory, and the last
-# two layers it returned stay intact through the next advance.
+# An advance writes only into the layer it returns, which belongs to its
+# plan (a row of a ring, or a fresh array for the folded and trapezoidal
+# plans): it never writes into a caller's prev or u, no two consecutive
+# layers share memory, and the last two layers it returned stay intact
+# through the next advance.
 
 _CONTRACT_BCS = {
     "dirichlet": (BoundaryCondition.dirichlet(0.2),
@@ -1562,15 +1581,13 @@ def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
     for before in (None, prev):
         inputs = [x for x in (before, u) if x is not None]
         kept = [x.tobytes() for x in inputs]
-        layers = advance(before, u, 1)
+        layer = advance(before, u, 1)
         assert [x.tobytes() for x in inputs] == kept
-        assert len(layers) == schemes.SPECS[scheme].layers
-        for i, layer in enumerate(layers):
-            assert type(layer) is np.ndarray and layer.dtype == np.float64
-            assert layer.flags.c_contiguous and layer.shape == u.shape
-            assert np.all(np.isfinite(layer))
-            for other in [prev, u, *layers[:i]]:
-                assert not np.shares_memory(layer, other)
+        assert type(layer) is np.ndarray and layer.dtype == np.float64
+        assert layer.flags.c_contiguous and layer.shape == u.shape
+        assert np.all(np.isfinite(layer))
+        for other in (prev, u):
+            assert not np.shares_memory(layer, other)
 
 
 @pytest.mark.parametrize("bcs", _CONTRACT_BCS.values(),
@@ -1585,18 +1602,17 @@ def test_advance_keeps_the_layers_a_run_reads_next(scheme, kind, bcs):
     advance = schemes._plan(scheme, p, bcs, len(grid.nodes))
     fresh = schemes._plan(scheme, p, bcs, len(grid.nodes))
     prev, u = None, 1.0 + np.sin(np.pi * grid.nodes)
-    for time_index in range(0, 14, schemes.SPECS[scheme].layers):
+    for time_index in range(14):
         kept = [x.copy() for x in (prev, u) if x is not None]
-        layers = advance(prev, u, time_index)
+        layer = advance(prev, u, time_index)
         again = fresh(*(None if x is None else x.copy() for x in (prev, u)),
                       time_index)
         assert [x.tobytes() for x in (prev, u) if x is not None] == [
             x.tobytes() for x in kept]
-        assert [x.tobytes() for x in layers] == [x.tobytes() for x in again]
-        for layer in layers:
-            assert not any(np.shares_memory(layer, x) for x in (prev, u)
-                           if x is not None)
-        prev, u = (u, *layers)[-2:]
+        assert layer.tobytes() == again.tobytes()
+        assert not any(np.shares_memory(layer, x) for x in (prev, u)
+                       if x is not None)
+        prev, u = u, layer
 
 
 _END_KINDS = {

@@ -1,7 +1,7 @@
 """One table entry per scheme: ``schemes.SPECS``.
 
-Analysis and the CLI read a scheme's spec instead of naming ``Scheme``
-members, so a new scheme touches ``schemes.py`` alone.  No linter runs on
+Analysis, the CLI and ``run_simulation`` read a scheme's spec instead of
+naming ``Scheme`` members, so a new scheme touches ``schemes.py`` alone.  No linter runs on
 this repository, so the source checks below stand in for one.
 """
 
@@ -49,9 +49,13 @@ def test_every_scheme_has_one_spec():
     assert set(STEPPERS) == set(Scheme)
 
 
-@pytest.mark.parametrize("module", ["analysis.py", "cli.py"])
-def test_analysis_and_cli_name_no_scheme_member(module):
-    text = (SRC / module).read_text()
+@pytest.mark.parametrize("source", [
+    "analysis.py", "cli.py", "run_simulation", "_advance_once"])
+def test_analysis_and_cli_name_no_scheme_member(source):
+    # run_simulation, and _advance_once behind the public steppers, read a
+    # scheme's spec and have no per-scheme branch
+    text = ((SRC / source).read_text() if source.endswith(".py")
+            else inspect.getsource(getattr(schemes, source)))
     assert re.findall(r"\bScheme\.[A-Z][A-Z_]*", text) == []
 
 
@@ -103,7 +107,7 @@ def test_gate_applies_tau_to_relaxed_schemes_only(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-def test_layers_is_what_one_advance_makes(scheme):
+def test_layers_is_the_consistency_grade_period(scheme):
     p = SchemeParams(DiffusivityModel.constant(1.0), dt=0.001, dx=0.125)
     layers = SPECS[scheme].layers
     record = run_simulation(sine(), p, HOMOGENEOUS, scheme, 2 * layers)
@@ -134,14 +138,14 @@ def test_every_symbol_agrees_with_its_own_plan(scheme):
                                 np.sin(theta / 2.0) ** 2, theta)
             if len(roots) == 1:
                 (g,) = roots
-                error = np.max(np.abs(advance(None, v, 1)[0] - g * v))
+                error = np.max(np.abs(advance(None, v, 1) - g * v))
             else:
                 zero = np.zeros(n + 1)
-                alpha, beta = (advance(prev, curr, 1)[0] @ v / (v @ v)
+                alpha, beta = (advance(prev, curr, 1) @ v / (v @ v)
                                for prev, curr in ((zero, v), (v, zero)))
                 residual = max(
-                    np.max(np.abs(advance(zero, v, 1)[0] - alpha * v)),
-                    np.max(np.abs(advance(v, zero, 1)[0] - beta * v)))
+                    np.max(np.abs(advance(zero, v, 1) - alpha * v)),
+                    np.max(np.abs(advance(v, zero, 1) - beta * v)))
                 root = np.sqrt(complex(alpha * alpha + 4.0 * beta))
                 plan_roots = ((alpha + root) / 2.0, (alpha - root) / 2.0)
                 error = max(residual, min(
@@ -176,7 +180,7 @@ def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
         t = 7 * dt
         advance = schemes._plan(scheme, p, bcs, n + 1)
         defect = smooth(nodes, t + dt) - advance(
-            smooth(nodes, t - dt), smooth(nodes, t), 7)[0]
+            smooth(nodes, t - dt), smooth(nodes, t), 7)
         rho = {Scheme.IMPLICIT: r, Scheme.CRANK_NICOLSON: r / 2.0,
                Scheme.CN_NONLINEAR: r / 2.0, Scheme.CROSS_CN: r / 2.0,
                }.get(scheme, 0.0)
