@@ -63,8 +63,9 @@ def amplification(scheme: Scheme, r: Optional[float],
 
     The roots, one per layer the scheme steps from, are the ``symbol`` of
     its entry in ``schemes.SPECS``.  ``theta`` is a scalar or an array of
-    phases in [0, pi]; the roots and their largest modulus come back with
-    theta's shape, scalars for a scalar theta.  A relaxed scheme's symbol
+    phases in [0, pi], r a scalar or an array (a column of r values) that
+    broadcasts against it; the roots and their largest modulus come back with
+    the broadcast shape, scalars for scalars.  A relaxed scheme's symbol
     reads ``params`` (tau > 0) instead of ``r``.  A scheme without a symbol,
     an argument that is not a ``Scheme`` and a phase outside [0, pi] (named
     in the message) raise ``ValueError``.
@@ -84,13 +85,15 @@ def amplification(scheme: Scheme, r: Optional[float],
                              "(tau, dt, dx, nu)")
         if params.tau <= 0.0:
             raise ValueError(f"{scheme.value} amplification needs tau > 0")
-    elif r is None or not 0.0 < r < math.inf:
-        raise ValueError(f"diffusion number r must be positive, got {r}")
+    elif r is None or (bad := [x for x in np.ravel(r).tolist()
+                               if not 0.0 < x < math.inf]):
+        raise ValueError("diffusion number r must be positive, got "
+                         f"{r if r is None else bad[0]}")
     if spec.symbol is None:
         raise ValueError(f"no closed-form amplification for {scheme.value}")
     roots = spec.symbol(params if spec.relaxed else r, s, phases)
 
-    shape = np.shape(theta)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
     roots = tuple(np.asarray(g, dtype=complex).reshape(shape) for g in roots)
     # hypot, like abs() of a Python complex, keeps the moduli libm-exact
     max_modulus = reduce(np.maximum, (np.hypot(g.real, g.imag) for g in roots))
@@ -103,11 +106,15 @@ def max_amplification(scheme: Scheme, r: Optional[float] = None,
                       theta_samples: int = DEFAULT_THETA_SAMPLES) -> float:
     """Largest root modulus over a uniform theta grid on [0, pi].
 
-    One ``amplification`` call evaluates the whole grid.
+    One ``amplification`` call evaluates the whole grid, for a sequence of
+    r values at once as a column, whose maxima come back as a list.
     """
     if not _whole(theta_samples) or theta_samples < 2:
         raise ValueError(f"need at least 2 theta samples, got {theta_samples}")
     thetas = np.linspace(0.0, math.pi, theta_samples)
+    if np.ndim(r):
+        moduli = amplification(scheme, np.reshape(r, (-1, 1)), thetas, params)
+        return [max_abs(row) for row in moduli.max_modulus]
     return max_abs(amplification(scheme, r, thetas, params).max_modulus)
 
 

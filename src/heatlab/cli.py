@@ -408,9 +408,9 @@ def cmd_stability(schemes: list, r_values: list, theta_samples: int,
                 f"supported: {', '.join(s.value for s in _SYMBOL_SCHEMES)}")
         parsed.append(scheme)
     # all rows come before the first write: a rejected r leaves stdout empty
-    rows = [(scheme, r, max_amplification(scheme, float(r),
-                                          theta_samples=theta_samples))
-            for scheme in parsed for r in r_values]
+    rows = [(scheme, r, mx) for scheme in parsed for r, mx in zip(
+        r_values, max_amplification(scheme, [float(r) for r in r_values],
+                                    theta_samples=theta_samples))]
     out.write("scheme,r,max_amplification,stable\n")
     for scheme, r, mx in rows:
         out.write(f"{scheme.value},{_fmt(r)},{_fmt(mx)},"

@@ -11,9 +11,9 @@ where the endpoint diffusivity varies), and ``close_boundary`` and
 ``boundary_closure_coefficients`` are its scalar forms.  A number given as
 boundary data is a ``_Constant`` forcing, whose g ``closure`` folds once
 into ``close``, so a step calls neither forcing nor ``term``.  ``max_abs``
-is the one max norm: the per-layer divergence test, ``Field.max_norm``, the
-fixed-point change, the amplification sweep and the CLI's error norms all
-read it.
+is the one max norm: the start layer's check, ``Field.max_norm``, the
+fixed-point change, the amplification sweep and the CLI's error norms read
+it, and the per-block divergence test takes its argmax to |block| rows.
 """
 
 from dataclasses import dataclass

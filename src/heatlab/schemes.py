@@ -9,44 +9,49 @@ LU-factored once by ``tridiag.factored``; varying k runs ``tridiag.direct``,
 so ``schemes`` calls no LAPACK routine itself.  All plans take their closures
 from one ``_ends_of`` factory (``grid.closure`` per end).  Before a plan is
 built, ``_float_layer`` checks the start layer and ``_plan`` the scheme, the
-parameters and the node count.  A plan returns ``advance(prev, curr,
-time_index)``, which maps bare float64 arrays (``prev`` is None on the first
-call) to the new layer.  Per layer an advance evaluates the stencil (the
-Saulyev plan one sweep, alternating its direction), each closure's forcing
-(unless it is a constant, which the closure folds) once and, where k varies,
-the diffusivity (and with it the flux/Robin closures); interiors are written
-first, endpoints are closed afterwards through the closures, and the layer
-time is always ``time_index * dt``.  Called without a previous layer, the
-multi-layer schemes start themselves.  The layer an advance returns belongs
-to its plan: the explicit-type and Saulyev plans write it into a ring of
-three rows, made by the first advances with their stencil views bound and
-then reused, the others allocate each.  An advance writes only the layer it
-returns, and the last two it returned stay intact through the next, so it
-never writes a run's ``prev`` and ``curr`` (read through the bound views) or
-a caller's own arrays (sliced per call).  A caller that keeps a layer longer
-copies it, as ``run_simulation`` does.  ``run_simulation`` drives every
-scheme through its plan, one advance per layer, and flags divergence; each
-public ``step_*`` function builds a plan and advances it ``layers`` times.
+parameters and the node count.  A plan returns ``block(prev, curr,
+time_index, count)``, which makes up to ``count`` layers from bare float64
+arrays (``prev`` is None on the first call); ``_plan`` hands out its block of
+one as ``advance(prev, curr, time_index)``.  Per layer a block evaluates the
+stencil (the Saulyev plan one sweep, alternating its direction), each
+closure's forcing (unless it is a constant, which the closure folds) once
+and, where k varies, the diffusivity (and with it the flux/Robin closures);
+interiors are written first, endpoints are closed afterwards through the
+closures, and the layer time is always ``time_index * dt``.  Called without a
+previous layer, the multi-layer schemes start themselves.  The explicit-type
+and Saulyev plans make up to cap layers a call in a ring of cap + 2 rows
+(``_ring``): 32 at N = 64, and 1 from N = 4096 on or where a layer calls
+user code (a forcing that is no number, varying k); the others make one
+layer a call, in a fresh array.  A block writes only the layers it returns,
+and the last two stay intact through the next call, so it never writes a
+run's ``prev`` and ``curr`` or a caller's own arrays; a caller that keeps a
+layer longer copies it.  ``run_simulation`` asks for blocks of up to 32
+layers, tests each for divergence at once, throws away the layers made after
+a diverging one and makes that one again under the caller's error state;
+each public ``step_*`` function builds a plan and advances it ``layers``
+times.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
 
-A constant coefficient that an advance multiplies, adds or divides a layer
-by is a 0-d float64 array, bound once by the plan: numpy converts a Python
-float operand again on every call, which makes a ufunc on an N = 64 layer
-about 1.5 times as slow as the array-array path a 0-d array takes to the
-same double.  Closures, the folded solves' edge terms and the Saulyev starts
-work on Python floats, as they touch single nodes.
+A constant coefficient that a block multiplies, adds or divides a layer by
+is a 0-d float64 array, bound once by the plan, as are the scratch arrays
+its ufuncs write into by position: numpy converts a Python float operand
+again on every call, which makes a ufunc on an N = 64 layer about 1.5 times
+as slow as the array-array path a 0-d array takes to the same double.
+Closures, the folded solves' edge terms and the Saulyev starts work on
+Python floats, as they touch single nodes.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import (BCKind, BoundaryCondition, Closure, Field, Side, _whole,
-                   closure, max_abs)
+from .grid import (BCKind, BoundaryCondition, Closure, Field, Side, _Constant,
+                   _whole, closure, max_abs)
 from .tridiag import SingularSystemError, direct, factored
 # No stepper calls these three; bench/spans.py wraps them as attributes of
 # this module.
@@ -57,6 +62,8 @@ DIVERGENCE_THRESHOLD = 1e12
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITERS = 50
 _INTERIOR = slice(1, -1)  # a layer's interior nodes, u[1:-1]
+_BLOCK_LAYERS, _BLOCK_NODES = 32, 8192  # a block's most layers, and nodes
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")  # see _ring
 
 
 class DiffusivityError(ValueError):
@@ -262,8 +269,9 @@ class RunRecord:
         return self.snapshots[-1]
 
 
-# A plan's advance maps (prev, curr, time_index) to the new layer.
+# A plan's block makes up to count layers, its advance one: see ``_plan``.
 Advance = Callable[[Optional[np.ndarray], np.ndarray, int], np.ndarray]
+Block = Callable[[Optional[np.ndarray], np.ndarray, int, int], tuple]
 
 
 def _views(u: np.ndarray) -> tuple:
@@ -271,25 +279,36 @@ def _views(u: np.ndarray) -> tuple:
     return u, u[:-2], u[1:-1], u[2:]
 
 
-def _second_difference(lo: np.ndarray, mid: np.ndarray,
-                       hi: np.ndarray) -> np.ndarray:
-    """``lo - 2 mid + hi`` in one fresh array; ``mid + mid`` is the double
-    ``2.0 * mid`` is, signed zeros and overflow included."""
-    d2 = mid + mid
-    np.subtract(lo, d2, out=d2)
-    d2 += hi
+def _second_difference(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray,
+                       d2: Optional[np.ndarray] = None) -> np.ndarray:
+    """``lo - 2 mid + hi`` into ``d2`` (a fresh array for None); ``mid +
+    mid`` is the double ``2.0 * mid`` is, signed zeros and overflow included."""
+    d2 = np.add(mid, mid, d2)
+    np.subtract(lo, d2, d2)
+    np.add(d2, hi, d2)
     return d2
 
 
-def _forward(r):
+def _scratch(n_nodes: int, count: int) -> list:
+    """``count`` interior-sized arrays a plan's ufuncs write their temporaries
+    into, or, where a block is one layer by size (N >= 4096), ``count`` Nones,
+    which make numpy allocate each, as a layer-by-layer run would."""
+    if _BLOCK_NODES // n_nodes > 1:
+        return list(np.empty((count, n_nodes - 2)))
+    return [None] * count
+
+
+def _forward(r, n_nodes: int):
     """``interior(prev_mid, views, out)``: writes the forward-in-time,
     centred-in-space mid + r d2 of the current layer's ``_views`` into the
     new interior ``out``; r is a 0-d array, ``prev_mid`` is not read."""
+    (scratch,) = _scratch(n_nodes, 1)
+
     def interior(prev_mid, views, out):
         _, lo, mid, hi = views
-        d2 = _second_difference(lo, mid, hi)
-        d2 *= r
-        np.add(mid, d2, out=out)
+        d2 = _second_difference(lo, mid, hi, scratch)
+        np.multiply(d2, r, d2)
+        np.add(mid, d2, out)
     return interior
 
 
@@ -333,33 +352,86 @@ def _ends_of(params: SchemeParams, bcs):
     return ends_of
 
 
-def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Advance:
-    """Advance of an explicit scheme: ``interior(prev_mid, views, out)`` (as
-    ``_forward``) writes the next row of a three-row ring, whose other rows
-    are the last two layers, then the closures (bound here under constant k)
-    close it at the new layer's time."""
+def _ring(bcs, n_nodes: int, fixed: bool, layer) -> tuple:
+    """``(block, pinned)`` of a plan that makes its layers in a ring of cap + 2
+    rows: cap is 1 if a layer calls user code (varying k, not ``fixed``, or a
+    forcing that is no number) or numpy reports underflow, which each layer
+    must then meet alone, else min(32, 8192 // n_nodes) or 1.  A constant
+    Dirichlet end is written into every row here and ``pinned``.
+    ``block`` fills up to ``count`` consecutive free rows by ``layer(before,
+    last, out, time_index)``, which writes the views ``out`` from those of the
+    last two layers, and returns them as a 2-D view and rows, in layer order.
+    The rows run away from the two read, so the row index turns round without
+    a copy (full blocks fill rows 2.. and cap - 1..0 by turns), and several
+    layers run under ``_QUIET`` (see ``run_simulation``)."""
+    fixed = (fixed and all(isinstance(bc.forcing, _Constant) for bc in bcs)
+             and np.geterr()["under"] == "ignore")
+    cap = max(1, min(_BLOCK_LAYERS, _BLOCK_NODES // n_nodes)) if fixed else 1
+    ring = np.empty((cap + 2, n_nodes))
+    pinned = [bc.kind is BCKind.DIRICHLET and isinstance(bc.forcing, _Constant)
+              for bc in bcs]
+    for j in (j for j, pin in zip((0, -1), pinned) if pin):
+        ring[:, j] = bcs[j].forcing
+    views, rows, where = [None] * (cap + 2), [None] * (cap + 2), {}
+    unbound = cap + 2  # rows whose views are bound on their first use
+
+    def block(prev, u, time_index, count):
+        nonlocal unbound
+        i, j = where.get(id(prev), -1), where.get(id(u), -1)
+        a, b = (i, j) if i < j else (j, i)  # the rows read; rows 0, 1 if none
+        a, b = (a, b) if a >= 0 else (b, b) if b >= 0 else (0, 1)
+        above, between = cap + 1 - b, b - a - 1
+        if above >= a and above >= between:  # the longest run of free rows
+            first, turn, k = b + 1, 1, min(count, cap, above)
+        elif a >= between:  # below a, filled downwards
+            first, turn, k = a - 1, -1, min(count, cap, a)
+        else:
+            first, turn, k = a + 1, 1, min(count, cap, between)
+        for r in range(first, first + turn * k, turn) if unbound else ():
+            if views[r] is None:
+                views[r] = _views(ring[r])
+                rows[r], where[id(views[r][0])], unbound = views[r][0], r, unbound - 1
+        before = None if prev is None else views[i] if i >= 0 else _views(prev)
+        last = views[j] if j >= 0 else _views(u)
+        if k == 1:  # under the caller's error state
+            layer(before, last, views[first], time_index)
+            return ring[first:first + 1], [rows[first]]
+        sl = slice(first, first + k) if turn > 0 else slice(first - k + 1, first + 1)
+        order, made, made_rows = views[sl][::turn], ring[sl][::turn], rows[sl][::turn]
+        with np.errstate(**_QUIET):
+            for out in order:
+                layer(before, last, out, time_index)
+                before, last, time_index = last, out, time_index + 1
+        return made, made_rows
+    return block, pinned
+
+
+def _single(advance: Callable) -> Block:
+    """The block of a plan whose ``advance`` makes one layer a call."""
+    def block(prev, u, time_index, count):
+        layer = advance(prev, u, time_index)
+        return layer[None], [layer]
+    return block
+
+
+def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Block:
+    """Block of an explicit scheme, made in a ring (``_ring``): ``interior(
+    prev_mid, views, out)`` (as ``_forward``) writes each new interior from
+    the last two layers' views, then the closures (bound here under constant
+    k, but for pinned ends) close it at the new layer's time."""
     dt = params.dt
     ends_of = _ends_of(params, bcs)
     fixed = params.diffusivity.nu_value is not None
-    if fixed:
-        left, right = ends_of(None)
-        close_left, close_right = left.close, right.close
-    before = last = free = (None,) * 4  # the first three advances make rows
 
-    def advance(prev, u, time_index):
-        nonlocal before, last, free, close_left, close_right
-        out = free if free[0] is not None else _views(np.empty(n_nodes))
-        prev_mid = (None if prev is None else before[2] if prev is before[0]
-                    else prev[1:-1])
-        interior(prev_mid, last if u is last[0] else _views(u), out[2])
-        if not fixed:
-            close_left, close_right = (end.close for end in ends_of(u))
-        t = (time_index + 1) * dt
-        close_left(out[0], t)
-        close_right(out[0], t)
-        before, last, free = last, out, before
-        return out[0]
-    return advance
+    def layer(before, last, out, time_index):
+        interior(before and before[2], last, out[2])
+        for close in closes if fixed else [
+                end.close for end in ends_of(last[0])]:
+            close(out[0], (time_index + 1) * dt)
+    block, pinned = _ring(bcs, n_nodes, fixed, layer)
+    closes = fixed and [end.close for end, pin in zip(ends_of(None), pinned)
+                        if not pin]
+    return block
 
 
 # ------------------------------------------------- folded implicit layers
@@ -409,8 +481,8 @@ def _terms(ends: tuple, t: float) -> tuple:
 
 
 def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
-                 rhs_into) -> Advance:
-    """Advance of a constant-k implicit scheme with row weight ``rho``:
+                 rhs_into) -> Block:
+    """One-layer block of a constant-k implicit scheme with row weight ``rho``:
     ``rhs_into(None, views, out)`` (as ``_forward``) writes the right-hand
     side into a fresh layer's interior, which is solved in place against
     bands folded and factored once; each step adds only the forcing terms,
@@ -426,7 +498,7 @@ def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
         rhs_into(None, _views(u), out[1:-1])
         return _solve_folded(solve, edge, out, ends,
                              _terms(ends, (time_index + 1) * dt))
-    return advance
+    return _single(advance)
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -458,16 +530,16 @@ def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
 
 # ------------------------------------------------------------------ plans
 
-def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Block:
     model = params.diffusivity
     if model.nu_value is not None:
-        return _closed_plan(params, bcs, n_nodes,
-                            _forward(np.array(params.diffusion_number_r)))
+        return _closed_plan(params, bcs, n_nodes, _forward(
+            np.array(params.diffusion_number_r), n_nodes))
     dt, dx2 = np.array(params.dt), np.array(params.dx ** 2)
 
     def interior(prev_mid, views, out):  # r = k(u) dt / dx^2 per node
         r = model._evaluate_nodes(views[0], _INTERIOR) * dt / dx2
-        _forward(r)(prev_mid, views, out)
+        _forward(r, n_nodes)(prev_mid, views, out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -475,44 +547,46 @@ def _copy_interior(prev_mid, views, out: np.ndarray) -> None:
     out[...] = views[2]
 
 
-def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Block:
     return _folded_plan(params, bcs, n_nodes, params.diffusion_number_r,
                         _copy_interior)
 
 
-def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Block:
     r = params.diffusion_number_r
-    start, two_r = _forward(np.array(r)), np.array(2.0 * r)
+    start, two_r = _forward(np.array(r), n_nodes), np.array(2.0 * r)
+    (scratch,) = _scratch(n_nodes, 1)
 
     def interior(prev_mid, views, out):
         if prev_mid is None:  # the explicit start
             return start(prev_mid, views, out)
         _, lo, mid, hi = views
-        d2 = _second_difference(lo, mid, hi)
-        d2 *= two_r
-        np.add(prev_mid, d2, out=out)
+        d2 = _second_difference(lo, mid, hi, scratch)
+        np.multiply(d2, two_r, d2)
+        np.add(prev_mid, d2, out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
-def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Block:
     r = params.diffusion_number_r
     lam = 2.0 * r
-    start = _forward(np.array(r))
+    start = _forward(np.array(r), n_nodes)
     a, b = np.array((1.0 - lam) / (1.0 + lam)), np.array(lam / (1.0 + lam))
+    scratch = _scratch(n_nodes, 2)
 
     def interior(prev_mid, views, out):
         if prev_mid is None:  # the explicit start
             return start(prev_mid, views, out)
         _, lo, _, hi = views
-        pair = np.add(hi, lo)
-        pair *= b
-        np.add(a * prev_mid, pair, out=out)
+        pair = np.add(hi, lo, scratch[0])
+        np.multiply(pair, b, pair)
+        np.add(np.multiply(a, prev_mid, scratch[1]), pair, out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
 def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
-                    cross: bool) -> Advance:
-    """Advance of the trapezoidal rule for u_t = k(u) u_xx: each layer's
+                    cross: bool) -> Block:
+    """One-layer block of the trapezoid rule for u_t = k(u) u_xx: each layer's
     difference weighted by half its own k, or the other layer's if ``cross``.
     Constant k is Crank-Nicolson, factored once; crossed affine k is one
     solve a step; else ``_fixed_point`` iterates with k(v) as the new k."""
@@ -523,7 +597,8 @@ def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
 
     if model.nu_value is not None:
         rho = half(model.nu_value)
-        return _folded_plan(params, bcs, n_nodes, rho, _forward(np.array(rho)))
+        return _folded_plan(params, bcs, n_nodes, rho,
+                            _forward(np.array(rho), n_nodes))
     ends_of = _ends_of(params, bcs)
     affine = cross and model.general_k is None  # k = a + b u
     rho_a, rho_b = half(model.affine_a), half(model.affine_b)
@@ -550,14 +625,14 @@ def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
             rho, step = (rho_old, half(k) * d2) if cross else (half(k), old_step)
             return solve(rho, 1.0 + 2.0 * rho, step)
         return _fixed_point(iterate, u, k_old, model)
-    return advance
+    return _single(advance)
 
 
-def _plan_cn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_cn(params: SchemeParams, bcs, n_nodes: int) -> Block:
     return _trapezoid_plan(params, bcs, n_nodes, cross=False)
 
 
-def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_ccn(params: SchemeParams, bcs, n_nodes: int) -> Block:
     return _trapezoid_plan(params, bcs, n_nodes, cross=True)
 
 
@@ -585,9 +660,9 @@ def _saulyev_start(bc: BoundaryCondition, end: Closure, side: Side, a: float,
     return start
 
 
-def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
-    """One sweep per advance into a three-row ring (as ``_closed_plan``'s),
-    rightwards first and then by the parity of ``time_index - first``."""
+def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Block:
+    """One sweep per layer, made in a ring (``_ring``), rightwards first and
+    then by the parity of ``time_index - first``."""
     from scipy.linalg.blas import dtbsv
     lam = params.diffusion_number_r
     a = (1.0 - lam) / (1.0 + lam)
@@ -599,33 +674,30 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Advance:
     start_right = _saulyev_start(bcs[1], right, Side.RIGHT, a, c, n)
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
     a, c = np.array(a), np.array(c)  # the starts above keep Python floats
-    close_left, close_right = left.close, right.close
-    first = None  # the time index of the plan's first advance
-    before = last = free = (None,) * 4  # the first three advances make rows
+    scratch = _scratch(n_nodes, 2)
+    first = None  # the time index of the plan's first layer
 
-    def advance(prev, u, time_index):
-        nonlocal first, before, last, free
-        if first is None:
-            first = time_index
-        row = free if free[0] is not None else _views(np.empty(n_nodes))
+    def sweep(before, last, row, time_index):
+        nonlocal first
+        first = time_index if first is None else first
         out, _, mid, _ = row
-        _, lo, u_mid, hi = last if u is last[0] else _views(u)
+        u, lo, u_mid, hi = last
         t = (time_index + 1) * dt
-        # dtbsv(incx, offx, lower, trans, diag, overwrite_x): the rightwards
-        # sweep solves out[:n] from the left start, the leftwards one out[1:]
-        if (time_index - first) % 2:
+        odd = (time_index - first) % 2
+        if odd:
             out[n] = start_right(u, t)
-            np.add(a * u_mid, c * lo, out=mid)
-            dtbsv(1, band, out, 1, 1, 0, 0, 1, 1)
-            close_left(out, t)
         else:
             out[0] = start_left(u, t)
-            np.add(a * u_mid, c * hi, out=mid)
-            dtbsv(1, band, out, 1, 0, 1, 0, 1, 1)
-            close_right(out, t)
-        before, last, free = last, row, before
-        return out
-    return advance
+        np.add(np.multiply(a, u_mid, scratch[0]),
+               np.multiply(c, lo if odd else hi, scratch[1]), mid)
+        # dtbsv(incx, offx, lower, trans, diag, overwrite_x): the rightwards
+        # sweep solves out[:n] from the left start, the leftwards one out[1:]
+        dtbsv(1, band, out, 1, odd, 1 - odd, 0, 1, 1)
+        (close_left if odd else close_right)(out, t)
+    block, pinned = _ring(bcs, n_nodes, True, sweep)
+    close_left, close_right = ((lambda out, t: None) if pin else end.close
+                               for pin, end in zip(pinned, (left, right)))
+    return block
 
 
 def _hyperbolic_coefficients(params: SchemeParams) -> tuple:
@@ -636,25 +708,26 @@ def _hyperbolic_coefficients(params: SchemeParams) -> tuple:
     return a, b, c
 
 
-def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan_hyperbolic(params: SchemeParams, bcs, n_nodes: int) -> Block:
     tau, dt, dx, nu = params.tau, params.dt, params.dx, params.nu
     a, b, c = _hyperbolic_coefficients(params)
     taylor = dt ** 2 / (2.0 * tau)
     a, b, c, taylor, dx2, nu = map(np.array, (a, b, c, taylor, dx ** 2, nu))
+    scratch = _scratch(n_nodes, 3)
 
     def interior(prev_mid, views, out):
         _, lo, mid, hi = views
-        diffusion = _second_difference(lo, mid, hi)
-        diffusion *= nu
-        diffusion /= dx2
+        diffusion = _second_difference(lo, mid, hi, scratch[0])
+        np.multiply(diffusion, nu, diffusion)
+        np.divide(diffusion, dx2, diffusion)
         if prev_mid is None:  # the zero-velocity Taylor start
-            diffusion *= taylor
-            np.add(mid, diffusion, out=out)
+            np.multiply(diffusion, taylor, diffusion)
+            np.add(mid, diffusion, out)
         else:
-            new = c * mid
-            new -= b * prev_mid
-            new += diffusion
-            np.divide(new, a, out=out)
+            new = np.multiply(c, mid, scratch[1])
+            np.subtract(new, np.multiply(b, prev_mid, scratch[2]), new)
+            np.add(new, diffusion, new)
+            np.divide(new, a, out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -682,7 +755,7 @@ class SchemeSpec:
     ``residual(u, d2, k, params, x, t)`` on a smooth u, with d2(t) u's second
     difference at x and k(x, t) the diffusivity there."""
 
-    plan: Callable[..., Advance]
+    plan: Callable[..., Block]
     layers: int = 1
     constant_k: bool = True
     relaxed: bool = False
@@ -772,7 +845,12 @@ def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
                          f"got shape ({n_nodes},)")
     if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
         raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
-    return spec.plan(params, bcs, n_nodes)
+    block = spec.plan(params, bcs, n_nodes)
+
+    def advance(prev, curr, time_index):  # the block of one layer
+        return block(prev, curr, time_index, 1)[1][0]
+    advance.block = block
+    return advance
 
 
 # ------------------------------------------------------- public steppers
@@ -900,25 +978,33 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     plan is then built once, by ``_plan``, whose gate raises ValueError for
     misuse (``bcs`` not two BoundaryConditions, a scheme that needs constant k
     or tau > 0, fewer than 3 nodes, a flux/Robin end on fewer than 4).  The
-    plan sets up the coefficients, the boundary closures and, where they never
-    change, the LU factors of the implicit systems; its errors propagate
-    unchanged: a ValueError for a degenerate closure under constant k, and
-    SingularSystemError for a degenerate Saulyev start or a zero pivot in a
-    matrix lasting the run (implicit, or trapezoidal under constant k), which
-    the plan factors (order < 3: each step).  Its advance maps bare arrays
-    (previous layer or None, current layer, time index) to the new layer, and
-    the run advances once per layer.  A kept layer is consistency-grade when
-    its distance from the start is a multiple of the spec's ``layers``, so the
-    Saulyev scheme's odd layers are flagged False.  A ``Field`` is built only
-    for the snapshots kept, on a copy of the layer, since the plan writes
-    later layers into its own rows.  Called without a previous layer, the
-    multi-layer schemes start themselves: leap-frog and Dufort-Frankel with
-    the explicit step, the hyperbolic scheme with the zero-velocity Taylor
-    start.  The run halts and flags divergence as soon as a layer has a
-    non-finite value or max-norm above 1e12.  Every layer's max-norm is
-    ``grid.max_abs``, which propagates NaN and never squares the layer, so a
-    huge finite layer diverges without an overflow warning.  Failures while
-    advancing (an ArithmeticError such as a zero pivot or a
+    plan's own errors propagate unchanged: a ValueError for a degenerate
+    closure under constant k, and SingularSystemError for a degenerate Saulyev
+    start or a zero pivot in a matrix that lasts the run (implicit, or
+    trapezoidal under constant k), which the plan factors (order < 3: each
+    step).  The run asks the plan's block for up to 32 layers at a time, which
+    a ring plan cuts to its cap, so a block can span snapshots; a block that
+    calls user code is one layer, so forcings and k see one call per layer.
+    Called without a previous layer, the multi-layer schemes start themselves:
+    leap-frog and Dufort-Frankel with the explicit step, the hyperbolic scheme
+    with the zero-velocity Taylor start.  The run halts and flags divergence
+    at the first layer d with a non-finite value or max-norm above 1e12,
+    tested once per block by one ``np.abs`` and one ``argmax`` of all its
+    layers, which propagate NaN and never square, so a huge finite layer
+    diverges without an overflow warning; the block's layers after d are
+    thrown away (at most cap - 1; while the max norm grows, the run asks for
+    about the layers its growth over the last block needs to reach 1e12, so
+    few).  A block of several layers ignores
+    overflow, invalid and divide, each of which leaves an inf or a NaN that
+    fails the test, so one that passes raised none; layer d is made again,
+    once, from its two rows in the ring, under the caller's error state, so
+    its warnings and FloatingPointError are those of a one-layer advance.  A
+    caller whose error state (at plan time) does not ignore underflow gets
+    blocks of one.  A
+    kept layer is copied into its ``Field``, with its norm from the same
+    |block| row, and is consistency-grade when its distance from the start is
+    a multiple of the spec's ``layers`` (the Saulyev odd layers are not).
+    Failures while advancing (an ArithmeticError such as a zero pivot or a
     FloatingPointError from an overflow in k, a FixedPointError, or a
     ValueError such as a k that is not finite and positive or does not
     broadcast, or a boundary forcing whose value is no number) are re-raised
@@ -941,23 +1027,55 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     if num_steps == 0:
         return record
     start, end = initial.time_index, initial.time_index + num_steps
-    prev, curr = None, values
-    advance = _plan(scheme, params, bcs, len(curr))
+    block = _plan(scheme, params, bcs, len(values)).block
     period = SPECS[scheme].layers
 
-    for step in range(start + 1, end + 1):
+    def make(prev, curr, step, count):  # up to count layers after step
         try:
-            prev, curr = curr, advance(prev, curr, step - 1)
+            return block(prev, curr, step, count)
         except (ArithmeticError, FixedPointError, ValueError) as exc:
-            raise SolverError(step=step, cause=exc) from exc
-        norm = max_abs(curr)
-        if not norm <= DIVERGENCE_THRESHOLD:
-            record.diverged = True
-            record.diverged_step = step
-        elif (step - start) % snapshot_every and step != end:
-            continue  # between snapshots, and not the last layer
-        record.append(Field(values=curr.copy(), time_index=step),
-                      (step - start) % period == 0, norm)
-        if record.diverged:
+            raise SolverError(step=step + 1, cause=exc) from exc
+
+    prev, curr, step, due = None, values, start, start + snapshot_every
+    want, prev_top = _BLOCK_LAYERS, norm  # layers to ask for; the last max
+    while step < end:
+        made, rows = make(prev, curr, step, min(want, end - step))
+        k, last = len(rows), step + len(rows)
+        if k == 1:  # never made again, so its prev can go now
+            prev = None
+        size = np.abs(made)  # one divergence test for the block
+        top = size.item(size.argmax())
+        diverged = not top <= DIVERGENCE_THRESHOLD
+        if diverged:
+            last = step + next(j for j, row in enumerate(size, 1)
+                               if not row.item(row.argmax()) <= DIVERGENCE_THRESHOLD)
+            record.diverged, record.diverged_step = True, last
+        if due <= last or last == end or diverged:
+            chain = [prev, curr, *rows]
+            kept = list(range(due, last + 1, snapshot_every))
+            due += len(kept) * snapshot_every
+            if kept[-1:] != [last] and (diverged or last == end):
+                kept.append(last)
+            at = [s - step - 1 for s in kept]  # their rows in |block|
+            if k == 1:
+                tops = [top]
+            elif len(at) > 5:  # a row's max norm: the element its argmax picks
+                tops = size[at, size[at].argmax(axis=1)].tolist()
+            else:
+                tops = [row.item(row.argmax()) for row in (size[i] for i in at)]
+            for s, norm in zip(kept, tops):
+                record.append(Field(values=chain[s - step + 1].copy(), time_index=s),
+                              (s - start) % period == 0, norm)
+        if diverged:
+            if k > 1:  # that layer again, under the caller's error state
+                make(chain[last - step - 1], chain[last - step], last - 1, 1)
             break
+        # a max norm growing by g over k layers reaches the threshold in
+        # about k log(threshold / top) / log g more: ask for no more than that
+        grow = top / prev_top if 0.0 < prev_top < top else 1.0
+        want = _BLOCK_LAYERS if grow == 1.0 else max(1, int(min(  # inf for a
+            _BLOCK_LAYERS, 1 + k * math.log(DIVERGENCE_THRESHOLD / top)  # tiny top
+            / math.log(grow))))
+        prev, curr, step, prev_top = rows[-2] if k > 1 else curr, rows[-1], last, top
+        size = made = None  # |block| goes before the next block is made
     return record

@@ -158,6 +158,18 @@ def test_amplification_on_theta_array_equals_scalar_calls(scheme):
         assert_array_matches_scalar_calls(scheme, r)
 
 
+@pytest.mark.parametrize("scheme", SYMBOL_SCHEMES, ids=lambda s: s.value)
+def test_max_amplification_over_an_r_sequence_equals_one_call_per_r(scheme):
+    # r as a column evaluates the symbol once for every r, to the same bits
+    maxima = max_amplification(scheme, SWEEP_R)
+    assert [float.hex(m) for m in maxima] == [
+        float.hex(max_amplification(scheme, r)) for r in SWEEP_R]
+    grid = amplification(scheme, np.reshape(SWEEP_R, (-1, 1)), np.zeros(3))
+    assert grid.max_modulus.shape == (len(SWEEP_R), 3)
+    with pytest.raises(ValueError, match="r must be positive, got -1.0$"):
+        max_amplification(scheme, [0.5, -1.0, math.nan])
+
+
 @pytest.mark.parametrize("factor", [0.95, 1.0, 1.05])
 def test_hyperbolic_amplification_on_theta_array_equals_scalar_calls(factor):
     # inside, at and beyond the limit dt = dx sqrt(tau / nu)

@@ -1369,20 +1369,32 @@ def test_non_finite_start_layer_is_one_value_error(scheme, bad, node,
 
 
 def test_a_run_takes_its_start_norm_once(monkeypatch):
-    # the first snapshot reuses the norm of the finiteness check
-    calls, max_abs = [], schemes.max_abs
+    # the first snapshot reuses the norm of the finiteness check, and the
+    # layers are tested once per block: one |block| for up to 32 layers
+    calls, max_abs, tests = [], schemes.max_abs, []
 
     def counted(values):
         calls.append(len(values))
         return max_abs(values)
+
+    class Numpy:  # numpy, with the batched test's abs counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, values):
+            tests.append(values.shape)
+            return np.abs(values)
     monkeypatch.setattr(schemes, "max_abs", counted)
     monkeypatch.setattr("heatlab.grid.max_abs", counted)  # Field.max_norm
+    monkeypatch.setattr(schemes, "np", Numpy())
     p = constant_params(1.0, dt=0.4 / 64, dx=1 / 8)
     initial = field(np.sin(np.pi * np.arange(9) / 8))
     run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, 0)
-    assert calls == [9]
+    assert calls == [9] and tests == []
     run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, 3)
-    assert calls == [9] * 5  # the start, then one per new layer
+    assert calls == [9] * 2 and tests == [(3, 9)]  # the start, then a block
+    run_simulation(initial, p, HOMOGENEOUS, Scheme.EXPLICIT, 40, 20)
+    assert calls == [9] * 3 and tests == [(3, 9), (32, 9), (8, 9)]
 
 
 @pytest.mark.parametrize("scheme, num_steps, every, message", [
