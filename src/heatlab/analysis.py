@@ -103,11 +103,13 @@ def amplification(scheme: Scheme, r: Optional[float],
 
 def max_amplification(scheme: Scheme, r: Optional[float] = None,
                       params: Optional[SchemeParams] = None,
-                      theta_samples: int = DEFAULT_THETA_SAMPLES) -> float:
-    """Largest root modulus over a uniform theta grid on [0, pi].
+                      theta_samples: int = DEFAULT_THETA_SAMPLES
+                      ) -> Union[float, list]:
+    """Largest root modulus over a uniform theta grid on [0, pi], a float for
+    a scalar r and a list of floats, one per r, for a sequence of r values.
 
     One ``amplification`` call evaluates the whole grid, for a sequence of
-    r values at once as a column, whose maxima come back as a list.
+    r values at once as a column.
     """
     if not _whole(theta_samples) or theta_samples < 2:
         raise ValueError(f"need at least 2 theta samples, got {theta_samples}")

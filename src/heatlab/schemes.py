@@ -16,34 +16,26 @@ one as ``advance(prev, curr, time_index)``.  Per layer a block evaluates the
 stencil (the Saulyev plan one sweep, alternating its direction), each
 closure's forcing (unless it is a constant, which the closure folds) once
 and, where k varies, the diffusivity (and with it the flux/Robin closures);
-interiors are written first, endpoints are closed afterwards through the
-closures, and the layer time is always ``time_index * dt``.  Called without a
-previous layer, the multi-layer schemes start themselves.  The explicit-type
-and Saulyev plans make up to cap layers a call in a ring of cap + 2 rows
-(``_ring``): 32 at N = 64, and 1 from N = 4096 on or where a layer calls
-user code (a forcing that is no number, varying k); the others make one
-layer a call, in a fresh array.  A block writes only the layers it returns,
-and the last two stay intact through the next call, so it never writes a
-run's ``prev`` and ``curr`` or a caller's own arrays; a caller that keeps a
-layer longer copies it.  ``run_simulation`` asks for blocks of up to 32
-layers, tests each for divergence at once, throws away the layers made after
-a diverging one and makes that one again under the caller's error state;
-each public ``step_*`` function builds a plan and advances it ``layers``
-times.
+interiors are written first, endpoints are closed afterwards, and the layer
+time is always ``time_index * dt``.  Called without a previous layer, the
+multi-layer schemes start themselves.  The explicit-type and Saulyev plans
+make up to cap layers a call in a ring of cap + 2 rows (``_ring``: 32 at
+N = 64, 1 from N = 4096 on or where a layer calls user code); the others
+make one layer a call, in a fresh array.  A block writes only the layers it
+returns, and the last two stay intact through the next call; a caller that
+keeps a layer longer copies it.  Each public ``step_*`` function builds a
+plan and advances it ``layers`` times.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
 
-A constant coefficient that a block multiplies, adds or divides a layer by
-is a 0-d float64 array, bound once by the plan, as are the scratch arrays
-its ufuncs write into by position: numpy converts a Python float operand
-again on every call, which makes a ufunc on an N = 64 layer about 1.5 times
-as slow as the array-array path a 0-d array takes to the same double.
-Closures, the folded solves' edge terms and the Saulyev starts work on
-Python floats, as they touch single nodes.
+A block's constant coefficients are 0-d float64 arrays bound by the plan
+(numpy converts a Python float operand on every call, which makes a ufunc on
+an N = 64 layer 1.5 times as slow), and its ufuncs write into plan-owned
+scratch arrays by position; closures and the Saulyev starts use floats.
 """
 
-import math
+import contextlib
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable, Optional
@@ -62,8 +54,9 @@ DIVERGENCE_THRESHOLD = 1e12
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITERS = 50
 _INTERIOR = slice(1, -1)  # a layer's interior nodes, u[1:-1]
-_BLOCK_LAYERS, _BLOCK_NODES = 32, 8192  # a block's most layers, and nodes
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")  # see _ring
+_BLOCK_LAYERS, _BLOCK_NODES = 32, 8192  # see _ring
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+_AS_IS = contextlib.nullcontext()  # the caller's error state
 
 
 class DiffusivityError(ValueError):
@@ -290,25 +283,22 @@ def _second_difference(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray,
 
 
 def _scratch(n_nodes: int, count: int) -> list:
-    """``count`` interior-sized arrays a plan's ufuncs write their temporaries
-    into, or, where a block is one layer by size (N >= 4096), ``count`` Nones,
-    which make numpy allocate each, as a layer-by-layer run would."""
-    if _BLOCK_NODES // n_nodes > 1:
-        return list(np.empty((count, n_nodes - 2)))
-    return [None] * count
+    """``count`` interior-sized arrays for a plan's ufuncs, or from N = 4096
+    on Nones, so that numpy allocates each, as a one-layer loop did."""
+    if _BLOCK_NODES // n_nodes < 2:
+        return [None] * count
+    return list(np.empty((count, n_nodes - 2)))
 
 
-def _forward(r, n_nodes: int):
-    """``interior(prev_mid, views, out)``: writes the forward-in-time,
-    centred-in-space mid + r d2 of the current layer's ``_views`` into the
-    new interior ``out``; r is a 0-d array, ``prev_mid`` is not read."""
-    (scratch,) = _scratch(n_nodes, 1)
-
+def _forward(r, d2: Optional[np.ndarray] = None):
+    """``interior(prev_mid, views, out)``: writes mid + r d2 of the current
+    layer's ``_views`` into the new interior ``out`` by way of the scratch
+    ``d2`` (None: a fresh array); ``prev_mid`` is not read."""
     def interior(prev_mid, views, out):
         _, lo, mid, hi = views
-        d2 = _second_difference(lo, mid, hi, scratch)
-        np.multiply(d2, r, d2)
-        np.add(mid, d2, out)
+        diff = _second_difference(lo, mid, hi, d2)
+        np.multiply(diff, r, diff)
+        np.add(mid, diff, out)
     return interior
 
 
@@ -354,51 +344,58 @@ def _ends_of(params: SchemeParams, bcs):
 
 def _ring(bcs, n_nodes: int, fixed: bool, layer) -> tuple:
     """``(block, pinned)`` of a plan that makes its layers in a ring of cap + 2
-    rows: cap is 1 if a layer calls user code (varying k, not ``fixed``, or a
-    forcing that is no number) or numpy reports underflow, which each layer
-    must then meet alone, else min(32, 8192 // n_nodes) or 1.  A constant
-    Dirichlet end is written into every row here and ``pinned``.
+    rows; cap is min(32, 8192 // n_nodes) or 1, and 1 where a layer calls
+    user code (varying k, not ``fixed``, a forcing that is no number) or numpy
+    reports underflow.  The first call makes the ring, of no more layers than
+    it asks for, with each constant Dirichlet end (``pinned``) in every row.
     ``block`` fills up to ``count`` consecutive free rows by ``layer(before,
-    last, out, time_index)``, which writes the views ``out`` from those of the
-    last two layers, and returns them as a 2-D view and rows, in layer order.
-    The rows run away from the two read, so the row index turns round without
-    a copy (full blocks fill rows 2.. and cap - 1..0 by turns), and several
-    layers run under ``_QUIET`` (see ``run_simulation``)."""
-    fixed = (fixed and all(isinstance(bc.forcing, _Constant) for bc in bcs)
-             and np.geterr()["under"] == "ignore")
-    cap = max(1, min(_BLOCK_LAYERS, _BLOCK_NODES // n_nodes)) if fixed else 1
-    ring = np.empty((cap + 2, n_nodes))
+    last, out, time_index)``, which writes the views ``out`` from those of
+    the last two layers, and returns them as a 2-D view and rows, in layer
+    order.  The rows run away from the two read, so the ring turns round
+    without a copy (full blocks fill rows 2.. and cap - 1..0 by turns); two
+    ring rows read again find their placement in ``placed``.  A block of
+    several layers runs under ``_QUIET`` (see ``run_simulation``)."""
+    cap = max(1, min(_BLOCK_LAYERS, _BLOCK_NODES // n_nodes))
+    if not (fixed and np.geterr()["under"] == "ignore"
+            and all(isinstance(bc.forcing, _Constant) for bc in bcs)):
+        cap = 1
     pinned = [bc.kind is BCKind.DIRICHLET and isinstance(bc.forcing, _Constant)
               for bc in bcs]
-    for j in (j for j, pin in zip((0, -1), pinned) if pin):
-        ring[:, j] = bcs[j].forcing
-    views, rows, where = [None] * (cap + 2), [None] * (cap + 2), {}
-    unbound = cap + 2  # rows whose views are bound on their first use
+    ring, views, rows, where, placed = None, [], [], {}, {}
 
-    def block(prev, u, time_index, count):
-        nonlocal unbound
+    def place(prev, u, count):  # the rows a block writes, and the two read
+        nonlocal cap, ring
+        if ring is None:
+            cap = min(cap, count)
+            ring = np.empty((cap + 2, n_nodes))
+            for j in (j for j, pin in zip((0, -1), pinned) if pin):
+                ring[:, j] = bcs[j].forcing
+            views[:] = map(_views, ring)
+            rows[:] = (v[0] for v in views)
+            where.update((id(row), r) for r, row in enumerate(rows))
         i, j = where.get(id(prev), -1), where.get(id(u), -1)
         a, b = (i, j) if i < j else (j, i)  # the rows read; rows 0, 1 if none
         a, b = (a, b) if a >= 0 else (b, b) if b >= 0 else (0, 1)
         above, between = cap + 1 - b, b - a - 1
         if above >= a and above >= between:  # the longest run of free rows
-            first, turn, k = b + 1, 1, min(count, cap, above)
+            sl = slice(b + 1, b + 1 + min(count, cap, above))
         elif a >= between:  # below a, filled downwards
-            first, turn, k = a - 1, -1, min(count, cap, a)
+            k = min(count, cap, a)
+            sl = slice(a - 1, a - 1 - k if k < a else None, -1)
         else:
-            first, turn, k = a + 1, 1, min(count, cap, between)
-        for r in range(first, first + turn * k, turn) if unbound else ():
-            if views[r] is None:
-                views[r] = _views(ring[r])
-                rows[r], where[id(views[r][0])], unbound = views[r][0], r, unbound - 1
+            sl = slice(a + 1, a + 1 + min(count, cap, between))
         before = None if prev is None else views[i] if i >= 0 else _views(prev)
-        last = views[j] if j >= 0 else _views(u)
-        if k == 1:  # under the caller's error state
-            layer(before, last, views[first], time_index)
-            return ring[first:first + 1], [rows[first]]
-        sl = slice(first, first + k) if turn > 0 else slice(first - k + 1, first + 1)
-        order, made, made_rows = views[sl][::turn], ring[sl][::turn], rows[sl][::turn]
-        with np.errstate(**_QUIET):
+        spot = (ring[sl], views[sl], rows[sl], before,
+                views[j] if j >= 0 else _views(u))
+        if i >= 0 and j >= 0:  # two rows of the ring: the same rows again
+            placed[id(prev), id(u), count] = spot
+        return spot
+
+    def block(prev, u, time_index, count):
+        count = min(count, cap)
+        made, order, made_rows, before, last = (
+            placed.get((id(prev), id(u), count)) or place(prev, u, count))
+        with np.errstate(**_QUIET) if len(order) > 1 else _AS_IS:
             for out in order:
                 layer(before, last, out, time_index)
                 before, last, time_index = last, out, time_index + 1
@@ -410,15 +407,14 @@ def _single(advance: Callable) -> Block:
     """The block of a plan whose ``advance`` makes one layer a call."""
     def block(prev, u, time_index, count):
         layer = advance(prev, u, time_index)
-        return layer[None], [layer]
+        return layer[None], (layer,)
     return block
 
 
 def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Block:
-    """Block of an explicit scheme, made in a ring (``_ring``): ``interior(
-    prev_mid, views, out)`` (as ``_forward``) writes each new interior from
-    the last two layers' views, then the closures (bound here under constant
-    k, but for pinned ends) close it at the new layer's time."""
+    """Block of an explicit scheme, made in a ring (``_ring``): ``interior``
+    (as ``_forward``) writes each new interior from the last two layers'
+    views, then the closures (but for pinned ends) close it."""
     dt = params.dt
     ends_of = _ends_of(params, bcs)
     fixed = params.diffusivity.nu_value is not None
@@ -534,12 +530,12 @@ def _plan_explicit(params: SchemeParams, bcs, n_nodes: int) -> Block:
     model = params.diffusivity
     if model.nu_value is not None:
         return _closed_plan(params, bcs, n_nodes, _forward(
-            np.array(params.diffusion_number_r), n_nodes))
+            np.array(params.diffusion_number_r), *_scratch(n_nodes, 1)))
     dt, dx2 = np.array(params.dt), np.array(params.dx ** 2)
 
     def interior(prev_mid, views, out):  # r = k(u) dt / dx^2 per node
         r = model._evaluate_nodes(views[0], _INTERIOR) * dt / dx2
-        _forward(r, n_nodes)(prev_mid, views, out)
+        _forward(r)(prev_mid, views, out)
     return _closed_plan(params, bcs, n_nodes, interior)
 
 
@@ -554,8 +550,8 @@ def _plan_implicit(params: SchemeParams, bcs, n_nodes: int) -> Block:
 
 def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Block:
     r = params.diffusion_number_r
-    start, two_r = _forward(np.array(r), n_nodes), np.array(2.0 * r)
-    (scratch,) = _scratch(n_nodes, 1)
+    (scratch,), two_r = _scratch(n_nodes, 1), np.array(2.0 * r)
+    start = _forward(np.array(r), scratch)
 
     def interior(prev_mid, views, out):
         if prev_mid is None:  # the explicit start
@@ -570,9 +566,9 @@ def _plan_leapfrog(params: SchemeParams, bcs, n_nodes: int) -> Block:
 def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Block:
     r = params.diffusion_number_r
     lam = 2.0 * r
-    start = _forward(np.array(r), n_nodes)
     a, b = np.array((1.0 - lam) / (1.0 + lam)), np.array(lam / (1.0 + lam))
     scratch = _scratch(n_nodes, 2)
+    start = _forward(np.array(r), scratch[0])
 
     def interior(prev_mid, views, out):
         if prev_mid is None:  # the explicit start
@@ -598,7 +594,7 @@ def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
     if model.nu_value is not None:
         rho = half(model.nu_value)
         return _folded_plan(params, bcs, n_nodes, rho,
-                            _forward(np.array(rho), n_nodes))
+                            _forward(np.array(rho), *_scratch(n_nodes, 1)))
     ends_of = _ends_of(params, bcs)
     affine = cross and model.general_k is None  # k = a + b u
     rho_a, rho_b = half(model.affine_a), half(model.affine_b)
@@ -674,7 +670,7 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Block:
     start_right = _saulyev_start(bcs[1], right, Side.RIGHT, a, c, n)
     band = np.full((2, n), -c, order="F")  # dtbsv ignores the diagonal row
     a, c = np.array(a), np.array(c)  # the starts above keep Python floats
-    scratch = _scratch(n_nodes, 2)
+    left_part, right_part = _scratch(n_nodes, 2)
     first = None  # the time index of the plan's first layer
 
     def sweep(before, last, row, time_index):
@@ -688,8 +684,8 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Block:
             out[n] = start_right(u, t)
         else:
             out[0] = start_left(u, t)
-        np.add(np.multiply(a, u_mid, scratch[0]),
-               np.multiply(c, lo if odd else hi, scratch[1]), mid)
+        np.add(np.multiply(a, u_mid, left_part),
+               np.multiply(c, lo if odd else hi, right_part), mid)
         # dtbsv(incx, offx, lower, trans, diag, overwrite_x): the rightwards
         # sweep solves out[:n] from the left start, the leftwards one out[1:]
         dtbsv(1, band, out, 1, odd, 1 - odd, 0, 1, 1)
@@ -970,45 +966,23 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     """Advance ``initial`` by ``num_steps`` layers and record snapshots.
 
     ``num_steps`` (>= 0), ``snapshot_every`` (>= 1) and the start layer's
-    ``time_index`` are integers, numpy's included and ``bool`` excluded, or
-    raise ValueError.  The start layer is checked and converted to float64
-    once, by ``_float_layer`` (a complex, not 1-D or non-finite layer raises
-    ValueError, also when ``num_steps == 0``), and the initial snapshot holds
-    it with the norm taken there.  Unless ``num_steps == 0``, the scheme's
-    plan is then built once, by ``_plan``, whose gate raises ValueError for
-    misuse (``bcs`` not two BoundaryConditions, a scheme that needs constant k
-    or tau > 0, fewer than 3 nodes, a flux/Robin end on fewer than 4).  The
-    plan's own errors propagate unchanged: a ValueError for a degenerate
-    closure under constant k, and SingularSystemError for a degenerate Saulyev
-    start or a zero pivot in a matrix that lasts the run (implicit, or
-    trapezoidal under constant k), which the plan factors (order < 3: each
-    step).  The run asks the plan's block for up to 32 layers at a time, which
-    a ring plan cuts to its cap, so a block can span snapshots; a block that
-    calls user code is one layer, so forcings and k see one call per layer.
-    Called without a previous layer, the multi-layer schemes start themselves:
-    leap-frog and Dufort-Frankel with the explicit step, the hyperbolic scheme
-    with the zero-velocity Taylor start.  The run halts and flags divergence
-    at the first layer d with a non-finite value or max-norm above 1e12,
-    tested once per block by one ``np.abs`` and one ``argmax`` of all its
-    layers, which propagate NaN and never square, so a huge finite layer
-    diverges without an overflow warning; the block's layers after d are
-    thrown away (at most cap - 1; while the max norm grows, the run asks for
-    about the layers its growth over the last block needs to reach 1e12, so
-    few).  A block of several layers ignores
-    overflow, invalid and divide, each of which leaves an inf or a NaN that
-    fails the test, so one that passes raised none; layer d is made again,
-    once, from its two rows in the ring, under the caller's error state, so
-    its warnings and FloatingPointError are those of a one-layer advance.  A
-    caller whose error state (at plan time) does not ignore underflow gets
-    blocks of one.  A
-    kept layer is copied into its ``Field``, with its norm from the same
-    |block| row, and is consistency-grade when its distance from the start is
-    a multiple of the spec's ``layers`` (the Saulyev odd layers are not).
-    Failures while advancing (an ArithmeticError such as a zero pivot or a
-    FloatingPointError from an overflow in k, a FixedPointError, or a
-    ValueError such as a k that is not finite and positive or does not
-    broadcast, or a boundary forcing whose value is no number) are re-raised
-    as SolverError with the failing step attached.
+    ``time_index`` are integers (not ``bool``), or raise ValueError.
+    ``_float_layer`` checks the start layer, whose snapshot keeps its norm;
+    ``_plan`` builds the plan once, raising ValueError for misuse, and the
+    plan's own errors propagate.  The run asks for blocks of up to 32 layers,
+    which a ring plan cuts to its cap (1 where a layer calls user code), so a
+    block can span snapshots.  It halts and flags divergence at the first
+    layer d with a non-finite value or max-norm above 1e12, tested once per
+    block by one ``np.abs`` and one ``argmax``, which never square.  A block
+    of several layers ignores overflow, invalid and divide, which each leave
+    an inf or a NaN that fails the test; its layers after d (at most cap - 1)
+    are thrown away and d is made again from its two rows under the caller's
+    error state, so it warns and raises as a one-layer advance.  A kept layer
+    is copied, with its norm from its |block| row, and is consistency-grade
+    when its distance from the start is a multiple of the spec's ``layers``.
+    Failures while advancing (an ArithmeticError, a FixedPointError, or a
+    ValueError such as a bad k or forcing value) are re-raised as SolverError
+    with the failing step attached.
     """
     if not _whole(num_steps) or num_steps < 0:
         raise ValueError(f"num_steps must be >= 0 and an integer, got {num_steps}")
@@ -1028,7 +1002,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
         return record
     start, end = initial.time_index, initial.time_index + num_steps
     block = _plan(scheme, params, bcs, len(values)).block
-    period = SPECS[scheme].layers
+    period, every = SPECS[scheme].layers, snapshot_every
 
     def make(prev, curr, step, count):  # up to count layers after step
         try:
@@ -1036,46 +1010,29 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
         except (ArithmeticError, FixedPointError, ValueError) as exc:
             raise SolverError(step=step + 1, cause=exc) from exc
 
-    prev, curr, step, due = None, values, start, start + snapshot_every
-    want, prev_top = _BLOCK_LAYERS, norm  # layers to ask for; the last max
+    prev, curr, step = None, values, start
     while step < end:
-        made, rows = make(prev, curr, step, min(want, end - step))
-        k, last = len(rows), step + len(rows)
-        if k == 1:  # never made again, so its prev can go now
-            prev = None
+        made, rows = make(prev, curr, step, min(_BLOCK_LAYERS, end - step))
+        last = step + len(rows)  # a block of one layer is never made again
+        chain = (prev, curr, *rows) if len(rows) > 1 else ()
+        prev, curr = (curr, *rows)[-2:]
         size = np.abs(made)  # one divergence test for the block
-        top = size.item(size.argmax())
-        diverged = not top <= DIVERGENCE_THRESHOLD
-        if diverged:
-            last = step + next(j for j, row in enumerate(size, 1)
-                               if not row.item(row.argmax()) <= DIVERGENCE_THRESHOLD)
+        diverged = not size.item(size.argmax()) <= DIVERGENCE_THRESHOLD
+        if diverged:  # the first row with a NaN or a value above it
+            last = step + 1 + int(np.argmin(size <= DIVERGENCE_THRESHOLD)
+                                  ) // len(values)
             record.diverged, record.diverged_step = True, last
-        if due <= last or last == end or diverged:
-            chain = [prev, curr, *rows]
-            kept = list(range(due, last + 1, snapshot_every))
-            due += len(kept) * snapshot_every
-            if kept[-1:] != [last] and (diverged or last == end):
-                kept.append(last)
-            at = [s - step - 1 for s in kept]  # their rows in |block|
-            if k == 1:
-                tops = [top]
-            elif len(at) > 5:  # a row's max norm: the element its argmax picks
-                tops = size[at, size[at].argmax(axis=1)].tolist()
-            else:
-                tops = [row.item(row.argmax()) for row in (size[i] for i in at)]
-            for s, norm in zip(kept, tops):
-                record.append(Field(values=chain[s - step + 1].copy(), time_index=s),
-                              (s - start) % period == 0, norm)
+        kept = range(step + every - (step - start) % every, last + 1, every)
+        if (diverged or last == end) and (last - start) % every:
+            kept = [*kept, last]
+        for s in kept:  # a row's max norm: the element its argmax picks
+            row = size[s - step - 1]
+            record.append(Field(values=rows[s - step - 1].copy(), time_index=s),
+                          (s - start) % period == 0, row.item(row.argmax()))
         if diverged:
-            if k > 1:  # that layer again, under the caller's error state
+            if chain:  # that layer again, under the caller's error state
                 make(chain[last - step - 1], chain[last - step], last - 1, 1)
             break
-        # a max norm growing by g over k layers reaches the threshold in
-        # about k log(threshold / top) / log g more: ask for no more than that
-        grow = top / prev_top if 0.0 < prev_top < top else 1.0
-        want = _BLOCK_LAYERS if grow == 1.0 else max(1, int(min(  # inf for a
-            _BLOCK_LAYERS, 1 + k * math.log(DIVERGENCE_THRESHOLD / top)  # tiny top
-            / math.log(grow))))
-        prev, curr, step, prev_top = rows[-2] if k > 1 else curr, rows[-1], last, top
-        size = made = None  # |block| goes before the next block is made
+        step = last
+        del size  # before the next block is made
     return record

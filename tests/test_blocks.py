@@ -126,9 +126,9 @@ def test_block_runs_equal_the_one_layer_loop(scheme, data):
                          ids=["explicit", "leapfrog"])
 def test_a_spike_diverges_inside_a_block_as_it_does_layer_by_layer(
         scheme, r, every, monkeypatch):
-    # constant ends run blocks of up to 32 layers, shorter as the norm grows;
-    # the highest grid mode crosses the threshold in a block of several, which
-    # makes that layer again, alone, and throws away any made after it
+    # constant ends run blocks of up to 32 layers; the highest grid mode
+    # crosses the threshold in a block of several, which makes that layer
+    # again, alone, and throws away the layers made after it
     blocks, plan = [], schemes._plan
 
     def recorded(*args):
@@ -201,8 +201,7 @@ def test_an_underflow_that_raises_fails_at_its_own_step(state):
 
 @pytest.mark.parametrize("height", [1e-320, 1e-300])
 def test_a_norm_growing_from_the_subnormals_asks_for_full_blocks(height):
-    # threshold / max norm overflows to inf for a subnormal max norm; the
-    # block size the growth asks for is then the cap, not an overflow
+    # a max norm in the subnormals grows past the threshold in full blocks
     cells = 16
     case = {"scheme": Scheme.EXPLICIT,
             "params": SchemeParams(DiffusivityModel.constant(1.0),
@@ -211,3 +210,38 @@ def test_a_norm_growing_from_the_subnormals_asks_for_full_blocks(height):
             "ends": (("D", 0.0, 0.0, (0.0, None, None, None)),) * 2,
             "steps": 70, "every": 7, "errstate": {}}
     assert outcome(run_simulation, case) == outcome(run_per_layer, case)
+
+
+@pytest.mark.parametrize("every", [1, 5, 1000])
+@pytest.mark.parametrize("scheme", RING_SCHEMES, ids=lambda s: s.value)
+@pytest.mark.parametrize("cells,steps", [(300, 70), (1100, 23), (4000, 9)])
+def test_caps_below_32_equal_the_one_layer_loop(cells, steps, scheme, every,
+                                                monkeypatch):
+    # 300, 1100 and 4000 cells give caps 27, 7 and 2: the rows fill upwards
+    # and downwards by turns, the last block of a run is partial, and
+    # leap-frog's top mode diverges inside a block
+    sizes, plan = [], schemes._plan
+
+    def recorded(*args):
+        advance = plan(*args)
+        block = advance.block
+
+        def counted(prev, u, time_index, count):
+            made, rows = block(prev, u, time_index, count)
+            sizes.append(len(rows))
+            return made, rows
+        advance.block = counted
+        return advance
+    nodes = np.arange(cells + 1) / cells
+    params = SchemeParams(DiffusivityModel.constant(1.0), dt=0.4 / cells ** 2,
+                          dx=1.0 / cells, tau=2.0 / cells)
+    case = {"scheme": scheme, "params": params,
+            "initial": Field(np.sin(np.pi * nodes)
+                             + 1e-3 * (-1.0) ** np.arange(cells + 1), 2),
+            "ends": (("R", 1.0, 1.5, (0.1, None, None, None)),
+                     ("D", 0.0, 0.0, (0.3, None, None, None))),
+            "steps": steps, "every": every, "errstate": {}}
+    expected = outcome(run_per_layer, case)
+    monkeypatch.setattr(schemes, "_plan", recorded)
+    assert outcome(run_simulation, case) == expected
+    assert max(sizes) == min(8192 // (cells + 1), steps)
