@@ -19,12 +19,13 @@ and, where k varies, the diffusivity (and with it the flux/Robin closures);
 interiors are written first, endpoints are closed afterwards, and the layer
 time is always ``time_index * dt``.  Called without a previous layer, the
 multi-layer schemes start themselves.  The explicit-type and Saulyev plans
-make up to cap layers a call in a ring of cap + 2 rows (``_ring``: 32 at
-N = 64, 1 from N = 4096 on or where a layer calls user code); the others
-make one layer a call, in a fresh array.  A block writes only the layers it
-returns, and the last two stay intact through the next call; a caller that
-keeps a layer longer copies it.  Each public ``step_*`` function builds a
-plan and advances it ``layers`` times.
+make up to cap layers a call in a ring of 2 cap + 1 rows (``_ring``: cap
+is 32 at N = 64, 1 from N = 4096 on or where a layer calls user code), each
+block in the rows after the row it reads, from row 0 when it would run past
+the last; the others make one layer a call, in a fresh array.  A block
+writes only the layers it returns, and the last two stay intact through the
+next call; a caller that keeps a layer longer copies it.  Each public
+``step_*`` function builds a plan and advances it ``layers`` times.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -343,63 +344,51 @@ def _ends_of(params: SchemeParams, bcs):
 
 
 def _ring(bcs, n_nodes: int, fixed: bool, layer) -> tuple:
-    """``(block, pinned)`` of a plan that makes its layers in a ring of cap + 2
-    rows; cap is min(32, 8192 // n_nodes) or 1, and 1 where a layer calls
-    user code (varying k, not ``fixed``, a forcing that is no number) or numpy
-    reports underflow.  The first call makes the ring, of no more layers than
-    it asks for, with each constant Dirichlet end (``pinned``) in every row.
-    ``block`` fills up to ``count`` consecutive free rows by ``layer(before,
-    last, out, time_index)``, which writes the views ``out`` from those of
-    the last two layers, and returns them as a 2-D view and rows, in layer
-    order.  The rows run away from the two read, so the ring turns round
-    without a copy (full blocks fill rows 2.. and cap - 1..0 by turns); two
-    ring rows read again find their placement in ``placed``.  A block of
-    several layers runs under ``_QUIET`` (see ``run_simulation``)."""
+    """``(block, pinned)`` of a plan that makes its layers in a ring of
+    R = 2 cap + 1 rows; cap is min(32, 8192 // n_nodes) or 1, and 1 where a
+    layer calls user code (varying k, not ``fixed``, a forcing that is no
+    number) or numpy reports underflow.  The first call makes the ring, with
+    cap cut to the count it asks for and each constant Dirichlet end
+    (``pinned``) in every row.  ``block`` writes min(``count``, cap) layers by
+    ``layer(before, last, out, time_index)``, which writes the views ``out``
+    from those of the last two layers, and returns them as a 2-D view and
+    rows, in layer order.  One rule places them: the rows from s on, where s
+    is one past the ring row of ``u`` (of ``prev`` when ``u`` is no ring row;
+    0 when neither is), and 0 when the block would run past row R - 1.  A
+    block wraps only after a row of R - count >= cap + 1 or above, so it
+    never writes over the last two layers the ring made, which a run reads
+    next (with cap 1 the ring turns through three rows).  A block of several
+    layers runs under ``_QUIET`` (see ``run_simulation``)."""
     cap = max(1, min(_BLOCK_LAYERS, _BLOCK_NODES // n_nodes))
     if not (fixed and np.geterr()["under"] == "ignore"
             and all(isinstance(bc.forcing, _Constant) for bc in bcs)):
         cap = 1
     pinned = [bc.kind is BCKind.DIRICHLET and isinstance(bc.forcing, _Constant)
               for bc in bcs]
-    ring, views, rows, where, placed = None, [], [], {}, {}
+    ring, views, rows, where = None, [], [], {}
 
-    def place(prev, u, count):  # the rows a block writes, and the two read
+    def block(prev, u, time_index, count):
         nonlocal cap, ring
         if ring is None:
             cap = min(cap, count)
-            ring = np.empty((cap + 2, n_nodes))
+            ring = np.empty((2 * cap + 1, n_nodes))
             for j in (j for j, pin in zip((0, -1), pinned) if pin):
                 ring[:, j] = bcs[j].forcing
             views[:] = map(_views, ring)
             rows[:] = (v[0] for v in views)
             where.update((id(row), r) for r, row in enumerate(rows))
-        i, j = where.get(id(prev), -1), where.get(id(u), -1)
-        a, b = (i, j) if i < j else (j, i)  # the rows read; rows 0, 1 if none
-        a, b = (a, b) if a >= 0 else (b, b) if b >= 0 else (0, 1)
-        above, between = cap + 1 - b, b - a - 1
-        if above >= a and above >= between:  # the longest run of free rows
-            sl = slice(b + 1, b + 1 + min(count, cap, above))
-        elif a >= between:  # below a, filled downwards
-            k = min(count, cap, a)
-            sl = slice(a - 1, a - 1 - k if k < a else None, -1)
-        else:
-            sl = slice(a + 1, a + 1 + min(count, cap, between))
-        before = None if prev is None else views[i] if i >= 0 else _views(prev)
-        spot = (ring[sl], views[sl], rows[sl], before,
-                views[j] if j >= 0 else _views(u))
-        if i >= 0 and j >= 0:  # two rows of the ring: the same rows again
-            placed[id(prev), id(u), count] = spot
-        return spot
-
-    def block(prev, u, time_index, count):
         count = min(count, cap)
-        made, order, made_rows, before, last = (
-            placed.get((id(prev), id(u), count)) or place(prev, u, count))
-        with np.errstate(**_QUIET) if len(order) > 1 else _AS_IS:
-            for out in order:
+        i, j = where.get(id(prev), -1), where.get(id(u), -1)
+        s = (j if j >= 0 else i) + 1
+        if s + count > len(rows):
+            s = 0
+        before = None if prev is None else views[i] if i >= 0 else _views(prev)
+        last = views[j] if j >= 0 else _views(u)
+        with np.errstate(**_QUIET) if count > 1 else _AS_IS:
+            for out in views[s:s + count]:
                 layer(before, last, out, time_index)
                 before, last, time_index = last, out, time_index + 1
-        return made, made_rows
+        return ring[s:s + count], rows[s:s + count]
     return block, pinned
 
 

@@ -14,7 +14,8 @@ import pytest
 
 import heatlab as hl
 from heatlab import Scheme
-from heatlab.cli import ExperimentConfig, cmd_bound, cmd_infospeed
+from heatlab.cli import (ExperimentConfig, cmd_bound, cmd_converge,
+                         cmd_infospeed)
 from thomas_reference import thomas_solve_instrumented
 
 import io
@@ -215,6 +216,27 @@ def test_c05_convergence_orders(scheme, band):
 def test_c05_total_runtime():
     _, elapsed = convergence_ladders()
     assert report(5, "convergence ladders total runtime", elapsed < 30.0,
+                  f"{elapsed:.2f}s")
+
+
+def test_c05_saulyev_is_second_order_under_dt_prop_dx2():
+    # the green side of the red saulyev order: with dt = 0.4 dx^2 the pair's
+    # O(dt^2/dx^2) error is O(dx^2) (Saulyev 1964); the README paragraph on
+    # the red criteria quotes these orders
+    start = time.perf_counter()
+    config = ExperimentConfig.from_mapping({
+        "scheme": "saulyev", "nu": "1", "length_l": repr(math.pi),
+        "num_cells_N": "32", "r": "0.4", "initial": "sine:1",
+        "num_steps": "100"})
+    out = io.StringIO()
+    assert cmd_converge(config, 4, "dx2", out) == 0
+    orders = [float(line.split(",")[4])
+              for line in out.getvalue().split()[2:]]
+    elapsed = time.perf_counter() - start
+    ok = len(orders) == 3 and all(1.9 <= q <= 2.1 for q in orders)
+    assert report(5, "saulyev observed order under dt ~ dx^2 (target "
+                  "[1.9, 2.1])", ok and elapsed < 1.0,
+                  f"orders {', '.join(f'{q:.3f}' for q in orders)}, "
                   f"{elapsed:.2f}s")
 
 

@@ -214,12 +214,15 @@ def test_a_norm_growing_from_the_subnormals_asks_for_full_blocks(height):
 
 @pytest.mark.parametrize("every", [1, 5, 1000])
 @pytest.mark.parametrize("scheme", RING_SCHEMES, ids=lambda s: s.value)
-@pytest.mark.parametrize("cells,steps", [(300, 70), (1100, 23), (4000, 9)])
+@pytest.mark.parametrize("cells,steps", [(300, 70), (1100, 23), (4000, 9),
+                                         (4100, 9)])
 def test_caps_below_32_equal_the_one_layer_loop(cells, steps, scheme, every,
                                                 monkeypatch):
-    # 300, 1100 and 4000 cells give caps 27, 7 and 2: the rows fill upwards
-    # and downwards by turns, the last block of a run is partial, and
-    # leap-frog's top mode diverges inside a block
+    # 300, 1100, 4000 and 4100 cells give caps 27, 7, 2 and 1: each block
+    # fills the rows after the row it reads in a ring of 2 cap + 1 rows and
+    # starts again at row 0 when it would run past the last (three rows in
+    # turn at cap 1), the last block of a run is partial, and leap-frog's
+    # top mode diverges inside a block
     sizes, plan = [], schemes._plan
 
     def recorded(*args):

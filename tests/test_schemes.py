@@ -1567,6 +1567,9 @@ _CONTRACT_BCS = {
                   BoundaryCondition.dirichlet(lambda t: 1.0 - t)),
     "robin": (BoundaryCondition.robin(1.0, 0.5, 0.2),
               BoundaryCondition.robin(2.0, 1.0, lambda t: t)),
+    # number data, so the ring plans run blocks of more than one layer
+    "numbers": (BoundaryCondition.dirichlet(0.2),
+                BoundaryCondition.robin(2.0, 1.0, 0.3)),
 }
 _CONTRACT_CASES = [(s, "constant") for s in Scheme] + [
     (Scheme.EXPLICIT, "general"), (Scheme.CN_NONLINEAR, "general"),
@@ -1602,29 +1605,42 @@ def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
             assert not np.shares_memory(layer, other)
 
 
+# the one-layer loop, then counts run_simulation never asks for: full
+# blocks, and blocks that wrap round the ring after a short one; 16 cells
+# give cap 32 and 300 cells cap 27
+_COUNT_SEQUENCES = [(16, [1] * 14), (16, [32, 32, 1, 32, 32, 3, 1, 32]),
+                    (300, [27, 27, 1, 27, 27, 2, 1, 27])]
+
+
 @pytest.mark.parametrize("bcs", _CONTRACT_BCS.values(),
                          ids=_CONTRACT_BCS.keys())
 @pytest.mark.parametrize("scheme,kind", _CONTRACT_CASES,
                          ids=[f"{s.value}-{k}" for s, k in _CONTRACT_CASES])
 def test_advance_keeps_the_layers_a_run_reads_next(scheme, kind, bcs):
-    # fed its own layers as a run feeds them, a plan reuses its rows but
-    # never the prev and curr it reads, and gives the bits of fresh inputs
-    grid = build_uniform_grid(1.0, 16)
-    p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2, dx=grid.dx)
-    advance = schemes._plan(scheme, p, bcs, len(grid.nodes))
-    fresh = schemes._plan(scheme, p, bcs, len(grid.nodes))
-    prev, u = None, 1.0 + np.sin(np.pi * grid.nodes)
-    for time_index in range(14):
-        kept = [x.copy() for x in (prev, u) if x is not None]
-        layer = advance(prev, u, time_index)
-        again = fresh(*(None if x is None else x.copy() for x in (prev, u)),
-                      time_index)
-        assert [x.tobytes() for x in (prev, u) if x is not None] == [
-            x.tobytes() for x in kept]
-        assert layer.tobytes() == again.tobytes()
-        assert not any(np.shares_memory(layer, x) for x in (prev, u)
-                       if x is not None)
-        prev, u = u, layer
+    # fed its own last two layers as a run feeds them, a plan's block reuses
+    # its rows but never the prev and curr it reads, makes as many layers as
+    # a fresh plan fed copies, with the same bits, and returns its rows
+    # stacked as its 2-D view
+    for cells, counts in _COUNT_SEQUENCES:
+        grid = build_uniform_grid(1.0, cells)
+        p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2,
+                         dx=grid.dx)
+        block = schemes._plan(scheme, p, bcs, len(grid.nodes)).block
+        fresh = schemes._plan(scheme, p, bcs, len(grid.nodes)).block
+        prev, u, time_index = None, 1.0 + np.sin(np.pi * grid.nodes), 0
+        for count in counts:
+            inputs = [x for x in (prev, u) if x is not None]
+            kept = [x.copy() for x in inputs]
+            made, rows = block(prev, u, time_index, count)
+            again = fresh(*(x if x is None else x.copy() for x in (prev, u)),
+                          time_index, count)[1]
+            assert [x.tobytes() for x in inputs] == [x.tobytes() for x in kept]
+            assert [x.tobytes() for x in rows] == [x.tobytes() for x in again]
+            assert made.tobytes() == np.stack(rows).tobytes()
+            assert not any(np.shares_memory(row, x) for row in rows
+                           for x in inputs)
+            prev, u = (u, *rows)[-2:]
+            time_index += len(rows)
 
 
 _END_KINDS = {
