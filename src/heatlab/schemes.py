@@ -18,14 +18,15 @@ closure's forcing (unless it is a constant, which the closure folds) once
 and, where k varies, the diffusivity (and with it the flux/Robin closures);
 interiors are written first, endpoints are closed afterwards, and the layer
 time is always ``time_index * dt``.  Called without a previous layer, the
-multi-layer schemes start themselves.  The explicit-type and Saulyev plans
-make up to cap layers a call in a ring of 2 cap + 1 rows (``_ring``: cap
-is 32 at N = 64, 1 from N = 4096 on or where a layer calls user code), each
-block in the rows after the row it reads, from row 0 when it would run past
-the last; the others make one layer a call, in a fresh array.  A block
-writes only the layers it returns, and the last two stay intact through the
-next call; a caller that keeps a layer longer copies it.  Each public
-``step_*`` function builds a plan and advances it ``layers`` times.
+multi-layer schemes start themselves.  Every plan but the varying-k
+trapezoidal one makes up to cap layers a call in a ring of 2 cap + 1 rows
+(``_ring``: cap is 32 at N = 64, 1 from N = 4096 on or where a layer calls
+user code), each block in the rows after the row it reads, from row 0 when
+it would run past the last; at cap 1, and in the varying-k trapezoidal plan,
+each layer is a fresh array.  A block writes only the layers it returns, and
+the last two stay intact through the next call; a caller that keeps a layer
+longer copies it.  Each public ``step_*`` function builds a plan and
+advances it ``layers`` times.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -347,34 +348,44 @@ def _ring(bcs, n_nodes: int, fixed: bool, layer) -> tuple:
     """``(block, pinned)`` of a plan that makes its layers in a ring of
     R = 2 cap + 1 rows; cap is min(32, 8192 // n_nodes) or 1, and 1 where a
     layer calls user code (varying k, not ``fixed``, a forcing that is no
-    number) or numpy reports underflow.  The first call makes the ring, with
-    cap cut to the count it asks for and each constant Dirichlet end
-    (``pinned``) in every row.  ``block`` writes min(``count``, cap) layers by
-    ``layer(before, last, out, time_index)``, which writes the views ``out``
-    from those of the last two layers, and returns them as a 2-D view and
-    rows, in layer order.  One rule places them: the rows from s on, where s
-    is one past the ring row of ``u`` (of ``prev`` when ``u`` is no ring row;
-    0 when neither is), and 0 when the block would run past row R - 1.  A
+    number) or numpy reports underflow.  The first call cuts cap to the
+    count it asks for; at cap 1 no ring is made, and each block writes one
+    fresh row.  Otherwise it makes the ring.  Each row, fresh or of the
+    ring, holds every constant Dirichlet end (``pinned``) before it is
+    written.  ``block`` writes min(``count``, cap) layers by ``layer(before,
+    last, out, time_index)``, which writes the views ``out`` from those of
+    the last two layers, and returns them as a 2-D view and rows, in layer
+    order.  One rule places them in the ring: the rows from s on, where s is
+    one past the ring row of ``u`` (of ``prev`` when ``u`` is no ring row; 0
+    when neither is), and 0 when the block would run past row R - 1.  A
     block wraps only after a row of R - count >= cap + 1 or above, so it
     never writes over the last two layers the ring made, which a run reads
-    next (with cap 1 the ring turns through three rows).  A block of several
-    layers runs under ``_QUIET`` (see ``run_simulation``)."""
+    next.  A block of several layers runs under ``_QUIET`` (see
+    ``run_simulation``)."""
     cap = max(1, min(_BLOCK_LAYERS, _BLOCK_NODES // n_nodes))
     if not (fixed and np.geterr()["under"] == "ignore"
             and all(isinstance(bc.forcing, _Constant) for bc in bcs)):
         cap = 1
     pinned = [bc.kind is BCKind.DIRICHLET and isinstance(bc.forcing, _Constant)
               for bc in bcs]
+    ends = [(j, bcs[j].forcing) for j, pin in zip((0, -1), pinned) if pin]
     ring, views, rows, where = None, [], [], {}
 
     def block(prev, u, time_index, count):
         nonlocal cap, ring
         if ring is None:
             cap = min(cap, count)
+            if cap == 1:  # no ring: a fresh row, as a one-layer loop made
+                row = np.empty(n_nodes)
+                for j, g in ends:
+                    row[j] = g
+                layer(prev if prev is None else _views(prev), _views(u),
+                      _views(row), time_index)
+                return row[None], (row,)
             ring = np.empty((2 * cap + 1, n_nodes))
-            for j in (j for j, pin in zip((0, -1), pinned) if pin):
-                ring[:, j] = bcs[j].forcing
-            views[:] = map(_views, ring)
+            for j, g in ends:
+                ring[:, j] = g
+            views[:] = zip(ring, ring[:, :-2], ring[:, 1:-1], ring[:, 2:])
             rows[:] = (v[0] for v in views)
             where.update((id(row), r) for r, row in enumerate(rows))
         count = min(count, cap)
@@ -467,23 +478,22 @@ def _terms(ends: tuple, t: float) -> tuple:
 
 def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
                  rhs_into) -> Block:
-    """One-layer block of a constant-k implicit scheme with row weight ``rho``:
-    ``rhs_into(None, views, out)`` (as ``_forward``) writes the right-hand
-    side into a fresh layer's interior, which is solved in place against
-    bands folded and factored once; each step adds only the forcing terms,
-    weighted by ``rho``."""
+    """Block of a constant-k implicit scheme with row weight ``rho``, made in
+    a ring (``_ring``): ``rhs_into(None, views, out)`` (as ``_forward``)
+    writes the right-hand side into each new layer's interior, which is
+    solved in place against bands folded and factored once; each layer adds
+    only the forcing terms, weighted by ``rho``."""
     ends = _ends_of(params, bcs)(None)
     rows = np.full(n_nodes - 2, rho)
     solve = factored(_fold(rows, 1.0 + 2.0 * rows, ends))
     edge = (float(rho),) * 2
     dt = params.dt
 
-    def advance(prev, u, time_index):
-        out = np.empty(n_nodes)
-        rhs_into(None, _views(u), out[1:-1])
-        return _solve_folded(solve, edge, out, ends,
-                             _terms(ends, (time_index + 1) * dt))
-    return _single(advance)
+    def layer(before, last, out, time_index):
+        rhs_into(None, last, out[2])
+        _solve_folded(solve, edge, out[0], ends,
+                      _terms(ends, (time_index + 1) * dt))
+    return _ring(bcs, n_nodes, True, layer)[0]
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -571,10 +581,12 @@ def _plan_dufort_frankel(params: SchemeParams, bcs, n_nodes: int) -> Block:
 
 def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
                     cross: bool) -> Block:
-    """One-layer block of the trapezoid rule for u_t = k(u) u_xx: each layer's
+    """Block of the trapezoid rule for u_t = k(u) u_xx: each layer's
     difference weighted by half its own k, or the other layer's if ``cross``.
-    Constant k is Crank-Nicolson, factored once; crossed affine k is one
-    solve a step; else ``_fixed_point`` iterates with k(v) as the new k."""
+    Constant k is Crank-Nicolson, factored once and made in blocks
+    (``_folded_plan``); varying k makes one layer a call: crossed affine k
+    is one solve a step, else ``_fixed_point`` iterates with k(v) as the
+    new k."""
     model, dt, dx = params.diffusivity, params.dt, params.dx
 
     def half(k):

@@ -21,8 +21,9 @@ from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
                      SchemeParams, SolverError, run_simulation, schemes)
 from run_reference import run_per_layer
 
-RING_SCHEMES = [Scheme.EXPLICIT, Scheme.LEAPFROG, Scheme.DUFORT_FRANKEL,
-                Scheme.HYPERBOLIC, Scheme.SAULYEV]
+RING_SCHEMES = [Scheme.EXPLICIT, Scheme.IMPLICIT, Scheme.CRANK_NICOLSON,
+                Scheme.LEAPFROG, Scheme.DUFORT_FRANKEL, Scheme.HYPERBOLIC,
+                Scheme.SAULYEV]
 ERROR_STATES = [{}, {"under": "warn"}, {"under": "raise"}, {"over": "raise"},
                 {"all": "raise"}, {"all": "warn"}]
 JUMPS = [math.inf, -math.inf, math.nan, 1e13, None]
@@ -71,6 +72,25 @@ def outcome(run, case):
             result = ("SolverError", exc.step, str(exc))
     seen = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
     return result, seen, times
+
+
+def recorded_blocks(monkeypatch):
+    """The (time_index, layers made) of every block the plans built from
+    here on are asked for, in call order."""
+    blocks, plan = [], schemes._plan
+
+    def recorded(*args):
+        advance = plan(*args)
+        block = advance.block
+
+        def counted(prev, u, time_index, count):
+            made, rows = block(prev, u, time_index, count)
+            blocks.append((time_index, len(rows)))
+            return made, rows
+        advance.block = counted
+        return advance
+    monkeypatch.setattr(schemes, "_plan", recorded)
+    return blocks
 
 
 @st.composite
@@ -129,19 +149,7 @@ def test_a_spike_diverges_inside_a_block_as_it_does_layer_by_layer(
     # constant ends run blocks of up to 32 layers; the highest grid mode
     # crosses the threshold in a block of several, which makes that layer
     # again, alone, and throws away the layers made after it
-    blocks, plan = [], schemes._plan
-
-    def recorded(*args):
-        advance = plan(*args)
-        block = advance.block
-
-        def counted(prev, u, time_index, count):
-            made, rows = block(prev, u, time_index, count)
-            blocks.append((time_index, len(rows)))
-            return made, rows
-        advance.block = counted
-        return advance
-    monkeypatch.setattr(schemes, "_plan", recorded)
+    blocks = recorded_blocks(monkeypatch)
     cells = 64
     nodes = np.arange(cells + 1) / cells
     case = {"scheme": scheme,
@@ -159,6 +167,29 @@ def test_a_spike_diverges_inside_a_block_as_it_does_layer_by_layer(
     assert 1 < run[-1][1] and step <= sum(run[-1])
     assert block == outcome(run_per_layer, case)
     assert block[1] == []
+
+
+@pytest.mark.parametrize("state", [{}, {"over": "warn"}, {"over": "raise"}],
+                         ids=str)
+@pytest.mark.parametrize("every", [1, 7])
+def test_a_crank_nicolson_blow_up_diverges_inside_a_block(every, state,
+                                                          monkeypatch):
+    # at r = 30 the Robin end robin(1, 0.5, 0.1) drives Crank-Nicolson past
+    # the threshold at step 8, inside its first block of 32 layers
+    blocks = recorded_blocks(monkeypatch)
+    cells = 8
+    nodes = np.arange(cells + 1) / cells
+    case = {"scheme": Scheme.CRANK_NICOLSON,
+            "params": SchemeParams(DiffusivityModel.constant(1.0),
+                                   dt=30.0 / cells ** 2, dx=1.0 / cells),
+            "initial": Field(np.sin(np.pi * nodes) + 0.3 * nodes, 0),
+            "ends": (("R", 1.0, -0.5, (0.1, None, None, None)),
+                     ("F", 0.0, 0.0, (-0.2, None, None, None))),
+            "steps": 40, "every": every, "errstate": state}
+    block = outcome(run_simulation, case)
+    assert block == outcome(run_per_layer, case)
+    assert block[0][3:] == (True, 8)
+    assert blocks == [(0, 32), (7, 1)]
 
 
 @pytest.mark.parametrize("state", ERROR_STATES, ids=str)
@@ -220,21 +251,10 @@ def test_caps_below_32_equal_the_one_layer_loop(cells, steps, scheme, every,
                                                 monkeypatch):
     # 300, 1100, 4000 and 4100 cells give caps 27, 7, 2 and 1: each block
     # fills the rows after the row it reads in a ring of 2 cap + 1 rows and
-    # starts again at row 0 when it would run past the last (three rows in
-    # turn at cap 1), the last block of a run is partial, and leap-frog's
-    # top mode diverges inside a block
-    sizes, plan = [], schemes._plan
-
-    def recorded(*args):
-        advance = plan(*args)
-        block = advance.block
-
-        def counted(prev, u, time_index, count):
-            made, rows = block(prev, u, time_index, count)
-            sizes.append(len(rows))
-            return made, rows
-        advance.block = counted
-        return advance
+    # starts again at row 0 when it would run past the last; at cap 1 there
+    # is no ring and each layer is a fresh array; the last block of a run is
+    # partial, and leap-frog's top mode diverges inside a block
+    blocks = recorded_blocks(monkeypatch)
     nodes = np.arange(cells + 1) / cells
     params = SchemeParams(DiffusivityModel.constant(1.0), dt=0.4 / cells ** 2,
                           dx=1.0 / cells, tau=2.0 / cells)
@@ -244,7 +264,5 @@ def test_caps_below_32_equal_the_one_layer_loop(cells, steps, scheme, every,
             "ends": (("R", 1.0, 1.5, (0.1, None, None, None)),
                      ("D", 0.0, 0.0, (0.3, None, None, None))),
             "steps": steps, "every": every, "errstate": {}}
-    expected = outcome(run_per_layer, case)
-    monkeypatch.setattr(schemes, "_plan", recorded)
-    assert outcome(run_simulation, case) == expected
-    assert max(sizes) == min(8192 // (cells + 1), steps)
+    assert outcome(run_simulation, case) == outcome(run_per_layer, case)
+    assert max(n for _, n in blocks) == min(8192 // (cells + 1), steps)

@@ -1557,10 +1557,10 @@ def test_affine_with_zero_slope_runs_as_the_constant_model(scheme, bcs):
 
 # ------------------------------------------------------ in-place layers
 # An advance writes only into the layer it returns, which belongs to its
-# plan (a row of a ring, or a fresh array for the folded and trapezoidal
-# plans): it never writes into a caller's prev or u, no two consecutive
-# layers share memory, and the last two layers it returned stay intact
-# through the next advance.
+# plan (a row of a ring, or a fresh array at cap 1 and for the varying-k
+# trapezoidal plans): it never writes into a caller's prev or u, no two
+# consecutive layers share memory, and the last two layers it returned stay
+# intact through the next advance.
 
 _CONTRACT_BCS = {
     "dirichlet": (BoundaryCondition.dirichlet(0.2),
@@ -1603,6 +1603,22 @@ def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
         assert np.all(np.isfinite(layer))
         for other in (prev, u):
             assert not np.shares_memory(layer, other)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_constant_data_plans_make_full_blocks(scheme):
+    # constant k and number ends call no user code, so every plan makes the
+    # 32 layers a run asks for in one call at N = 64; at 4100 cells (cap 1)
+    # it makes one, in a fresh array of its own rather than a ring row
+    for cells, layers in ((64, 32), (4100, 1)):
+        grid = build_uniform_grid(1.0, cells)
+        p = SchemeParams(_CONTRACT_MODELS["constant"], dt=0.4 * grid.dx ** 2,
+                         dx=grid.dx)
+        u = 1.0 + np.sin(np.pi * grid.nodes)
+        made, rows = schemes._plan(scheme, p, _CONTRACT_BCS["numbers"],
+                                   len(u)).block(None, u, 0, 32)
+        assert len(rows) == len(made) == layers
+    assert rows[0].base is None
 
 
 # the one-layer loop, then counts run_simulation never asks for: full
