@@ -978,9 +978,13 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     of several layers ignores overflow, invalid and divide, which each leave
     an inf or a NaN that fails the test; its layers after d (at most cap - 1)
     are thrown away and d is made again from its two rows under the caller's
-    error state, so it warns and raises as a one-layer advance.  A kept layer
-    is copied, with its norm from its |block| row, and is consistency-grade
-    when its distance from the start is a multiple of the spec's ``layers``.
+    error state, so it warns and raises as a one-layer advance.  A block's
+    kept layers, the end or diverging layer among them, are copied out
+    together, and one reduction of their |block| rows gives their norms: a
+    kept snapshot's ``values`` is a row of that copy, which holds only kept
+    rows (at most cap) and shares memory with no other snapshot.  A kept
+    layer is consistency-grade when its distance from the start is a
+    multiple of the spec's ``layers``, worked out once per run.
     Failures while advancing (an ArithmeticError, a FixedPointError, or a
     ValueError such as a bad k or forcing value) are re-raised as SolverError
     with the failing step attached.
@@ -1012,11 +1016,10 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
             raise SolverError(step=step + 1, cause=exc) from exc
 
     prev, curr, step = None, values, start
+    snapshots, norms = record.snapshots, record.max_norms
     while step < end:
         made, rows = make(prev, curr, step, min(_BLOCK_LAYERS, end - step))
         last = step + len(rows)  # a block of one layer is never made again
-        chain = (prev, curr, *rows) if len(rows) > 1 else ()
-        prev, curr = (curr, *rows)[-2:]
         size = np.abs(made)  # one divergence test for the block
         diverged = not size.item(size.argmax()) <= DIVERGENCE_THRESHOLD
         if diverged:  # the first row with a NaN or a value above it
@@ -1024,16 +1027,21 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
                                   ) // len(values)
             record.diverged, record.diverged_step = True, last
         kept = range(step + every - (step - start) % every, last + 1, every)
+        picked = slice(kept.start - step - 1, last - step, every)  # their rows
         if (diverged or last == end) and (last - start) % every:
-            kept = [*kept, last]
-        for s in kept:  # a row's max norm: the element its argmax picks
-            row = size[s - step - 1]
-            record.append(Field(values=rows[s - step - 1].copy(), time_index=s),
-                          (s - start) % period == 0, row.item(row.argmax()))
-        if diverged:
-            if chain:  # that layer again, under the caller's error state
+            kept = [*kept, last]  # indexed by an array, faster than a list
+            picked = np.array([s - step - 1 for s in kept])
+        if kept:  # the kept rows leave the block together, with their norms
+            snapshots += map(Field, made[picked].copy(), kept)
+            norms += np.maximum.reduce(size[picked], 1).tolist()
+        if diverged:  # that layer again, under the caller's error state
+            if len(rows) > 1:
+                chain = (prev, curr, *rows)
                 make(chain[last - step - 1], chain[last - step], last - 1, 1)
             break
+        prev, curr = rows[-2:] if len(rows) > 1 else (curr, rows[0])
         step = last
         del size  # before the next block is made
+    record.consistency_grade += [(snap.time_index - start) % period == 0
+                                 for snap in snapshots[1:]]
     return record

@@ -306,6 +306,23 @@ def test_robin_degenerate_combination_rejected():
                        t_next=0.0, nu=1.0, dx=0.25)
 
 
+@pytest.mark.parametrize("side,mirror", [(Side.LEFT, 1.0), (Side.RIGHT, -1.0)])
+def test_robin_closure_degeneracy_tolerance(side, mirror):
+    # the denominator a -+ 3 b nu / (2 dx) is degenerate within 1e-12 of its
+    # scale |a| + 6 = 12 (b = 1, nu = 1, dx = 0.25): a gap of about 1e-10 of
+    # the scale builds a closure with finite coefficients, one of about
+    # 1e-13 raises
+    for gap in (1.2e-9, 1.2e-12):
+        bc = BoundaryCondition.robin(mirror * (6.0 + gap), 1.0, 0.5)
+        if gap < 1e-10:
+            with pytest.raises(ValueError, match="degenerate robin closure"):
+                closure(bc, side, 1.0, 0.25)
+            continue
+        end = closure(bc, side, 1.0, 0.25)
+        assert all(math.isfinite(x) for x in (end.a1, end.a2, end.term(0.0)))
+        assert abs(end.a1) > 1e9  # 8 / gap
+
+
 def test_robin_closure_satisfies_its_equation():
     rng = np.random.default_rng(42)
     for side in (Side.LEFT, Side.RIGHT):

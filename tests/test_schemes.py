@@ -426,6 +426,27 @@ def test_saulyev_degenerate_robin_start():
         step_saulyev_pair(StepState(None, field(u), p, bcs))
 
 
+def test_saulyev_start_degeneracy_tolerance():
+    # robin(6.25 + gap, 1) moves the start denominator 1 - a1/2 - a2/4 of
+    # the case above to about gap / 8.75, against a scale of 16/7: the start
+    # is degenerate within 1e-12 of it, so a gap of about 1e-10 of the scale
+    # builds and sweeps to finite values, one of about 1e-13 raises
+    grid = build_uniform_grid(1.0, 10)
+    p = constant_params(1.0, dt=grid.dx ** 2, dx=grid.dx)
+    for gap, degenerate in ((2e-9, False), (2e-12, True)):
+        bcs = (BoundaryCondition.robin(6.25 + gap, 1.0, 0.0),
+               BoundaryCondition.dirichlet(0.0))
+        state = StepState(None, field(np.ones(11)), p, bcs)
+        if degenerate:
+            with pytest.raises(SingularSystemError,
+                               match="degenerate Saulyev sweep start"):
+                step_saulyev_pair(state)
+        else:
+            pair = step_saulyev_pair(state)
+            assert all(np.isfinite(layer.values).all() for layer in pair)
+            assert abs(pair[0].values[0]) > 1e8  # about 1 / gap
+
+
 def test_saulyev_pair_asymmetry_second_order_in_dt():
     # symmetric data: the pair's residual asymmetry must shrink at least as
     # dt^2 when dt is halved on a fixed grid
@@ -762,6 +783,34 @@ def test_cn_nonlinear_reports_iteration_failure(stepper):
     assert err.value.residual > 0.0
 
 
+def test_a_fixed_point_gets_fifty_iterates():
+    # FIXED_POINT_MAX_ITERS: with k(u) = 1 + u^2 a cn_nonlinear layer at
+    # dt = 0.5 needs 36 iterates and converges; at dt = 1 it needs more and
+    # fails after exactly 50.  Each iterate calls k once (the start layer's
+    # call serves the first, the converged one calls none).
+    grid = build_uniform_grid(1.0, 8)
+    calls = []
+
+    def k(u):
+        calls.append(len(u))
+        return 1.0 + u * u
+    initial = field(np.sin(np.pi * grid.nodes))
+    converged = run_simulation(initial, SchemeParams(
+        DiffusivityModel.general(k), dt=0.5, dx=grid.dx), HOMOGENEOUS,
+        Scheme.CN_NONLINEAR, 1)
+    assert len(calls) == 36 and not converged.diverged
+    assert np.isfinite(converged.final.values).all()
+    calls.clear()
+    with pytest.raises(SolverError, match="^step 1: ") as err:
+        run_simulation(initial, SchemeParams(
+            DiffusivityModel.general(k), dt=1.0, dx=grid.dx), HOMOGENEOUS,
+            Scheme.CN_NONLINEAR, 1)
+    assert isinstance(err.value.__cause__, FixedPointError)
+    assert str(err.value.__cause__).startswith(
+        "no convergence after 50 iterations")
+    assert len(calls) == 50
+
+
 def test_nan_iterate_raises_fixed_point_error():
     # a NaN change passes neither the tolerance nor the threshold test
     model = DiffusivityModel.affine(1.0, 0.5)
@@ -1020,6 +1069,25 @@ def test_run_simulation_max_norm_matches_snapshots():
     for snap, norm in zip(record.snapshots, record.max_norms):
         assert norm == float(np.max(np.abs(snap.values)))
     assert record.snapshots[-1].time_index == 20
+
+
+@pytest.mark.parametrize("steps, every, right", [
+    (1100, 1, 0.0), (1100, 7, 0.0), (70, 3, lambda t: 0.0)])
+def test_block_norms_match_their_snapshots(steps, every, right):
+    # each block reduces its kept |rows| once (1100 layers are 35 blocks of
+    # up to 32; a callable end makes one-layer blocks), and every snapshot
+    # gets its own norm and grade
+    grid = build_uniform_grid(1.0, 16)
+    p = constant_params(1.0, dt=0.3 * grid.dx ** 2, dx=grid.dx)
+    u = np.sin(np.pi * grid.nodes)
+    bcs = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(right))
+    record = run_simulation(field(u), p, bcs, Scheme.EXPLICIT, steps,
+                            snapshot_every=every)
+    assert len(record.max_norms) == len(record.snapshots) == len(
+        record.consistency_grade) == 1 + -(-steps // every)
+    for snap, norm in zip(record.snapshots, record.max_norms):
+        assert norm == float(np.max(np.abs(snap.values)))
+    assert record.snapshots[-1].time_index == steps
 
 
 def test_run_simulation_saulyev_layer_flags():
@@ -1665,30 +1733,65 @@ _END_KINDS = {
     "robin": lambda phi, side: BoundaryCondition.robin(1.0, side * 0.5, phi),
 }
 _RING_CASES = [(s, "constant") for s in Scheme] + [(Scheme.EXPLICIT, "affine")]
+# schemes whose layers blow up at dt = 8 dx^2 (hyperbolic: twice its limit)
+_BLOWS_UP = (Scheme.EXPLICIT, Scheme.LEAPFROG, Scheme.HYPERBOLIC)
+
+
+def _owns_only_snapshots(run):
+    # no two snapshots share memory, and whatever a kept layer's values keep
+    # alive holds only rows that are themselves snapshots
+    snapshots, owners = run.snapshots, {}
+    for i, snap in enumerate(snapshots):
+        for other in snapshots[:i]:
+            assert not np.shares_memory(snap.values, other.values)
+    for snap in snapshots[1:]:
+        owner = snap.values if snap.values.base is None else snap.values.base
+        owners.setdefault(id(owner), (owner, []))[1].append(snap)
+    for owner, kept in owners.values():
+        assert owner.nbytes == sum(snap.values.nbytes for snap in kept)
 
 
 @pytest.mark.parametrize("end", _END_KINDS)
 @pytest.mark.parametrize("scheme,kind", _RING_CASES,
                          ids=[f"{s.value}-{k}" for s, k in _RING_CASES])
 def test_kept_snapshots_own_their_memory(scheme, kind, end):
-    # run_simulation copies the layers it keeps out of the plan's ring: no
-    # two snapshots share memory, a rerun and a sparser run give the same
-    # bytes, and the first snapshot is the caller's start layer
+    # run_simulation copies the layers it keeps out of the plan's blocks: no
+    # two snapshots share memory, each keeps alive only kept rows, a rerun
+    # and sparser runs give the same bytes, and the first snapshot is the
+    # caller's start layer; so do runs whose last kept layer is off the
+    # stride, because num_steps is no multiple of it or because the run
+    # diverges there.  A callable end makes one-layer blocks, a number end
+    # under constant k blocks of several layers in a ring.
     grid = build_uniform_grid(1.0, 16)
     p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2, dx=grid.dx)
-    bcs = (_END_KINDS[end](0.2, -1.0), _END_KINDS[end](lambda t: 0.1 - t, 1.0))
+    blow_up = scheme if scheme in _BLOWS_UP else Scheme.EXPLICIT
+    steep = SchemeParams(_CONTRACT_MODELS["constant"], dt=8 * grid.dx ** 2,
+                         dx=grid.dx)  # affine k would turn negative first
     initial = field(1.0 + np.sin(np.pi * grid.nodes) + 0.3 * grid.nodes)
-    runs = [run_simulation(initial, p, bcs, scheme, 9, every)
-            for every in (1, 1, 3)]
-    snapshots = runs[0].snapshots
-    assert len(snapshots) == 10 and snapshots[0].values is initial.values
-    for i, snap in enumerate(snapshots):
-        for other in snapshots[:i]:
-            assert not np.shares_memory(snap.values, other.values)
-    first, rerun, sparse = ([(s.time_index, s.values.tobytes())
-                             for s in run.snapshots] for run in runs)
-    assert rerun == first
-    assert sparse == first[::3]
+    for right in (lambda t: 0.1 - t, 0.1):
+        bcs = (_END_KINDS[end](0.2, -1.0), _END_KINDS[end](right, 1.0))
+        runs = [run_simulation(initial, p, bcs, scheme, steps, every)
+                for steps, every in ((9, 1), (9, 1), (9, 3), (10, 1), (10, 3))]
+        snapshots = runs[0].snapshots
+        assert len(snapshots) == 10 and snapshots[0].values is initial.values
+        first, rerun, sparse, longer, off = (
+            [(s.time_index, s.values.tobytes()) for s in run.snapshots]
+            for run in runs)
+        assert rerun == first and longer[:10] == first
+        assert sparse == first[::3]
+        assert off == longer[::3] + longer[-1:]
+
+        every_layer = run_simulation(initial, steep, bcs, blow_up, 40)
+        step = every_layer.diverged_step
+        every = next(e for e in (3, 4, 5, 7) if step % e)
+        diverging = run_simulation(initial, steep, bcs, blow_up, 40, every)
+        assert diverging.diverged and diverging.diverged_step == step > every
+        layers = [(s.time_index, s.values.tobytes())
+                  for s in every_layer.snapshots]
+        assert [(s.time_index, s.values.tobytes()) for s in diverging.snapshots
+                ] == layers[::every] + layers[-1:]
+        for run in runs + [every_layer, diverging]:
+            _owns_only_snapshots(run)
 
 
 @pytest.mark.parametrize("end", _END_KINDS)
