@@ -11,22 +11,20 @@ from one ``_ends_of`` factory (``grid.closure`` per end).  Before a plan is
 built, ``_float_layer`` checks the start layer and ``_plan`` the scheme, the
 parameters and the node count.  A plan returns ``block(prev, curr,
 time_index, count)``, which makes up to ``count`` layers from bare float64
-arrays (``prev`` is None on the first call); ``_plan`` hands out its block of
-one as ``advance(prev, curr, time_index)``.  Per layer a block evaluates the
-stencil (the Saulyev plan one sweep, alternating its direction), each
-closure's forcing (unless it is a constant, which the closure folds) once
-and, where k varies, the diffusivity (and with it the flux/Robin closures);
-interiors are written first, endpoints are closed afterwards, and the layer
-time is always ``time_index * dt``.  Called without a previous layer, the
-multi-layer schemes start themselves.  Every plan but the varying-k
-trapezoidal one makes up to cap layers a call in a ring of 2 cap + 1 rows
-(``_ring``: cap is 32 at N = 64, 1 from N = 4096 on or where a layer calls
-user code), each block in the rows after the row it reads, from row 0 when
-it would run past the last; at cap 1, and in the varying-k trapezoidal plan,
-each layer is a fresh array.  A block writes only the layers it returns, and
-the last two stay intact through the next call; a caller that keeps a layer
-longer copies it.  Each public ``step_*`` function builds a plan and
-advances it ``layers`` times.
+arrays (``prev`` is None on the first call), and ``_plan`` hands it out as
+it is.  Per layer a block evaluates the stencil (the Saulyev plan one sweep,
+alternating its direction), each closure's forcing (unless it is a constant,
+which the closure folds) once and, where k varies, the diffusivity (and with
+it the flux/Robin closures); interiors are written first, endpoints are
+closed afterwards, and the layer time is always ``time_index * dt``.  Called
+without a previous layer, the multi-layer schemes start themselves.  Every
+plan makes up to cap layers a call in a ring of 2 cap + 1 rows (``_ring``:
+cap is 32 at N = 64, 1 from N = 4096 on or where a layer calls user code),
+each block in the rows after the row it reads, from row 0 when it would run
+past the last; at cap 1 each layer is a fresh array.  A block writes only
+the layers it returns, and the last two stay intact through the next call;
+a caller that keeps a layer longer copies it.  Each public ``step_*``
+function builds a plan and asks it for one layer ``layers`` times.
 
 Diffusion number r = nu dt / dx^2 governs everything; the Dufort-Frankel
 update uses 2 r and the Saulyev sweeps use r as their weight parameter.
@@ -264,8 +262,7 @@ class RunRecord:
         return self.snapshots[-1]
 
 
-# A plan's block makes up to count layers, its advance one: see ``_plan``.
-Advance = Callable[[Optional[np.ndarray], np.ndarray, int], np.ndarray]
+# A plan's block makes up to count layers: see ``_ring``.
 Block = Callable[[Optional[np.ndarray], np.ndarray, int, int], tuple]
 
 
@@ -344,26 +341,26 @@ def _ends_of(params: SchemeParams, bcs):
     return ends_of
 
 
-def _ring(bcs, n_nodes: int, fixed: bool, layer) -> tuple:
+def _ring(params: SchemeParams, bcs, n_nodes: int, layer) -> tuple:
     """``(block, pinned)`` of a plan that makes its layers in a ring of
     R = 2 cap + 1 rows; cap is min(32, 8192 // n_nodes) or 1, and 1 where a
-    layer calls user code (varying k, not ``fixed``, a forcing that is no
-    number) or numpy reports underflow.  The first call cuts cap to the
-    count it asks for; at cap 1 no ring is made, and each block writes one
-    fresh row.  Otherwise it makes the ring.  Each row, fresh or of the
-    ring, holds every constant Dirichlet end (``pinned``) before it is
-    written.  ``block`` writes min(``count``, cap) layers by ``layer(before,
-    last, out, time_index)``, which writes the views ``out`` from those of
-    the last two layers, and returns them as a 2-D view and rows, in layer
-    order.  One rule places them in the ring: the rows from s on, where s is
-    one past the ring row of ``u`` (of ``prev`` when ``u`` is no ring row; 0
-    when neither is), and 0 when the block would run past row R - 1.  A
-    block wraps only after a row of R - count >= cap + 1 or above, so it
-    never writes over the last two layers the ring made, which a run reads
-    next.  A block of several layers runs under ``_QUIET`` (see
-    ``run_simulation``)."""
+    layer calls user code (varying k, a forcing that is no number) or numpy
+    reports underflow.  The first call cuts cap to the count it asks for; at
+    cap 1 no ring is made, and each block writes one fresh row.  Otherwise
+    it makes the ring.  Each row, fresh or of the ring, holds every constant
+    Dirichlet end (``pinned``) before it is written.  ``block`` writes
+    min(``count``, cap) layers by ``layer(before, last, out, time_index)``,
+    which writes the views ``out`` from those of the last two layers, and
+    returns them as a 2-D view and rows, in layer order.  One rule places
+    them in the ring: the rows from s on, where s is one past the ring row
+    of ``u`` (of ``prev`` when ``u`` is no ring row; 0 when neither is), and
+    0 when the block would run past row R - 1.  A block wraps only after a
+    row of R - count >= cap + 1 or above, so it never writes over the last
+    two layers the ring made, which a run reads next.  A block of several
+    layers runs under ``_QUIET`` (see ``run_simulation``)."""
     cap = max(1, min(_BLOCK_LAYERS, _BLOCK_NODES // n_nodes))
-    if not (fixed and np.geterr()["under"] == "ignore"
+    if not (params.diffusivity.nu_value is not None
+            and np.geterr()["under"] == "ignore"
             and all(isinstance(bc.forcing, _Constant) for bc in bcs)):
         cap = 1
     pinned = [bc.kind is BCKind.DIRICHLET and isinstance(bc.forcing, _Constant)
@@ -403,14 +400,6 @@ def _ring(bcs, n_nodes: int, fixed: bool, layer) -> tuple:
     return block, pinned
 
 
-def _single(advance: Callable) -> Block:
-    """The block of a plan whose ``advance`` makes one layer a call."""
-    def block(prev, u, time_index, count):
-        layer = advance(prev, u, time_index)
-        return layer[None], (layer,)
-    return block
-
-
 def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Block:
     """Block of an explicit scheme, made in a ring (``_ring``): ``interior``
     (as ``_forward``) writes each new interior from the last two layers'
@@ -424,7 +413,7 @@ def _closed_plan(params: SchemeParams, bcs, n_nodes: int, interior) -> Block:
         for close in closes if fixed else [
                 end.close for end in ends_of(last[0])]:
             close(out[0], (time_index + 1) * dt)
-    block, pinned = _ring(bcs, n_nodes, fixed, layer)
+    block, pinned = _ring(params, bcs, n_nodes, layer)
     closes = fixed and [end.close for end, pin in zip(ends_of(None), pinned)
                         if not pin]
     return block
@@ -493,7 +482,7 @@ def _folded_plan(params: SchemeParams, bcs, n_nodes: int, rho: float,
         rhs_into(None, last, out[2])
         _solve_folded(solve, edge, out[0], ends,
                       _terms(ends, (time_index + 1) * dt))
-    return _ring(bcs, n_nodes, True, layer)[0]
+    return _ring(params, bcs, n_nodes, layer)[0]
 
 
 def _fixed_point(iterate: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
@@ -583,10 +572,10 @@ def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
                     cross: bool) -> Block:
     """Block of the trapezoid rule for u_t = k(u) u_xx: each layer's
     difference weighted by half its own k, or the other layer's if ``cross``.
-    Constant k is Crank-Nicolson, factored once and made in blocks
-    (``_folded_plan``); varying k makes one layer a call: crossed affine k
-    is one solve a step, else ``_fixed_point`` iterates with k(v) as the
-    new k."""
+    Constant k is Crank-Nicolson, factored once (``_folded_plan``); varying
+    k, which ``_ring`` makes at cap 1, solves each layer afresh: crossed
+    affine k in its row, else ``_fixed_point`` iterates with k(v) as the new
+    k and its result is copied into the row."""
     model, dt, dx = params.diffusivity, params.dt, params.dx
 
     def half(k):
@@ -600,29 +589,30 @@ def _trapezoid_plan(params: SchemeParams, bcs, n_nodes: int,
     affine = cross and model.general_k is None  # k = a + b u
     rho_a, rho_b = half(model.affine_a), half(model.affine_b)
 
-    def advance(prev, u, time_index):
+    def layer(before, last, row, time_index):
+        u, lo, mid, hi = last
         k_old = model._evaluate_nodes(u, _INTERIOR)
         rho_old = half(k_old)
-        d2 = _second_difference(u[:-2], u[1:-1], u[2:])
+        d2 = _second_difference(lo, mid, hi)
         ends = ends_of(u)
         terms = _terms(ends, (time_index + 1) * dt)
 
-        def solve(rho, diag, step):  # rhs u + step, rows weighted by rho
-            out = np.empty(n_nodes)
-            np.add(u[1:-1], step, out=out[1:-1])
+        def solve(rho, diag, step, out):  # rhs u + step, rows weighted by rho
+            np.add(mid, step, out=out[1:-1])
             return _solve_folded(direct(_fold(rho, diag, ends)), rho, out,
                                  ends, terms)
 
         if affine:
-            return solve(rho_old, 1.0 + 2.0 * rho_old - rho_b * d2,
-                         rho_a * d2)
+            solve(rho_old, 1.0 + 2.0 * rho_old - rho_b * d2, rho_a * d2,
+                  row[0])
+            return
         old_step = None if cross else rho_old * d2
 
         def iterate(k):  # k = k(v), standing in for the new layer's k
             rho, step = (rho_old, half(k) * d2) if cross else (half(k), old_step)
-            return solve(rho, 1.0 + 2.0 * rho, step)
-        return _fixed_point(iterate, u, k_old, model)
-    return _single(advance)
+            return solve(rho, 1.0 + 2.0 * rho, step, np.empty(n_nodes))
+        row[0][...] = _fixed_point(iterate, u, k_old, model)
+    return _ring(params, bcs, n_nodes, layer)[0]
 
 
 def _plan_cn(params: SchemeParams, bcs, n_nodes: int) -> Block:
@@ -691,7 +681,7 @@ def _plan_saulyev(params: SchemeParams, bcs, n_nodes: int) -> Block:
         # sweep solves out[:n] from the left start, the leftwards one out[1:]
         dtbsv(1, band, out, 1, odd, 1 - odd, 0, 1, 1)
         (close_left if odd else close_right)(out, t)
-    block, pinned = _ring(bcs, n_nodes, True, sweep)
+    block, pinned = _ring(params, bcs, n_nodes, sweep)
     close_left, close_right = ((lambda out, t: None) if pin else end.close
                                for pin, end in zip(pinned, (left, right)))
     return block
@@ -820,7 +810,7 @@ SPECS = {
 }
 
 
-def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
+def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Block:
     """``scheme``'s plan, built after the gate that follows ``_float_layer``:
     ``bcs`` is a (left, right) pair of BoundaryConditions, the spec's constant
     k, tau > 0, N >= 2 (an interior node for the stencil) and N >= 3 with a
@@ -842,27 +832,22 @@ def _plan(scheme: Scheme, params: SchemeParams, bcs, n_nodes: int) -> Advance:
                          f"got shape ({n_nodes},)")
     if n_nodes < 4 and any(bc.kind is not BCKind.DIRICHLET for bc in bcs):
         raise ValueError("flux/Robin boundaries need N >= 3 (at least 4 nodes)")
-    block = spec.plan(params, bcs, n_nodes)
-
-    def advance(prev, curr, time_index):  # the block of one layer
-        return block(prev, curr, time_index, 1)[1][0]
-    advance.block = block
-    return advance
+    return spec.plan(params, bcs, n_nodes)
 
 
 # ------------------------------------------------------- public steppers
 
 def _advance_once(scheme: Scheme, state: StepState) -> tuple:
-    """The layers of one public step of ``scheme`` from ``state``, one advance
-    of its plan per layer; with no previous layer a multi-layer scheme starts
-    as in ``run_simulation``."""
+    """The layers of one public step of ``scheme`` from ``state``, a block of
+    one from its plan per layer; with no previous layer a multi-layer scheme
+    starts as in ``run_simulation``."""
     curr = _float_layer(state.curr.values)[0]
     prev = None if state.prev is None else _float_layer(state.prev.values)[0]
-    advance = _plan(scheme, state.params, state.bcs, len(curr))
+    block = _plan(scheme, state.params, state.bcs, len(curr))
     start = state.curr.time_index
     fields = []
     for time_index in range(start, start + SPECS[scheme].layers):
-        prev, curr = curr, advance(prev, curr, time_index)
+        prev, curr = curr, block(prev, curr, time_index, 1)[1][0]
         fields.append(Field(values=curr, time_index=time_index + 1))
     return tuple(fields)
 
@@ -971,14 +956,14 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     ``_float_layer`` checks the start layer, whose snapshot keeps its norm;
     ``_plan`` builds the plan once, raising ValueError for misuse, and the
     plan's own errors propagate.  The run asks for blocks of up to 32 layers,
-    which a ring plan cuts to its cap (1 where a layer calls user code), so a
+    which the plan cuts to its cap (1 where a layer calls user code), so a
     block can span snapshots.  It halts and flags divergence at the first
     layer d with a non-finite value or max-norm above 1e12, tested once per
     block by one ``np.abs`` and one ``argmax``, which never square.  A block
     of several layers ignores overflow, invalid and divide, which each leave
     an inf or a NaN that fails the test; its layers after d (at most cap - 1)
     are thrown away and d is made again from its two rows under the caller's
-    error state, so it warns and raises as a one-layer advance.  A block's
+    error state, so it warns and raises as a block of one layer.  A block's
     kept layers, the end or diverging layer among them, are copied out
     together, and one reduction of their |block| rows gives their norms: a
     kept snapshot's ``values`` is a row of that copy, which holds only kept
@@ -1006,7 +991,7 @@ def run_simulation(initial: Field, params: SchemeParams, bcs,
     if num_steps == 0:
         return record
     start, end = initial.time_index, initial.time_index + num_steps
-    block = _plan(scheme, params, bcs, len(values)).block
+    block = _plan(scheme, params, bcs, len(values))
     period, every = SPECS[scheme].layers, snapshot_every
 
     def make(prev, curr, step, count):  # up to count layers after step

@@ -2,15 +2,20 @@
 blocks against.
 
 ``run_per_layer`` is ``run_simulation``'s loop from before blocks: one call of
-the plan's one-layer advance per layer, under the caller's error state, one
-``max_abs`` divergence test per layer, and a copy of each kept layer.  It
-skips the argument checks that ``run_simulation`` makes first.
+the plan's block per layer, asking for one layer, under the caller's error
+state, one ``max_abs`` divergence test per layer, and a copy of each kept
+layer.  It skips the argument checks that ``run_simulation`` makes first.
 """
 
 from heatlab import Field, RunRecord, SolverError
 from heatlab.grid import max_abs
 from heatlab.schemes import (DIVERGENCE_THRESHOLD, SPECS, FixedPointError,
                              _float_layer, _plan)
+
+
+def one_layer(block, prev, curr, time_index):
+    """The layer after ``curr`` from ``block`` asked for one layer."""
+    return block(prev, curr, time_index, 1)[1][0]
 
 
 def run_per_layer(initial, params, bcs, scheme, num_steps,
@@ -24,12 +29,12 @@ def run_per_layer(initial, params, bcs, scheme, num_steps,
         return record
     start, end = initial.time_index, initial.time_index + num_steps
     prev, curr = None, values
-    advance = _plan(scheme, params, bcs, len(curr))
+    block = _plan(scheme, params, bcs, len(curr))
     period = SPECS[scheme].layers
 
     for step in range(start + 1, end + 1):
         try:
-            prev, curr = curr, advance(prev, curr, step - 1)
+            prev, curr = curr, one_layer(block, prev, curr, step - 1)
         except (ArithmeticError, FixedPointError, ValueError) as exc:
             raise SolverError(step=step, cause=exc) from exc
         norm = max_abs(curr)

@@ -80,15 +80,13 @@ def recorded_blocks(monkeypatch):
     blocks, plan = [], schemes._plan
 
     def recorded(*args):
-        advance = plan(*args)
-        block = advance.block
+        block = plan(*args)
 
         def counted(prev, u, time_index, count):
             made, rows = block(prev, u, time_index, count)
             blocks.append((time_index, len(rows)))
             return made, rows
-        advance.block = counted
-        return advance
+        return counted
     monkeypatch.setattr(schemes, "_plan", recorded)
     return blocks
 
@@ -112,7 +110,7 @@ def cases(draw, scheme):
     dx = 1.0 / cells
     r = draw(st.floats(0.05, 3.0))
     kind = (draw(st.sampled_from(["constant", "affine", "general"]))
-            if scheme is Scheme.EXPLICIT else "constant")
+            if not schemes.SPECS[scheme].constant_k else "constant")
     model = {"constant": DiffusivityModel.constant(1.0),
              "affine": DiffusivityModel.affine(1.0, 0.1),
              "general": DiffusivityModel.general(lambda u: 1.0 + 0.1 * u * u),
@@ -132,7 +130,11 @@ def cases(draw, scheme):
             "errstate": draw(st.sampled_from(ERROR_STATES))}
 
 
-@pytest.mark.parametrize("scheme", RING_SCHEMES, ids=lambda s: s.value)
+# cn_nonlinear and ccn run CN's plan under constant k, and one layer a block
+# under affine or general k
+@pytest.mark.parametrize("scheme", RING_SCHEMES + [Scheme.CN_NONLINEAR,
+                                                   Scheme.CROSS_CN],
+                         ids=lambda s: s.value)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_block_runs_equal_the_one_layer_loop(scheme, data):
@@ -190,6 +192,33 @@ def test_a_crank_nicolson_blow_up_diverges_inside_a_block(every, state,
     assert block == outcome(run_per_layer, case)
     assert block[0][3:] == (True, 8)
     assert blocks == [(0, 32), (7, 1)]
+
+
+@pytest.mark.parametrize("scheme,r,spike,ends,step", [
+    (Scheme.EXPLICIT, 2.0, 1e-3,
+     (("D", 0.0, 0.0, (0.0, None, None, None)),) * 2, 6),
+    (Scheme.CROSS_CN, 10.0, 1.0, (("R", 1.0, 0.5, (0.1, None, None, None)),
+                                  ("F", 0.0, 0.0, (-0.2, None, None, None))),
+     3)], ids=["explicit", "ccn"])
+def test_a_varying_k_fails_at_its_own_step(scheme, r, spike, ends, step,
+                                           monkeypatch):
+    # k(u) = 1 + 0.1 u turns negative some layers into these runs: a layer
+    # that calls k is made one a block, number ends and all, so the
+    # DiffusivityError names its own step, as layer by layer
+    blocks = recorded_blocks(monkeypatch)
+    cells = 16
+    nodes = np.arange(cells + 1) / cells
+    case = {"scheme": scheme,
+            "params": SchemeParams(DiffusivityModel.affine(1.0, 0.1),
+                                   dt=r / cells ** 2, dx=1.0 / cells),
+            "initial": Field(np.sin(np.pi * nodes) + 0.3 * nodes
+                             + spike * (-1.0) ** np.arange(cells + 1), 0),
+            "ends": ends, "steps": 40, "every": 1, "errstate": {}}
+    block = outcome(run_simulation, case)
+    assert block == outcome(run_per_layer, case)
+    assert block[0][:2] == ("SolverError", step)
+    assert "diffusivity k(u[" in block[0][2]
+    assert {n for _, n in blocks} == {1}
 
 
 @pytest.mark.parametrize("state", ERROR_STATES, ids=str)

@@ -1,11 +1,11 @@
-"""Each plan's advance gives the bits of the Python-float reference.
+"""Each plan's block of one layer gives the bits of the Python-float reference.
 
 The plans bind their constant coefficients as 0-d float64 arrays and double
 the middle node as ``mid + mid``.  Both take numpy's array-array path to the
 same IEEE double as a Python-float coefficient and ``2.0 * mid``, so one
-advance must equal, byte for byte, the reference below, which spells out
+layer must equal, byte for byte, the reference below, which spells out
 each scheme's arithmetic with Python-float coefficients.  So must each of
-consecutive advances through one plan, which reads its own layers through
+consecutive one-layer blocks of one plan, which reads its own layers through
 the views it bound and folds constant boundary data once.  The reference
 shares only what works on single nodes or on matrices (``grid.closure``,
 ``schemes._fold``, ``tridiag.factored`` and ``dtbsv``); every operation it
@@ -131,11 +131,12 @@ def reference(scheme, p, bcs, prev, u, time_index):
 
 
 def assert_same_bits(scheme, p, bcs, prev, u, time_index):
-    # one advance per layer of the reference's step: a Saulyev pair is two
-    advance = _plan(scheme, p, bcs, len(u))
+    # one block of one layer per layer of the reference's step: a Saulyev
+    # pair is two
+    block = _plan(scheme, p, bcs, len(u))
     got = []
     for expected in reference(scheme, p, bcs, prev, u, time_index):
-        prev, u = u, advance(prev, u, time_index + len(got))
+        prev, u = u, block(prev, u, time_index + len(got), 1)[1][0]
         assert u.tobytes() == expected.tobytes()
         got.append(u)
     return got
@@ -200,19 +201,19 @@ def test_overflow_near_the_largest_double_gives_the_same_infinities(scheme):
 def test_consecutive_advances_equal_the_reference_applied_in_turn(
         scheme, data, cells, r, nu, time_index, ends):
     # one plan fed its own layers, as a run feeds them, reads them through
-    # its ring's bound views: three steps (a Saulyev step is two advances)
+    # its ring's bound views: three steps (a Saulyev step is two layers)
     # give the reference's bits, and the last two layers stay intact
-    # through each advance
+    # through each block
     dx = 1.0 / cells
     p = SchemeParams(DiffusivityModel.constant(nu), dt=r * dx ** 2 / nu, dx=dx)
     u = data.draw(layers(cells + 1), label="u")
     prev = (data.draw(st.one_of(st.none(), layers(cells + 1)), label="prev")
             if scheme in TWO_LAYER else None)
-    advance = _plan(scheme, p, ends, len(u))
+    block = _plan(scheme, p, ends, len(u))
     got_prev, got_u, want_prev, want_u = prev, u, prev, u
     for _ in range(3):
         for want in reference(scheme, p, ends, want_prev, want_u, time_index):
-            got = advance(got_prev, got_u, time_index)
+            got = block(got_prev, got_u, time_index, 1)[1][0]
             assert got.tobytes() == want.tobytes()
             if got_prev is not None:  # the last two layers, unchanged
                 assert got_prev.tobytes() == want_prev.tobytes()

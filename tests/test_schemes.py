@@ -1299,12 +1299,15 @@ def test_run_simulation_matches_hand_loop_bit_for_bit(scheme):
 @pytest.mark.parametrize("bcs", [
     (BoundaryCondition.dirichlet(0.5), BoundaryCondition.dirichlet(-0.2)),
     (BoundaryCondition.flux(0.3), BoundaryCondition.robin(1.0, 0.5, 0.2)),
-], ids=["dirichlet", "flux-robin"])
+    (BoundaryCondition.dirichlet(lambda t: 0.5 + t),
+     BoundaryCondition.robin(1.0, 0.5, lambda t: 0.2 - t)),
+], ids=["dirichlet", "flux-robin", "callable"])
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_public_stepper_starts_like_run_simulation(scheme, bcs):
     # without a previous layer a public stepper takes run_simulation's first
     # advance: the explicit step for leap-frog and Dufort-Frankel, the Taylor
-    # start for the hyperbolic scheme, both layers of the Saulyev pair
+    # start for the hyperbolic scheme, both layers of the Saulyev pair (also
+    # where a callable forcing gives blocks of one layer)
     grid = build_uniform_grid(1.0, 16)
     if scheme in (Scheme.CN_NONLINEAR, Scheme.CROSS_CN):
         p = SchemeParams(DiffusivityModel.affine(1.0, 0.2), dt=0.4 * grid.dx ** 2,
@@ -1624,11 +1627,10 @@ def test_affine_with_zero_slope_runs_as_the_constant_model(scheme, bcs):
 
 
 # ------------------------------------------------------ in-place layers
-# An advance writes only into the layer it returns, which belongs to its
-# plan (a row of a ring, or a fresh array at cap 1 and for the varying-k
-# trapezoidal plans): it never writes into a caller's prev or u, no two
-# consecutive layers share memory, and the last two layers it returned stay
-# intact through the next advance.
+# A block writes only into the layers it returns, which belong to its plan
+# (rows of a ring, or a fresh array at cap 1): it never writes into a
+# caller's prev or u, no two consecutive layers share memory, and the last
+# two layers it returned stay intact through the next block.
 
 _CONTRACT_BCS = {
     "dirichlet": (BoundaryCondition.dirichlet(0.2),
@@ -1658,13 +1660,13 @@ def test_advance_writes_only_the_layers_it_returns(scheme, kind, bcs, cells):
     # takes the small-order solves, N = 16 the LAPACK ones
     grid = build_uniform_grid(1.0, cells)
     p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2, dx=grid.dx)
-    advance = schemes._plan(scheme, p, bcs, len(grid.nodes))
+    block = schemes._plan(scheme, p, bcs, len(grid.nodes))
     prev = 1.0 + np.sin(np.pi * grid.nodes)
     u = prev + 0.3 * grid.nodes
     for before in (None, prev):
         inputs = [x for x in (before, u) if x is not None]
         kept = [x.tobytes() for x in inputs]
-        layer = advance(before, u, 1)
+        layer = block(before, u, 1, 1)[1][0]
         assert [x.tobytes() for x in inputs] == kept
         assert type(layer) is np.ndarray and layer.dtype == np.float64
         assert layer.flags.c_contiguous and layer.shape == u.shape
@@ -1684,7 +1686,7 @@ def test_constant_data_plans_make_full_blocks(scheme):
                          dx=grid.dx)
         u = 1.0 + np.sin(np.pi * grid.nodes)
         made, rows = schemes._plan(scheme, p, _CONTRACT_BCS["numbers"],
-                                   len(u)).block(None, u, 0, 32)
+                                   len(u))(None, u, 0, 32)
         assert len(rows) == len(made) == layers
     assert rows[0].base is None
 
@@ -1709,8 +1711,8 @@ def test_advance_keeps_the_layers_a_run_reads_next(scheme, kind, bcs):
         grid = build_uniform_grid(1.0, cells)
         p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.4 * grid.dx ** 2,
                          dx=grid.dx)
-        block = schemes._plan(scheme, p, bcs, len(grid.nodes)).block
-        fresh = schemes._plan(scheme, p, bcs, len(grid.nodes)).block
+        block = schemes._plan(scheme, p, bcs, len(grid.nodes))
+        fresh = schemes._plan(scheme, p, bcs, len(grid.nodes))
         prev, u, time_index = None, 1.0 + np.sin(np.pi * grid.nodes), 0
         for count in counts:
             inputs = [x for x in (prev, u) if x is not None]

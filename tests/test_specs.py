@@ -27,6 +27,8 @@ from heatlab import (BoundaryCondition, DiffusivityModel, Field, Scheme,
 import heatlab
 from heatlab import cli, schemes
 from heatlab.schemes import SPECS
+from run_reference import one_layer
+from test_schemes import _CONTRACT_BCS, _CONTRACT_CASES, _CONTRACT_MODELS
 
 SRC = Path(cli.__file__).parent
 HOMOGENEOUS = (BoundaryCondition.dirichlet(0.0), BoundaryCondition.dirichlet(0.0))
@@ -50,10 +52,12 @@ def test_every_scheme_has_one_spec():
 
 
 @pytest.mark.parametrize("source", [
-    "analysis.py", "cli.py", "run_simulation", "_advance_once"])
+    "analysis.py", "cli.py", "run_simulation", "_advance_once", "_plan",
+    "_ring"])
 def test_analysis_and_cli_name_no_scheme_member(source):
-    # run_simulation, and _advance_once behind the public steppers, read a
-    # scheme's spec and have no per-scheme branch
+    # run_simulation, _advance_once behind the public steppers, and the plan
+    # path they share (_plan and the layer ring) read a scheme's spec and
+    # have no per-scheme branch
     text = ((SRC / source).read_text() if source.endswith(".py")
             else inspect.getsource(getattr(schemes, source)))
     assert re.findall(r"\bScheme\.[A-Z][A-Z_]*", text) == []
@@ -118,7 +122,7 @@ def test_layers_is_the_consistency_grade_period(scheme):
 @pytest.mark.parametrize("scheme", [s for s in Scheme if SPECS[s].symbol],
                          ids=lambda s: s.value)
 def test_every_symbol_agrees_with_its_own_plan(scheme):
-    # a discrete sine mode is an eigenvector of one advance under homogeneous
+    # a discrete sine mode is an eigenvector of one layer under homogeneous
     # Dirichlet ends: a one-layer plan multiplies it by g, a two-layer plan
     # maps (prev, curr) = (0, v) to alpha v and (v, 0) to beta v, and the
     # roots of g^2 - alpha g - beta are the symbol's
@@ -130,7 +134,7 @@ def test_every_symbol_agrees_with_its_own_plan(scheme):
             continue
         p = SchemeParams(DiffusivityModel.constant(1.0), dt=r / n ** 2,
                          dx=1.0 / n, tau=0.01)
-        advance = schemes._plan(scheme, p, HOMOGENEOUS, n + 1)
+        block = schemes._plan(scheme, p, HOMOGENEOUS, n + 1)
         for m in [1, 5, 17, 40, 63]:
             theta = m * np.pi / n
             v = np.sin(nodes * theta)
@@ -138,14 +142,14 @@ def test_every_symbol_agrees_with_its_own_plan(scheme):
                                 np.sin(theta / 2.0) ** 2, theta)
             if len(roots) == 1:
                 (g,) = roots
-                error = np.max(np.abs(advance(None, v, 1) - g * v))
+                error = np.max(np.abs(one_layer(block, None, v, 1) - g * v))
             else:
                 zero = np.zeros(n + 1)
-                alpha, beta = (advance(prev, curr, 1) @ v / (v @ v)
+                alpha, beta = (one_layer(block, prev, curr, 1) @ v / (v @ v)
                                for prev, curr in ((zero, v), (v, zero)))
                 residual = max(
-                    np.max(np.abs(advance(zero, v, 1) - alpha * v)),
-                    np.max(np.abs(advance(v, zero, 1) - beta * v)))
+                    np.max(np.abs(one_layer(block, zero, v, 1) - alpha * v)),
+                    np.max(np.abs(one_layer(block, v, zero, 1) - beta * v)))
                 root = np.sqrt(complex(alpha * alpha + 4.0 * beta))
                 plan_roots = ((alpha + root) / 2.0, (alpha - root) / 2.0)
                 error = max(residual, min(
@@ -164,8 +168,8 @@ def smooth(x, t):
     Scheme.DUFORT_FRANKEL, Scheme.HYPERBOLIC, Scheme.CN_NONLINEAR,
     Scheme.CROSS_CN], ids=lambda s: s.value)
 def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
-    # one advance of exact layers misses the exact next layer by f times the
-    # spec's residual (after the band operator for implicit and the three
+    # one layer made from exact layers misses the exact next layer by f times
+    # the spec's residual (after the band operator for implicit and the three
     # trapezoids); the identity is algebraic, so any smooth u serves.
     # cn_nonlinear and ccn are covered under constant k only, where their
     # plan is CN's; Saulyev is not covered.
@@ -178,9 +182,9 @@ def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
         p = SchemeParams(DiffusivityModel.constant(1.0), dt=dt, dx=1.0 / n,
                          tau=tau)
         t = 7 * dt
-        advance = schemes._plan(scheme, p, bcs, n + 1)
-        defect = smooth(nodes, t + dt) - advance(
-            smooth(nodes, t - dt), smooth(nodes, t), 7)
+        block = schemes._plan(scheme, p, bcs, n + 1)
+        defect = smooth(nodes, t + dt) - one_layer(
+            block, smooth(nodes, t - dt), smooth(nodes, t), 7)
         rho = {Scheme.IMPLICIT: r, Scheme.CRANK_NICOLSON: r / 2.0,
                Scheme.CN_NONLINEAR: r / 2.0, Scheme.CROSS_CN: r / 2.0,
                }.get(scheme, 0.0)
@@ -199,6 +203,16 @@ def test_every_residual_is_a_fixed_multiple_of_its_plans_defect(scheme):
 def test_every_plan_takes_params_bcs_and_node_count(scheme):
     signature = inspect.signature(SPECS[scheme].plan)
     assert list(signature.parameters) == ["params", "bcs", "n_nodes"]
+
+
+@pytest.mark.parametrize("scheme,kind", _CONTRACT_CASES,
+                         ids=[f"{s.value}-{k}" for s, k in _CONTRACT_CASES])
+def test_every_plan_hands_out_the_ring_block(scheme, kind):
+    # one block mechanism: under constant and varying k alike, _plan returns
+    # the block that the layer ring makes, with nothing wrapped round it
+    p = SchemeParams(_CONTRACT_MODELS[kind], dt=0.001, dx=0.125)
+    block = schemes._plan(scheme, p, _CONTRACT_BCS["numbers"], 9)
+    assert block.__qualname__ == "_ring.<locals>.block"
 
 
 def test_public_steppers_take_only_their_step_state():
